@@ -17,6 +17,7 @@ from .drive import (
     family_harmonic_integer,
     force_at,
     fourier_components,
+    wrap_angle,
 )
 from .effective import EffectiveRates, derive_rates, nnn_rates, w_commutator
 from .bloch import (
@@ -45,7 +46,6 @@ from .optimizer import (
     random_search_best,
     sweep_targets,
     worker_count,
-    wrap_angle,
 )
 from .validate import (
     LadderResult,

@@ -194,6 +194,12 @@ def _plaquette_phases(v):
     return np.angle(prod)
 
 
+def _check_grid(N1: int, N2: int):
+    """Plaquette Chern numbers need at least a 12 x 12 torus grid."""
+    if N1 < 12 or N2 < 12:
+        raise ValueError(f"Chern grids need N1, N2 >= 12, got {N1} x {N2}")
+
+
 def chern_number(model: BlochModel, N1: int = 48, N2: int = 48,
                  closure_threshold: float | None = None) -> int:
     """Plaquette Chern number of the lowest band on an N1 x N2 torus grid.
@@ -202,8 +208,7 @@ def chern_number(model: BlochModel, N1: int = 48, N2: int = 48,
     closure threshold (default 1e-6 * j1), a plaquette phase comes within
     ~0.34 rad of +-pi, or the phase sum fails to round to an integer.
     """
-    if N1 < 12 or N2 < 12:
-        raise ValueError("Chern grids need N1, N2 >= 12")
+    _check_grid(N1, N2)
     thr = CLOSURE_THRESHOLD * model.j1 if closure_threshold is None else closure_threshold
     kb1, kb2 = np.meshgrid(2 * np.pi * np.arange(N1) / N1,
                            2 * np.pi * np.arange(N2) / N2, indexing="ij")
@@ -270,6 +275,7 @@ def phase_diagram(phi_values=None, ratio_values=None, N1: int = 48, N2: int = 48
     merely set the energy scale of the reported min_gap.  Returns a dict
     kind -> ChernDiagram.
     """
+    _check_grid(N1, N2)
     phi_values = default_phi_grid() if phi_values is None else np.asarray(phi_values, dtype=float)
     ratio_values = default_ratio_grid() if ratio_values is None else np.asarray(ratio_values, dtype=float)
     kb1, kb2 = np.meshgrid(2 * np.pi * np.arange(N1) / N1,

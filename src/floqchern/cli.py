@@ -54,11 +54,16 @@ def parse_range(text: str) -> np.ndarray:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"non-numeric range component in {text!r}") from None
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ConfigError(f"range components must be finite, got {text!r}")
     if step <= 0:
         raise ConfigError(f"range step must be positive, got {step}")
     if stop < start:
         raise ConfigError(f"empty range {text!r}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step
+    if not math.isfinite(span):
+        raise ConfigError(f"range {text!r} has a non-finite number of points")
+    count = int(math.floor(span + 1e-9)) + 1
     return start + step * np.arange(count)
 
 
@@ -75,18 +80,6 @@ def _load_drive(arg: str):
     except json.JSONDecodeError as e:
         raise ConfigError(f"malformed drive JSON (line {e.lineno}, col {e.colno}): {e.msg}") from None
     return drive_from_json(data)
-
-
-def _workers(args) -> int:
-    env = os.environ.get("FCF_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"FCF_THREADS must be an integer, got {env!r}") from None
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    return os.cpu_count() or 1
 
 
 def _outdir(args) -> str:
@@ -171,7 +164,7 @@ def cmd_optimize(args) -> int:
     problem = optimizer.OptimizationProblem(
         phi_target=args.phi_target, r_threshold=args.r_th, family=args.family,
         N=args.N, amp_bound=args.amp_bound, n_starts=args.starts, seed=args.seed)
-    res = optimizer.maximize(problem, workers=_workers(args))
+    res = optimizer.maximize(problem, workers=optimizer.worker_count(args.threads))
     out = _outdir(args)
     path = os.path.join(out, "optimize.csv")
     _write_csv(path, _opt_header(args.N), [_opt_row(args.phi_target, args.r_th, res, args.N)])
@@ -198,7 +191,8 @@ def cmd_sweep(args) -> int:
     template = optimizer.OptimizationProblem(
         phi_target=0.0, r_threshold=r_ths[0], family=args.family, N=args.N,
         amp_bound=args.amp_bound, n_starts=args.starts, seed=args.seed)
-    sw = optimizer.sweep_targets(targets, r_ths, template, workers=_workers(args))
+    sw = optimizer.sweep_targets(targets, r_ths, template,
+                                 workers=optimizer.worker_count(args.threads))
     jump_rows = {(r_th, i + 1) for r_th, pairs in sw.jumps.items() for i, _ in pairs}
     rows = []
     for idx, (phi_tg, r_th, res) in enumerate(sw.rows):
@@ -325,9 +319,16 @@ def _emit_error(code: int, kind: str, message: str):
     sys.stderr.write(json.dumps({"error": {"code": code, "type": kind, "message": message}}) + "\n")
 
 
+def _check_finite(args):
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_finite(args)
         return args.func(args)
     except (ConfigError, OSError) as e:
         _emit_error(2, "config", str(e))

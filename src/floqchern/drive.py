@@ -105,6 +105,11 @@ def default_geometry() -> LatticeGeometry:
     return _DEFAULT_GEOM
 
 
+def wrap_angle(x):
+    """Wrap to (-pi, pi]."""
+    return np.pi - np.mod(np.pi - np.asarray(x), 2 * np.pi)
+
+
 def family_harmonic_integer(n: int) -> int:
     """n-th allowed harmonic integer: 1, 2, 4, 5, 7, 8, ... (skipping
     multiples of 3), via m_n = (6n - (-1)^n - 3)/4."""
@@ -153,8 +158,8 @@ class DriveSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if not self.omega > 0:
-            raise ValueError("omega must be positive")
+        if not (self.omega > 0 and math.isfinite(self.omega)):
+            raise ValueError(f"omega must be positive and finite, got {self.omega}")
         object.__setattr__(self, "harmonics", tuple(self.harmonics))
         if self.family in ("plus", "minus"):
             self._check_family_structure()
@@ -171,7 +176,7 @@ class DriveSpec:
             if abs(h.amp_x - h.amp_y) > 1e-12 * max(1.0, abs(h.amp_x)):
                 raise ValueError("plus/minus families carry equal amplitudes on both axes")
             want = h.phase_x + sgn * (-1) ** idx * np.pi / 2
-            if abs(_wrap_angle(h.phase_y - want)) > 1e-9:
+            if abs(wrap_angle(h.phase_y - want)) > 1e-9:
                 raise ValueError(
                     f"family {self.family!r} harmonic {idx} has phase_y = {h.phase_y}, "
                     f"expected {want}")
@@ -179,12 +184,6 @@ class DriveSpec:
     @property
     def period(self) -> float:
         return 2 * np.pi / self.omega
-
-
-def _wrap_angle(x):
-    """Wrap to (-pi, pi]."""
-    w = np.mod(-x + np.pi, 2 * np.pi)
-    return np.pi - w
 
 
 def build_family_drive(sign: str, omega: float, amps, phases) -> DriveSpec:
@@ -248,12 +247,13 @@ def _bond_projections(geom: LatticeGeometry):
 
 
 def _axis_bond_amplitudes(proj, amp_x, phase_x, amp_y, phase_y) -> np.ndarray:
-    """Complex bond amplitudes Z (3, H) from per-harmonic axis amplitudes
-    and phase lags (arrays of shape (H,)) and `_bond_projections`."""
+    """Complex bond amplitudes Z (..., 3, H) from per-harmonic axis
+    amplitudes and phase lags (arrays of shape (..., H)) and
+    `_bond_projections`."""
     p1, p2 = proj
     zx = amp_x * np.exp(-1j * phase_x)
     zy = amp_y * np.exp(-1j * phase_y)
-    return p1[:, None] * zx[None, :] + p2[:, None] * zy[None, :]
+    return p1[:, None] * zx[..., None, :] + p2[:, None] * zy[..., None, :]
 
 
 def _bond_amplitudes(spec: DriveSpec, geom: LatticeGeometry):
@@ -312,16 +312,18 @@ def _unit_roots(M: int) -> np.ndarray:
 
 
 def _chi_samples(ms, Z, M):
-    """chi_k on the uniform period grid t_j = j T / M, shape (3, M).
+    """chi_k on the uniform period grid t_j = j T / M, shape (..., 3, M)
+    for bond amplitudes Z (..., 3, H).
 
     chi_k(t_j) = Im[sum_h (Z_kh / m_h) e^{2 pi i m_h j / M}]; the harmonic
     rows are built from the fundamental by repeated multiplication, which
     beats an (H, M) complex exp for the small m of interest.
     """
+    shape = Z.shape[:-1] + (M,)
     if len(ms) == 0:
-        return np.zeros((3, M))
+        return np.zeros(shape)
     base = _unit_roots(M)
-    acc = np.zeros((3, M), dtype=complex)
+    acc = np.zeros(shape, dtype=complex)
     W = Z / ms
     row = base
     power = 1
@@ -330,17 +332,19 @@ def _chi_samples(ms, Z, M):
         for _ in range(m - power):
             row = row * base
         power = m
-        acc += W[:, h, None] * row
+        acc += W[..., h, None] * row
     return acc.imag
 
 
 def _quadrature_sizes(ms, Z):
-    """(total modulation index, spectral bandwidth, largest harmonic)."""
+    """(total modulation index, spectral bandwidth, largest harmonic); the
+    first two over the leading axes of Z (..., 3, H)."""
     if len(ms) == 0:
-        return 0.0, 0.0, 1
+        zero = np.zeros(Z.shape[:-2])
+        return zero, zero, 1
     absZ = np.abs(Z)
-    zmax = float((absZ / ms).sum(axis=1).max())
-    bandwidth = float(absZ.sum(axis=1).max())
+    zmax = (absZ / ms).sum(axis=-1).max(axis=-1)
+    bandwidth = absZ.sum(axis=-1).max(axis=-1)
     return zmax, bandwidth, int(ms.max())
 
 
@@ -401,20 +405,23 @@ def fourier_components(spec: DriveSpec, geom: LatticeGeometry, j0: float,
     SpectrumTruncationError
         when the weight outside [-n_max, n_max] exceeds 1e-8 * j0^2.
     """
-    if not j0 > 0:
-        raise ValueError("j0 must be positive")
+    if not (j0 > 0 and math.isfinite(j0)):
+        raise ValueError(f"j0 must be positive and finite, got {j0}")
     ms, Z = _bond_amplitudes(spec, geom)
-    n_max, g = _peierls_components(ms, Z, j0, n_max, samples)
+    zmax, bandwidth, mmax = _quadrature_sizes(ms, Z)
+    n_max, M = _grid_size(mmax, zmax, bandwidth, n_max, samples)
+    g, tail = _peierls_components(ms, Z, j0, n_max, M)
+    error = _truncation_error(tail, n_max, j0)
+    if error:
+        raise error
     g.setflags(write=False)
     return TunnelingSpectrum(j0=float(j0), omega=spec.omega, n_max=int(n_max), g=g)
 
 
-def _peierls_components(ms, Z, j0: float, n_max: int | None = None,
-                       samples: int | None = None):
-    """(n_max, g) with g[k-1, n_max + n] = g_k^n for harmonic integers `ms`
-    and bond amplitudes `Z` (see `_bond_amplitudes`); the arithmetic, the
-    grid-size rule and the truncation check of `fourier_components`."""
-    zmax, bandwidth, mmax = _quadrature_sizes(ms, Z)
+def _grid_size(mmax: int, zmax: float, bandwidth: float, n_max: int | None = None,
+               samples: int | None = None):
+    """(n_max, M) of one drive from its `_quadrature_sizes`: the retained
+    order and grid-size rules of `fourier_components`, or its overrides."""
     if n_max is None:
         n_max = math.ceil(bandwidth) + 20 + 4 * mmax
     if n_max < 1:
@@ -424,17 +431,42 @@ def _peierls_components(ms, Z, j0: float, n_max: int | None = None,
         raise ValueError(f"sample count must be a power of two >= 4, got {M}")
     if 2 * n_max + 1 > M:
         raise ValueError(f"n_max = {n_max} does not fit in {M} samples")
-    chis = _chi_samples(ms, Z, M)
-    F = np.fft.fft(j0 * np.exp(1j * chis), axis=1) / M
-    g = np.empty((3, 2 * n_max + 1), dtype=complex)
-    ns = np.arange(-n_max, n_max + 1)
-    g[:, :] = F[:, ns % M]
-    tail = float(np.max(np.sum(np.abs(F) ** 2, axis=1) - np.sum(np.abs(g) ** 2, axis=1)))
+    return n_max, M
+
+
+@functools.lru_cache(maxsize=64)
+def _window(n_max: int, M: int) -> np.ndarray:
+    """FFT bins of the orders -n_max .. n_max on an M-point grid."""
+    bins = np.arange(-n_max, n_max + 1) % M
+    bins.setflags(write=False)
+    return bins
+
+
+def _peierls_components(ms, Z, j0: float, n_max: int, M: int):
+    """(g, tail) for harmonic integers `ms` and bond amplitudes Z (..., 3, H)
+    (see `_bond_amplitudes`) on one grid: g[..., k-1, n_max + n] = g_k^n
+    and the largest weight of a bond outside |n| <= n_max, over the leading
+    axes of Z.  Each drive's values do not depend on the others'."""
+    # in place where the arithmetic allows, to hold fewer block-sized arrays
+    z = 1j * _chi_samples(ms, Z, M)
+    np.exp(z, out=z)
+    np.multiply(j0, z, out=z)
+    F = np.fft.fft(z, axis=-1)
+    del z
+    F /= M
+    g = F[..., _window(n_max, M)]
+    tail = np.max(np.sum(np.abs(F) ** 2, axis=-1) - np.sum(np.abs(g) ** 2, axis=-1), axis=-1)
+    return g, tail
+
+
+def _truncation_error(tail: float, n_max: int, j0: float):
+    """The SpectrumTruncationError of a drive whose weight outside
+    |n| <= n_max is `tail`, or None when it stays within 1e-8 * j0^2."""
     if tail > 1e-8 * j0 ** 2:
-        raise SpectrumTruncationError(
+        return SpectrumTruncationError(
             f"spectral weight {tail:.3e} outside |n| <= {n_max} "
             f"(exceeds 1e-8 * j0^2 = {1e-8 * j0**2:.3e})")
-    return n_max, g
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ Pure functions over immutable inputs; safe for parallel parameter sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,15 +56,24 @@ def nnn_rates(spectrum: TunnelingSpectrum):
 
     Equivalent to six w_commutator calls, vectorized over the pair list.
     """
-    g = spectrum.g
-    c, om = spectrum.n_max, spectrum.omega
+    tau0, tau = _nnn_arrays(spectrum.g, spectrum.n_max, spectrum.omega)
+    return complex(tau0), complex(tau[0]), complex(tau[1]), complex(tau[2])
+
+
+def _nnn_arrays(g, n_max: int, omega: float):
+    """(tau0, tau) of `nnn_rates` over the leading axes of the spectra
+    g (..., 3, 2 n_max + 1): tau0 of shape (...), tau of shape (..., 3)."""
+    c = n_max
     n = np.arange(1, c + 1)
-    # pairs (i, j) realizing w(a_i, -a_j); the -a_j array is conj(g[j][::-1])
-    gi = g[[0, 1, 2, 1, 2, 0]]
-    gj = np.conj(g[[0, 1, 2, 2, 0, 1]][:, ::-1])
-    terms = (gi[:, c - n] * gj[:, c + n] - gj[:, c - n] * gi[:, c + n]) / (n * om)
-    w = terms.sum(axis=1)
-    return complex(w[0] + w[1] + w[2]), complex(w[3]), complex(w[4]), complex(w[5])
+    # pairs (i, j) realizing w(a_i, -a_j); the -a_j array is conj(g[j][::-1]).
+    # These gathers leave the n axis outermost in memory, so the sum over n
+    # below runs in order of n; a contiguous copy would sum pairwise and
+    # move the last bits of every rate.
+    gi = g[..., [0, 1, 2, 1, 2, 0], :]
+    gj = np.conj(g[..., [0, 1, 2, 2, 0, 1], ::-1])
+    terms = (gi[..., c - n] * gj[..., c + n] - gj[..., c - n] * gi[..., c + n]) / (n * omega)
+    w = terms.sum(axis=-1)
+    return w[..., 0] + w[..., 1] + w[..., 2], w[..., 3:]
 
 
 @dataclass(frozen=True)
@@ -111,12 +121,58 @@ class EffectiveRates:
         }
 
 
-def _max_pairwise(values) -> float:
-    m = 0.0
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            m = max(m, abs(values[i] - values[j]))
-    return m
+#: v_i - v_{i+1 mod 3} within each of two triples runs over the triple's
+#: three pairs, up to an exact sign
+_NEXT = np.array([1, 2, 0, 4, 5, 3])
+
+
+def _residuals(g0, tau):
+    """(residual_nn, residual_nnn): the largest |v_i - v_j| among the three
+    NN averages g0 and among the three NNN rates tau, over their leading
+    axes, NaN differences skipped.  np.hypot, not np.abs: it rounds as the
+    scalar abs does, so one drive's value does not depend on its batch."""
+    v = np.concatenate((g0, tau), axis=-1)
+    d = v - v[..., _NEXT]
+    h = np.hypot(d.real, d.imag)
+    m = np.fmax.reduce(h.reshape(h.shape[:-1] + (2, 3)), axis=-1, initial=0.0)
+    return m[..., 0], m[..., 1]
+
+
+class _RateArrays(NamedTuple):
+    """`derive_rates` over the leading axes of a batch of spectra."""
+
+    g0: np.ndarray
+    tau0: np.ndarray
+    tau: np.ndarray
+    mean_g0: np.ndarray
+    j1: np.ndarray
+    j2: np.ndarray
+    phi: np.ndarray
+    phi_defined: np.ndarray
+    residual_nn: np.ndarray
+    residual_nnn: np.ndarray
+    isotropic_nn: np.ndarray
+    isotropic_nnn: np.ndarray
+
+
+def _rate_arrays(g, n_max: int, j0: float, omega: float,
+                 iso_tol: float = DEFAULT_ISO_TOL) -> _RateArrays:
+    """The reduction of `derive_rates` for spectra g (..., 3, 2 n_max + 1)
+    sharing j0, omega and n_max; phi is 0 where it is undefined."""
+    g0 = g[..., n_max]
+    tau0, tau = _nnn_arrays(g, n_max, omega)
+    residual_nn, residual_nnn = _residuals(g0, tau)
+    mean_g0 = g0.sum(axis=-1) / 3
+    t1 = tau[..., 0]
+    j2 = np.hypot(t1.real, t1.imag)
+    phi_defined = j2 > PHI_UNDEFINED_FLOOR * j0
+    return _RateArrays(
+        g0=g0, tau0=tau0, tau=tau, mean_g0=mean_g0,
+        j1=np.hypot(mean_g0.real, mean_g0.imag), j2=j2,
+        phi=np.where(phi_defined, np.arctan2(t1.imag, t1.real), 0.0),
+        phi_defined=phi_defined, residual_nn=residual_nn, residual_nnn=residual_nnn,
+        isotropic_nn=residual_nn <= iso_tol * j0,
+        isotropic_nnn=residual_nnn <= iso_tol * j0 ** 2 / omega)
 
 
 def derive_rates(spectrum: TunnelingSpectrum,
@@ -132,28 +188,17 @@ def derive_rates(spectrum: TunnelingSpectrum,
     if not iso_tol > 0:
         raise ValueError("iso_tol must be positive")
     j0, omega = spectrum.j0, spectrum.omega
-    g0 = spectrum.g[:, spectrum.n_max].copy()
-    tau0, t1, t2, t3 = nnn_rates(spectrum)
-    tau = np.array([t1, t2, t3])
-
-    residual_nn = float(_max_pairwise(g0))
-    residual_nnn = float(_max_pairwise(tau))
-    isotropic_nn = bool(residual_nn <= iso_tol * j0)
-    isotropic_nnn = bool(residual_nnn <= iso_tol * j0 ** 2 / omega)
-
-    mean_g0 = complex(np.mean(g0))
-    j1 = abs(mean_g0)
-    gauge_phase = float(np.angle(mean_g0)) if j1 > 0 else 0.0
-
-    j2 = abs(t1)
-    phi_defined = bool(j2 > PHI_UNDEFINED_FLOOR * j0)
-    phi = float(np.angle(t1)) if phi_defined else 0.0
-
+    r = _rate_arrays(spectrum.g, spectrum.n_max, j0, omega, iso_tol)
+    g0 = r.g0.copy()
+    tau = r.tau.copy()
+    tau0 = complex(r.tau0)
+    j1 = float(r.j1)
     g0.setflags(write=False)
     tau.setflags(write=False)
     return EffectiveRates(
         j0=j0, omega=omega, g0=g0, tau0=tau0, tau=tau,
-        j1=j1, j2=j2, phi=phi, phi_defined=phi_defined,
-        delta_shift=tau0.real, gauge_phase=gauge_phase,
-        residual_nn=residual_nn, residual_nnn=residual_nnn,
-        isotropic_nn=isotropic_nn, isotropic_nnn=isotropic_nnn)
+        j1=j1, j2=float(r.j2), phi=float(r.phi), phi_defined=bool(r.phi_defined),
+        delta_shift=tau0.real,
+        gauge_phase=float(np.angle(r.mean_g0)) if j1 > 0 else 0.0,
+        residual_nn=float(r.residual_nn), residual_nnn=float(r.residual_nnn),
+        isotropic_nn=bool(r.isotropic_nn), isotropic_nnn=bool(r.isotropic_nnn))

@@ -21,10 +21,18 @@ phi -> pi - phi.  `maximize` searches the problem's family only.
 `sweep_targets` reports at each target the optimum over both families,
 and through the two symmetries runs one maximization per class of
 equivalent targets, all starts mapped over one worker pool.
+
+Phase maps and random search evaluate whole arrays of parameter
+vectors at once (`_candidate_batch`): drives are grouped by their
+Fourier grid and run through the spectrum and rate code along a
+leading axis, in blocks of bounded size.  The results are bit for bit
+those of the one-drive kernel `_candidate_rates` that the simplex
+descent calls.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -33,10 +41,10 @@ import numpy as np
 from scipy import optimize as _sciopt
 from scipy.stats import qmc
 
-from .drive import (TunnelingSpectrum, _axis_bond_amplitudes, _bond_projections,
-                    _family_axis_offsets, _peierls_components, default_geometry,
-                    family_harmonic_integer)
-from .effective import derive_rates
+from .drive import (_axis_bond_amplitudes, _bond_projections, _family_axis_offsets,
+                    _grid_size, _peierls_components, _quadrature_sizes, _truncation_error,
+                    default_geometry, family_harmonic_integer, wrap_angle)
+from .effective import _rate_arrays
 
 #: penalty weights (phi, feasibility) per escalation round, with the
 #: simplex convergence tolerances (xatol, fatol) tightening alongside
@@ -57,21 +65,28 @@ SAME_ANGLE = 1e-12
 #: drive-axis projections on the bonds of the a = 1 geometry
 _PROJ = _bond_projections(default_geometry())
 
+#: complex samples (drives x 3 bonds x grid size) one batched evaluation
+#: holds at a time, so that memory does not grow with the batch
+_BLOCK_SAMPLES = 1 << 15
 
-def worker_count() -> int:
-    """Worker hint: FCF_THREADS env var, else all available cores."""
+#: drives `_candidate_batch` groups by grid at a time, and parameter
+#: vectors `random_search_best` draws at a time
+_BATCH_ROWS = 4096
+
+
+def worker_count(hint: int = 0) -> int:
+    """Worker count: the FCF_THREADS env var, else a positive `hint`, else
+    all available cores.  A FCF_THREADS that is not an integer raises
+    ValueError."""
     env = os.environ.get("FCF_THREADS")
     if env:
         try:
             return max(1, int(env))
         except ValueError:
-            pass
+            raise ValueError(f"FCF_THREADS must be an integer, got {env!r}") from None
+    if hint:
+        return max(1, hint)
     return os.cpu_count() or 1
-
-
-def wrap_angle(x):
-    """Wrap to (-pi, pi]."""
-    return np.pi - np.mod(np.pi - np.asarray(x), 2 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -88,6 +103,8 @@ class OptimizationProblem:
     max_iter: int = 600
 
     def __post_init__(self):
+        if not math.isfinite(self.phi_target):
+            raise ValueError(f"phi_target must be a finite angle, got {self.phi_target}")
         if not 0.0 <= self.r_threshold <= 1.0:
             raise ValueError("r_threshold must lie in [0, 1]")
         if self.N < 1:
@@ -114,12 +131,42 @@ class OptimizationResult:
     r_residual: float = 0.0
 
 
-def _params(p, N):
-    """Split p into (amps, deltas) with delta_1 = 0 and deltas wrapped."""
-    p = np.asarray(p, dtype=float)
-    amps = p[:N]
-    deltas = np.concatenate(([0.0], wrap_angle(p[N:])))
-    return amps, deltas
+@functools.lru_cache(maxsize=16)
+def _family_harmonics(family, N):
+    """Harmonic integers m_n and axis lags phase_y - phase_x of the first N
+    harmonics of a family, as read-only arrays (N,)."""
+    ms = np.array([family_harmonic_integer(n) for n in range(1, N + 1)], dtype=float)
+    offsets = np.array(_family_axis_offsets(family, N))
+    ms.setflags(write=False)
+    offsets.setflags(write=False)
+    return ms, offsets
+
+
+def _family_bond_amplitudes(family, N, P):
+    """Harmonic integers (N,) and bond amplitudes Z (..., 3, N) of the
+    parameter vectors P (..., 2N - 1), with delta_1 = 0 and deltas wrapped."""
+    ms, offsets = _family_harmonics(family, N)
+    amps = P[..., :N]
+    deltas = np.concatenate((np.zeros(P.shape[:-1] + (1,)), wrap_angle(P[..., N:])), axis=-1)
+    return ms, _axis_bond_amplitudes(_PROJ, amps, deltas, amps, deltas + offsets)
+
+
+def _candidate_block(family, ms, Z, n_max: int, M: int):
+    """(values, index, error) for bond amplitudes Z (..., 3, N) on one grid
+    (n_max, M): values are (j1/j0, phi, phi_defined, j2) at omega = j0 = 1,
+    each of Z's leading shape; index and error are those of the first drive
+    that fails the truncation check or isotropy, or None and None."""
+    g, tail = _peierls_components(ms, Z, 1.0, n_max, M)
+    r = _rate_arrays(g, n_max, 1.0, 1.0)
+    values = (r.j1, r.phi, r.phi_defined, r.j2)
+    failed = (tail > 1e-8) | ~(r.isotropic_nn & r.isotropic_nnn)
+    if not failed.any():
+        return values, None, None
+    i = np.unravel_index(np.argmax(failed), failed.shape)
+    error = _truncation_error(tail[i], n_max, 1.0) or AssertionError(
+        f"family {family!r} drive broke isotropy (residuals {r.residual_nn[i]:.2e}, "
+        f"{r.residual_nnn[i]:.2e}); this cannot happen for plus/minus drives")
+    return values, i, error
 
 
 def _candidate_rates(family, N, p):
@@ -128,20 +175,51 @@ def _candidate_rates(family, N, p):
     Bit for bit the chain build_family_drive -> fourier_components ->
     derive_rates, including its grid-size rule and truncation check, but
     with the bond amplitudes built straight from p instead of through a
-    validated DriveSpec.
+    validated DriveSpec.  `_candidate_batch` for one drive, without its
+    grouping step.
     """
-    amps, deltas = _params(p, N)
-    ms = np.array([family_harmonic_integer(n) for n in range(1, N + 1)], dtype=float)
-    phase_y = deltas + np.array(_family_axis_offsets(family, N))
-    Z = _axis_bond_amplitudes(_PROJ, amps, deltas, amps, phase_y)
-    n_max, g = _peierls_components(ms, Z, 1.0)
-    rates = derive_rates(TunnelingSpectrum(j0=1.0, omega=1.0, n_max=n_max, g=g))
-    if not (rates.isotropic_nn and rates.isotropic_nnn):
-        raise AssertionError(
-            f"family {family!r} drive broke isotropy (residuals {rates.residual_nn:.2e}, "
-            f"{rates.residual_nnn:.2e}); this cannot happen for plus/minus drives")
-    R = rates.j2 / rates.j1 if rates.j1 > 0 else math.inf
-    return R, rates.j1, rates.phi, rates.phi_defined, rates.j2
+    ms, Z = _family_bond_amplitudes(family, N, np.asarray(p, dtype=float))
+    zmax, bandwidth, mmax = _quadrature_sizes(ms, Z)
+    n_max, M = _grid_size(mmax, zmax, bandwidth)
+    (j1, phi, defined, j2), _, error = _candidate_block(family, ms, Z, n_max, M)
+    if error:
+        raise error
+    j1, j2 = float(j1), float(j2)
+    return j2 / j1 if j1 > 0 else math.inf, j1, float(phi), bool(defined), j2
+
+
+def _candidate_batch(family, N, P):
+    """(R, j1/j0, phi, phi_defined, j2) arrays (K,) over the rows of
+    P (K, 2N - 1), bit for bit K calls of `_candidate_rates`.  Each run of
+    _BATCH_ROWS rows is grouped by grid (n_max, M) and evaluated in blocks
+    of at most _BLOCK_SAMPLES complex samples; like a loop over the rows,
+    it raises the error of the first row that fails."""
+    P = np.asarray(P, dtype=float)
+    K = len(P)
+    j1, phi, defined, j2 = np.empty(K), np.empty(K), np.empty(K, dtype=bool), np.empty(K)
+    for start in range(0, K, _BATCH_ROWS):
+        ms, Z = _family_bond_amplitudes(family, N, P[start:start + _BATCH_ROWS])
+        zmax, bandwidth, mmax = _quadrature_sizes(ms, Z)
+        # the grid depends on a drive through ceil(zmax) and ceil(bandwidth) only
+        sizes, inverse = np.unique(np.ceil([zmax, bandwidth]), axis=1, return_inverse=True)
+        groups = {}
+        for u, (z, b) in enumerate(sizes.T.tolist()):
+            groups.setdefault(_grid_size(mmax, z, b), []).append(u)
+        first = (len(Z), None)
+        for (n_max, M), members in groups.items():
+            rows = np.flatnonzero(np.isin(inverse, members))
+            step = max(1, _BLOCK_SAMPLES // (3 * M))
+            for s in range(0, len(rows), step):
+                block = rows[s:s + step]
+                values, i, error = _candidate_block(family, ms, Z[block], n_max, M)
+                for dest, v in zip((j1, phi, defined, j2), values):
+                    dest[start + block] = v
+                if error and block[i] < first[0]:
+                    first = (block[i], error)
+        if first[1]:
+            raise first[1]
+    R = np.divide(j2, j1, out=np.full(K, math.inf), where=j1 > 0)
+    return R, j1, phi, defined, j2
 
 
 def evaluate_candidate(family: str, N: int, p):
@@ -327,12 +405,14 @@ def random_search_best(problem: OptimizationProblem, n_samples: int, seed: int =
     lo = np.concatenate((np.zeros(problem.N), np.full(problem.N - 1, -np.pi)))
     hi = np.concatenate((np.full(problem.N, problem.amp_bound), np.full(problem.N - 1, np.pi)))
     best = -math.inf
-    for _ in range(n_samples):
-        p = lo + rng.random(problem.dim) * (hi - lo)
-        R, j1, phi, defined, _ = _candidate_rates(problem.family, problem.N, p)
-        if (defined and abs(wrap_angle(phi - problem.phi_target)) <= problem.phi_tol
-                and j1 >= problem.r_threshold):
-            best = max(best, R)
+    for start in range(0, n_samples, _BATCH_ROWS):
+        # one draw of k x dim numbers is k draws of dim numbers, in order
+        P = lo + rng.random((min(_BATCH_ROWS, n_samples - start), problem.dim)) * (hi - lo)
+        R, j1, phi, defined, _ = _candidate_batch(problem.family, problem.N, P)
+        feasible = (defined & (np.abs(wrap_angle(phi - problem.phi_target)) <= problem.phi_tol)
+                    & (j1 >= problem.r_threshold))
+        if feasible.any():
+            best = max(best, float(R[feasible].max()))
     return best
 
 
@@ -499,16 +579,14 @@ class PhaseMap:
 
 
 def phase_map(A1_values, A2_values, delta2: float, family: str = "plus") -> PhaseMap:
-    """Evaluate phi and j1/j0 on an (A1, A2) grid for an N = 2 drive."""
+    """Evaluate phi and j1/j0 on an (A1, A2) grid for an N = 2 drive, in
+    one batched evaluation, bit for bit the per-point `_candidate_rates`."""
     A1_values = np.asarray(A1_values, dtype=float)
     A2_values = np.asarray(A2_values, dtype=float)
-    phi = np.full((len(A1_values), len(A2_values)), np.nan)
-    r = np.zeros_like(phi)
-    for i, A1 in enumerate(A1_values):
-        for j, A2 in enumerate(A2_values):
-            R, j1, ph, defined, _ = _candidate_rates(family, 2, [A1, A2, delta2])
-            r[i, j] = j1
-            if defined:
-                phi[i, j] = ph
+    shape = (len(A1_values), len(A2_values))
+    P = np.stack(np.broadcast_arrays(A1_values[:, None], A2_values[None, :], float(delta2)),
+                 axis=-1).reshape(-1, 3)
+    _, j1, phi, defined, _ = _candidate_batch(family, 2, P)
     return PhaseMap(A1=A1_values.copy(), A2=A2_values.copy(), delta2=float(delta2),
-                    family=family, phi=phi, j1_over_j0=r)
+                    family=family, phi=np.where(defined, phi, np.nan).reshape(shape),
+                    j1_over_j0=j1.reshape(shape))

@@ -33,6 +33,35 @@ def test_parse_range():
         parse_range("1:0:0.1")
 
 
+def test_parse_range_rejects_nonfinite():
+    for text in ("0:inf:1", "nan:1:0.5", "0:1:inf", "-inf:0:1", "0:1e300:1e-300"):
+        with pytest.raises(ValueError, match="finite"):
+            parse_range(text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["phase-map", "--A1", "0:inf:1", "--A2", "0:1:1"],
+    ["optimize", "--phi-target", "nan", "--r-th", "0.25", "--starts", "2"],
+    ["optimize", "--phi-target", "1.0", "--r-th", "0.25", "--amp-bound", "inf", "--starts", "2"],
+    ["rates", "--drive", '{"family":"plus","omega":1e400,"A":[1.0],"delta":[0.0]}'],
+    ["rates", "--drive", PLUS_N1, "--j0", "inf"],
+    ["chern-diagram", "--kgrid", "2", "--phi=-1:1:1", "--ratio=0:1:1"],
+])
+def test_meaningless_input_exit_2(argv, tmp_path, capsys):
+    code, out, err = run(argv + ["--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert json.loads(err)["error"]["type"] == "config"
+    assert not os.listdir(tmp_path)
+
+
+def test_bad_worker_env_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("FCF_THREADS", "junk")
+    code, _, err = run(["optimize", "--phi-target", "1.0", "--r-th", "0.25", "--starts", "2",
+                        "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert "FCF_THREADS" in json.loads(err)["error"]["message"]
+
+
 def test_rates_command(tmp_path, capsys):
     code, out, _ = run(["rates", "--drive", PLUS_N1, "--out", str(tmp_path)], capsys)
     assert code == 0

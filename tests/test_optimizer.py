@@ -14,7 +14,10 @@ from floqchern import (
     wrap_angle,
 )
 from floqchern.cli import main as cli_main
-from floqchern.optimizer import _candidate_rates, sobol_starts
+from floqchern import optimizer
+from floqchern.drive import SpectrumTruncationError, _grid_size, _quadrature_sizes
+from floqchern.optimizer import (_candidate_batch, _candidate_rates, _family_bond_amplitudes,
+                                 sobol_starts)
 
 
 def test_wrap_angle_window():
@@ -203,10 +206,13 @@ def test_worker_env_override(monkeypatch):
     from floqchern.optimizer import worker_count
     monkeypatch.setenv("FCF_THREADS", "3")
     assert worker_count() == 3
+    assert worker_count(5) == 3          # the env var overrides the hint
     monkeypatch.setenv("FCF_THREADS", "junk")
-    assert worker_count() >= 1
+    with pytest.raises(ValueError, match="FCF_THREADS"):
+        worker_count()
     monkeypatch.delenv("FCF_THREADS")
     assert worker_count() >= 1
+    assert worker_count(2) == 2
 
 
 def test_infeasible_target_reported():
@@ -255,3 +261,96 @@ def test_phase_map_rows_format(coarse_map):
     a1, a2, phi, r, defined = rows[0]
     assert (a1, a2) == (0.0, -3.5)
     assert defined in (0, 1)
+
+
+# ---------------------------------------------------------------------------
+# batched candidate kernel: bit for bit the per-point kernel
+
+def _per_point(family, N, P):
+    return [_candidate_rates(family, N, p) for p in P]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_candidate_batch_matches_per_point(N):
+    rng = np.random.default_rng(70 + N)
+    P = np.concatenate((rng.uniform(0.0, 5.0, (150, N)), rng.uniform(-4.0, 4.0, (150, N - 1))),
+                       axis=1)
+    for family in ("plus", "minus"):
+        batch = list(zip(*(a.tolist() for a in _candidate_batch(family, N, P))))
+        assert batch == _per_point(family, N, P)
+
+
+@pytest.mark.parametrize("batch_rows", [None, 7])
+@pytest.mark.parametrize("family", ["plus", "minus"])
+def test_phase_map_matches_per_point_kernel(family, batch_rows, monkeypatch):
+    if batch_rows:
+        # grouping passes of a few rows: their seams fall inside grid groups
+        monkeypatch.setattr(optimizer, "_BATCH_ROWS", batch_rows)
+    A1 = np.arange(0, 3.5 + 1e-9, 0.25)
+    A2 = np.arange(-3.5, 3.5 + 1e-9, 0.5)
+    delta2 = np.pi / 2 if family == "plus" else -np.pi / 2
+    P = np.array([[a1, a2, delta2] for a1 in A1 for a2 in A2])
+    # the grid spans both sample counts and several retained orders
+    ms, Z = _family_bond_amplitudes(family, 2, P)
+    zmax, bandwidth, mmax = _quadrature_sizes(ms, Z)
+    grids = {_grid_size(mmax, z, b) for z, b in zip(zmax, bandwidth)}
+    assert {M for _, M in grids} == {256, 512}
+    assert len({n for n, _ in grids}) >= 5
+    ref = _per_point(family, 2, P)
+    phi = np.array([ph if defined else np.nan for _, _, ph, defined, _ in ref])
+    j1 = np.array([r[1] for r in ref])
+    pm = phase_map(A1, A2, delta2, family)
+    assert np.array_equal(pm.phi.ravel(), phi, equal_nan=True)
+    assert np.isnan(pm.phi).any()
+    assert np.array_equal(pm.j1_over_j0.ravel(), j1)
+
+
+def _random_search_loop(problem, n_samples, seed):
+    """The per-sample loop random_search_best batches."""
+    rng = np.random.default_rng(seed)
+    lo = np.concatenate((np.zeros(problem.N), np.full(problem.N - 1, -np.pi)))
+    hi = np.concatenate((np.full(problem.N, problem.amp_bound), np.full(problem.N - 1, np.pi)))
+    best = -np.inf
+    for _ in range(n_samples):
+        p = lo + rng.random(problem.dim) * (hi - lo)
+        R, j1, phi, defined, _ = _candidate_rates(problem.family, problem.N, p)
+        if (defined and abs(wrap_angle(phi - problem.phi_target)) <= problem.phi_tol
+                and j1 >= problem.r_threshold):
+            best = max(best, R)
+    return best
+
+
+@pytest.mark.parametrize("n_samples", [0, 1, optimizer._BATCH_ROWS + 1, 1000])
+def test_random_search_matches_per_sample_loop(n_samples):
+    prob = OptimizationProblem(phi_target=np.pi / 2, r_threshold=0.25, family="minus")
+    for seed in (3, 4):
+        assert random_search_best(prob, n_samples, seed) == _random_search_loop(prob, n_samples, seed)
+    if n_samples >= 1000:
+        assert np.isfinite(random_search_best(prob, n_samples, 3))
+
+
+def test_candidate_batch_raises_first_failing_row(monkeypatch):
+    # a retained order of 3 truncates every drive of bandwidth above 2
+    def short_window(mmax, zmax, bandwidth, n_max=None, samples=None):
+        return _grid_size(mmax, zmax, bandwidth, 3 if bandwidth > 2 else n_max, samples)
+    monkeypatch.setattr(optimizer, "_grid_size", short_window)
+    ok = [[0.5, 0.2, 0.3], [1.0, 0.1, 0.3]]
+    # the larger drive's grid group (M = 512) is evaluated after the
+    # smaller one's (M = 256)
+    large, small = [3.4, 1.0, 0.3], [1.0, 1.6, 0.3]
+    ms, Z = _family_bond_amplitudes("plus", 2, np.array([small, large]))
+    zmax, bandwidth, mmax = _quadrature_sizes(ms, Z)
+    assert [short_window(mmax, z, b) for z, b in zip(zmax, bandwidth)] == [(3, 256), (3, 512)]
+
+    def scalar_error(p):
+        with pytest.raises(SpectrumTruncationError) as e:
+            _candidate_rates("plus", 2, p)
+        return str(e.value)
+    for p in ok:
+        _candidate_rates("plus", 2, p)
+    assert scalar_error(large) != scalar_error(small)
+    for first, second in ((large, small), (small, large)):
+        for P in ([ok[0], first, ok[1], second], [ok[0], ok[1], first]):
+            with pytest.raises(SpectrumTruncationError) as batch:
+                _candidate_batch("plus", 2, np.array(P))
+            assert str(batch.value) == scalar_error(first)
