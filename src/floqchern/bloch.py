@@ -11,10 +11,38 @@ h0' = 2 j2 cos(phi) sum_i cos(k.b_i) and h3' = h3 - h0'; the two have
 identical h-vectors at phi = +-pi/2.
 
 Chern numbers use the plaquette link-phase (lattice field-strength)
-method on the Brillouin-zone torus spanned by G1, G2: integer-exact on
-modest grids whenever the gap stays open and no plaquette phase
-approaches +-pi.  Orientation convention: C(phi = pi/2, delta = 0) = +1;
-flipping the BZ orientation flips all signs.
+method of Fukui, Hatsugai and Suzuki on the Brillouin-zone torus spanned
+by G1, G2: integer-exact on modest grids whenever the gap stays open and
+no plaquette phase approaches +-pi.  Orientation convention:
+C(phi = pi/2, delta = 0) = +1; flipping the BZ orientation flips all
+signs.
+
+One kernel serves `chern_number`, `phase_diagram` and the exact Floquet
+Chern number, and it does only elementwise work per cell:
+
+- The lowest-band vector of h.sigma is taken unnormalised, as
+  (-conj(f), h3 + E) where h3 >= 0 and (h3 - E, f) elsewhere, with
+  f = h1 + i h2 and E = |h|; both are eigenvectors of -E, and the one
+  chosen has squared norm 2E(E + |h3|) >= 2E^2.  A plaquette phase is
+  the angle of a closed loop of overlaps, in which each vertex vector
+  appears once as a bra and once as a ket.  Rescaling a vector by any
+  nonzero complex number c (a norm or a gauge change) multiplies the
+  loop by |c|^2 > 0, so the phases are those of normalised vectors.
+- Two link fields, L1(k) = <v(k)|v(k+e1)> and L2(k) = <v(k)|v(k+e2)>,
+  hold every link of the grid once; the loop around the plaquette at k
+  is L2(k) L1(k+e2) conj(L2(k+e1)) conj(L1(k)).
+- The fields live on a closed grid, (N1+1) x (N2+1) points whose last
+  row and column repeat the first, so neighbours are array slices
+  rather than rolled copies.
+- The k-only fields (h1, h2, h1^2 + h2^2, f and the NNN sums) and the
+  work arrays are built once per diagram (`_BandKernel`); a cell adds
+  its h3 and writes the rest in place.  Each cell's gap and integer are
+  those `band_scan` and `chern_number` give for its model, bit for bit,
+  because the operations and their order are the same.
+
+One rule (`_chern_integer`) turns plaquette phases into an integer or
+refuses: gap below the closure threshold, a phase beyond
+PLAQUETTE_PHASE_LIMIT, or a phase sum more than 1e-6 from an integer.
 
 Per-cell and per-k computations are independent; the diagram scan is a
 deterministic map regardless of scheduling.
@@ -74,18 +102,42 @@ def model_from_rates(rates, delta_bare: float, kind: str = "driven_hexagonal",
                       geom=geom or default_geometry())
 
 
-def _h_from_kb(kind, delta, j1, j2, phi, kb1, kb2):
-    """h-vector from the torus coordinates kb_i = k.b_i."""
+def _kb_grid(N1: int, N2: int, closed: bool = False):
+    """Torus coordinates kb_i = k.b_i of the grid k = (m/N1) G1 + (n/N2) G2.
+
+    closed=True appends the first row and column after the last, so that
+    grid neighbours across the seam are plain array slices."""
+    m = np.arange(N1 + closed) % N1
+    n = np.arange(N2 + closed) % N2
+    return np.meshgrid(2 * np.pi * m / N1, 2 * np.pi * n / N2, indexing="ij")
+
+
+def _k_fields(j1, kb1, kb2):
+    """The delta- and phi-independent parts of the h-vector: h1, h2 and the
+    NNN sums sc = sum_i cos k.b_i, ss = sum_i sin k.b_i."""
     kb3 = -kb1 - kb2
     h1 = j1 * (1 + np.cos(kb1) + np.cos(kb2))
     h2 = j1 * (np.sin(kb1) - np.sin(kb2))
     sc = np.cos(kb1) + np.cos(kb2) + np.cos(kb3)
     ss = np.sin(kb1) + np.sin(kb2) + np.sin(kb3)
-    h3 = delta + 2 * j2 * (np.cos(phi) * sc - np.sin(phi) * ss)
+    return h1, h2, sc, ss
+
+
+def _nnn_fields(j2, phi, sc, ss):
+    """The delta-independent parts of h3 and h0': the NNN term
+    2 j2 sum_i cos(k.b_i + phi) and the Haldane h0' = 2 j2 cos(phi) sc."""
+    return 2 * j2 * (np.cos(phi) * sc - np.sin(phi) * ss), 2 * j2 * np.cos(phi) * sc
+
+
+def _h_from_kb(kind, delta, j1, j2, phi, kb1, kb2):
+    """h-vector from the torus coordinates kb_i = k.b_i."""
+    h1, h2, sc, ss = _k_fields(j1, kb1, kb2)
+    nnn, h0p = _nnn_fields(j2, phi, sc, ss)
+    h3 = delta + nnn
     if kind == "driven_hexagonal":
         h0 = np.zeros_like(h3)
     else:
-        h0 = 2 * j2 * np.cos(phi) * sc
+        h0 = h0p
         h3 = h3 - h0
     return h0, h1, h2, h3
 
@@ -131,8 +183,7 @@ def band_scan(model: BlochModel, N1: int, N2: int) -> BandScan:
     """Energies over the BZ torus grid; also locates the coarse gap minimum."""
     if N1 < 3 or N2 < 3:
         raise ValueError("grid must be at least 3 x 3")
-    kb1, kb2 = np.meshgrid(2 * np.pi * np.arange(N1) / N1,
-                           2 * np.pi * np.arange(N2) / N2, indexing="ij")
+    kb1, kb2 = _kb_grid(N1, N2)
     h0, h1, h2, h3 = _h_from_kb(model.kind, model.delta, model.j1, model.j2,
                                 model.phi, kb1, kb2)
     E = np.sqrt(h1 ** 2 + h2 ** 2 + h3 ** 2)
@@ -166,32 +217,112 @@ def min_gap(model: BlochModel, N1: int = 48, N2: int = 48):
     return best, k_loc
 
 
-def _lowest_band_vectors(h1, h2, h3):
-    """Normalized lowest-band eigenvectors of h.sigma, shape (..., 2).
+class _Plaquettes:
+    """Plaquette phases on a closed grid of shape (N1+1, N2+1), whose last
+    row and column repeat the first, with the work arrays of the link
+    fields allocated once and reused by every call: fresh temporaries of
+    a 96^2 grid went back to the operating system after each cell and
+    cost about 250 page faults per cell to map again."""
 
-    Two algebraic forms cover the two degenerate corners (h3 -> -+|h| with
-    h1 = h2 = 0); pick the better-conditioned one pointwise.
-    """
-    E = np.sqrt(h1 ** 2 + h2 ** 2 + h3 ** 2)
-    va = np.stack([-h1 + 1j * h2, h3 + E], axis=-1)
-    vb = np.stack([h3 - E, h1 + 1j * h2], axis=-1)
-    na = np.linalg.norm(va, axis=-1, keepdims=True)
-    nb = np.linalg.norm(vb, axis=-1, keepdims=True)
-    use_a = na >= nb
-    v = np.where(use_a, va / np.where(na == 0, 1.0, na), vb / np.where(nb == 0, 1.0, nb))
-    return v
+    def __init__(self, shape):
+        n1, n2 = shape[0] - 1, shape[1] - 1
+        self.uc, self.wc = (np.empty(shape, dtype=complex) for _ in range(2))
+        self.L1, self.t1 = (np.empty((n1, n2 + 1), dtype=complex) for _ in range(2))
+        self.L2, self.t2 = (np.empty((n1 + 1, n2), dtype=complex) for _ in range(2))
+        self.a, self.b = (np.empty((n1, n2), dtype=complex) for _ in range(2))
+
+    def __call__(self, u, w):
+        """Field-strength phases, shape (N1, N2), of the vectors with
+        components u, w; oriented so that C(phi = pi/2, delta = 0) = +1 for
+        the driven model."""
+        uc = np.conjugate(u, out=self.uc)
+        wc = np.conjugate(w, out=self.wc)
+        L1 = np.multiply(uc[:-1], u[1:], out=self.L1)            # <v(k)|v(k+e1)>
+        L1 += np.multiply(wc[:-1], w[1:], out=self.t1)
+        L2 = np.multiply(uc[:, :-1], u[:, 1:], out=self.L2)      # <v(k)|v(k+e2)>
+        L2 += np.multiply(wc[:, :-1], w[:, 1:], out=self.t2)
+        # L2(k) conj(L1(k)) . L1(k+e2) conj(L2(k+e1))
+        a = np.multiply(L2[:-1], np.conjugate(L1[:, :-1], out=self.a), out=self.a)
+        b = np.multiply(L1[:, 1:], np.conjugate(L2[1:], out=self.b), out=self.b)
+        np.multiply(a, b, out=a)
+        return np.arctan2(a.imag, a.real)                        # np.angle(a)
+
+
+class _BandKernel:
+    """The lowest-band plaquette kernel on one closed grid, given h1, h2
+    there.  The k-only fields and every work array of grid size are built
+    once, so a cell of a diagram allocates only its h3 and its phases."""
+
+    def __init__(self, h1, h2):
+        shape = h1.shape
+        self.f = h1 + 1j * h2
+        self.minus_fc = -np.conj(self.f)
+        self.hh = h1 ** 2 + h2 ** 2
+        self.E2, self.E, self.t = (np.empty(shape) for _ in range(3))
+        self.up = np.empty(shape, dtype=bool)
+        self.u, self.w = (np.empty(shape, dtype=complex) for _ in range(2))
+        self.plaquettes = _Plaquettes(shape)
+
+    def gap(self, h3) -> float:
+        """2 min |h| over the grid, computed as `band_scan` does; keeps
+        |h|^2 for `vectors`."""
+        E2 = np.add(self.hh, np.multiply(h3, h3, out=self.E2), out=self.E2)
+        return 2 * np.sqrt(E2.min())
+
+    def vectors(self, h3):
+        """Unnormalised lowest-band vector (u, w) at the h3 last passed to
+        `gap`: (-conj(f), h3 + E) where h3 >= 0, else (h3 - E, f).  Each
+        branch is the better-conditioned form at its point (squared norm
+        2E(E + |h3|)); the two differ by a nonzero factor, which no
+        plaquette phase sees."""
+        E = np.sqrt(self.E2, out=self.E)
+        up = np.greater_equal(h3, 0, out=self.up)
+        u = np.subtract(h3, E, out=self.u)
+        np.copyto(u, self.minus_fc, where=up)
+        w = self.w
+        w[...] = self.f
+        np.copyto(w, np.add(h3, E, out=self.t), where=up)
+        return u, w
+
+    def phases(self, h3):
+        """Plaquette phases of the lowest band at the h3 last passed to `gap`."""
+        return self.plaquettes(*self.vectors(h3))
+
+
+def _lowest_band_vectors(h1, h2, h3):
+    """Lowest-band eigenvectors of h.sigma on an (N1, N2) grid, shape
+    (N1, N2, 2), unnormalised (see `_BandKernel.vectors`)."""
+    kernel = _BandKernel(h1, h2)
+    kernel.gap(h3)
+    return np.stack(kernel.vectors(h3), axis=-1)
 
 
 def _plaquette_phases(v):
     """Field-strength phases of the closed plaquette loops of a periodic
-    eigenvector grid v[(i, j), component], oriented so that
-    C(phi = pi/2, delta = 0) = +1 for the driven model."""
-    v1 = np.roll(v, -1, axis=0)   # advance along kb1
-    v2 = np.roll(v, -1, axis=1)   # advance along kb2
-    v12 = np.roll(v1, -1, axis=1)
-    link = lambda x, y: np.einsum("ijc,ijc->ij", x.conj(), y)
-    prod = link(v, v2) * link(v2, v12) * link(v12, v1) * link(v1, v)
-    return np.angle(prod)
+    eigenvector grid v[(i, j), component]."""
+    closed = np.pad(v, ((0, 1), (0, 1), (0, 0)), mode="wrap")
+    return _Plaquettes(closed.shape[:2])(closed[..., 0], closed[..., 1])
+
+
+def _chern_integer(gap, threshold, phases, what="gap") -> int:
+    """The one rule from plaquette phases to a Chern integer.
+
+    Raises ChernIndeterminateError when `gap` is below `threshold`, a
+    phase lies beyond PLAQUETTE_PHASE_LIMIT, or the phase sum is more than
+    1e-6 from an integer.  `phases()` is called only when the gap is open.
+    """
+    if gap < threshold:
+        raise ChernIndeterminateError(
+            f"{what} {gap:.3e} below closure threshold {threshold:.3e}")
+    F = phases()
+    peak = np.abs(F).max()
+    if peak > PLAQUETTE_PHASE_LIMIT:
+        raise ChernIndeterminateError(f"plaquette phase {peak:.3f} rad too close to +-pi")
+    c = F.sum() / (2 * np.pi)
+    ci = round(c)
+    if abs(c - ci) > 1e-6:
+        raise ChernIndeterminateError(f"phase sum {c!r} is not integral")
+    return int(ci)
 
 
 def _check_grid(N1: int, N2: int):
@@ -210,23 +341,11 @@ def chern_number(model: BlochModel, N1: int = 48, N2: int = 48,
     """
     _check_grid(N1, N2)
     thr = CLOSURE_THRESHOLD * model.j1 if closure_threshold is None else closure_threshold
-    kb1, kb2 = np.meshgrid(2 * np.pi * np.arange(N1) / N1,
-                           2 * np.pi * np.arange(N2) / N2, indexing="ij")
+    kb1, kb2 = _kb_grid(N1, N2, closed=True)
     _, h1, h2, h3 = _h_from_kb(model.kind, model.delta, model.j1, model.j2,
                                model.phi, kb1, kb2)
-    gap = 2 * np.sqrt(h1 ** 2 + h2 ** 2 + h3 ** 2)
-    if gap.min() < thr:
-        raise ChernIndeterminateError(
-            f"gap {gap.min():.3e} below closure threshold {thr:.3e}")
-    F = _plaquette_phases(_lowest_band_vectors(h1, h2, h3))
-    if np.abs(F).max() > PLAQUETTE_PHASE_LIMIT:
-        raise ChernIndeterminateError(
-            f"plaquette phase {np.abs(F).max():.3f} rad too close to +-pi")
-    c = F.sum() / (2 * np.pi)
-    ci = round(c)
-    if abs(c - ci) > 1e-6:
-        raise ChernIndeterminateError(f"phase sum {c!r} is not integral")
-    return int(ci)
+    kernel = _BandKernel(h1, h2)
+    return _chern_integer(kernel.gap(h3), thr, lambda: kernel.phases(h3))
 
 
 @dataclass(frozen=True)
@@ -278,13 +397,9 @@ def phase_diagram(phi_values=None, ratio_values=None, N1: int = 48, N2: int = 48
     _check_grid(N1, N2)
     phi_values = default_phi_grid() if phi_values is None else np.asarray(phi_values, dtype=float)
     ratio_values = default_ratio_grid() if ratio_values is None else np.asarray(ratio_values, dtype=float)
-    kb1, kb2 = np.meshgrid(2 * np.pi * np.arange(N1) / N1,
-                           2 * np.pi * np.arange(N2) / N2, indexing="ij")
-    kb3 = -kb1 - kb2
-    h1 = j1 * (1 + np.cos(kb1) + np.cos(kb2))
-    h2 = j1 * (np.sin(kb1) - np.sin(kb2))
-    sc = np.cos(kb1) + np.cos(kb2) + np.cos(kb3)
-    ss = np.sin(kb1) + np.sin(kb2) + np.sin(kb3)
+    h1, h2, sc, ss = _k_fields(j1, *_kb_grid(N1, N2, closed=True))
+    kernel = _BandKernel(h1, h2)
+    thr = CLOSURE_THRESHOLD * j1
     out = {}
     for kind in kinds:
         if kind not in KINDS:
@@ -294,28 +409,18 @@ def phase_diagram(phi_values=None, ratio_values=None, N1: int = 48, N2: int = 48
         gaps = np.zeros(shape)
         indet = np.zeros(shape, dtype=bool)
         for i, phi in enumerate(phi_values):
-            nnn = 2 * j2 * (np.cos(phi) * sc - np.sin(phi) * ss)
-            h0p = 2 * j2 * np.cos(phi) * sc
+            # the h3 of `_h_from_kb` with delta = ratio * j2, term by term
+            nnn, h0p = _nnn_fields(j2, phi, sc, ss)
             for j, ratio in enumerate(ratio_values):
                 h3 = ratio * j2 + nnn
                 if kind == "haldane_reference":
                     h3 = h3 - h0p
-                E2 = h1 ** 2 + h2 ** 2 + h3 ** 2
-                gap = 2 * np.sqrt(E2.min())
+                gap = kernel.gap(h3)
                 gaps[i, j] = gap / j1
-                if gap < CLOSURE_THRESHOLD * j1:
+                try:
+                    chern[i, j] = _chern_integer(gap, thr, lambda: kernel.phases(h3))
+                except ChernIndeterminateError:
                     indet[i, j] = True
-                    continue
-                F = _plaquette_phases(_lowest_band_vectors(h1, h2, h3))
-                if np.abs(F).max() > PLAQUETTE_PHASE_LIMIT:
-                    indet[i, j] = True
-                    continue
-                c = F.sum() / (2 * np.pi)
-                ci = round(c)
-                if abs(c - ci) > 1e-6:
-                    indet[i, j] = True
-                    continue
-                chern[i, j] = int(ci)
         out[kind] = ChernDiagram(kind=kind, phi_values=phi_values.copy(),
                                  ratio_values=ratio_values.copy(), chern=chern,
                                  min_gap=gaps, indeterminate=indet, N1=N1, N2=N2)

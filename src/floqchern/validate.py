@@ -144,6 +144,8 @@ def fold_quasienergy(eps, omega: float):
 
 def torus_grid(geom: LatticeGeometry, N1: int, N2: int) -> np.ndarray:
     """Flattened BZ grid k = (m/N1) G1 + (n/N2) G2, shape (N1*N2, 2)."""
+    if N1 < 1 or N2 < 1:
+        raise ValueError(f"k-grid must be at least 1 x 1, got {N1} x {N2}")
     m, n = np.meshgrid(np.arange(N1), np.arange(N2), indexing="ij")
     return (m.ravel()[:, None] / N1) * geom.G1 + (n.ravel()[:, None] / N2) * geom.G2
 
@@ -204,6 +206,8 @@ def compare_effective(spec: DriveSpec, geom: LatticeGeometry, j0: float,
     if not (rates.isotropic_nn and rates.isotropic_nnn):
         raise ValueError("effective comparison requires an isotropic drive")
     ks = torus_grid(geom, kgrid, kgrid) if np.isscalar(kgrid) else np.asarray(kgrid, dtype=float)
+    if ks.ndim != 2 or ks.shape[1] != 2 or not len(ks):
+        raise ValueError(f"k-grid must be a nonempty (Nk, 2) array, got shape {ks.shape}")
     omega = spec.omega
     T = spec.period
 
@@ -284,6 +288,7 @@ def floquet_chern(spec: DriveSpec, geom: LatticeGeometry, j0: float, delta: floa
     folded gap and the wrap-around gap must stay above the threshold
     (default 1e-6 * j0) at every grid point.
     """
+    _bloch._check_grid(grid, grid)
     thr = 1e-6 * j0 if gap_threshold is None else gap_threshold
     ks = torus_grid(geom, grid, grid)
     U = _checked_propagators(spec, geom, j0, delta, ks, settings)
@@ -294,16 +299,7 @@ def floquet_chern(spec: DriveSpec, geom: LatticeGeometry, j0: float, delta: floa
     vecs = np.take_along_axis(evecs, order[:, None, :], axis=2)
     direct = eps[:, 1] - eps[:, 0]
     wrap = spec.omega - direct
-    if direct.min() < thr or wrap.min() < thr:
-        raise _bloch.ChernIndeterminateError(
-            f"folded quasienergy gap {min(direct.min(), wrap.min()):.3e} below "
-            f"threshold {thr:.3e}")
     low = vecs[:, :, 0].reshape(grid, grid, 2)
-    F = _bloch._plaquette_phases(low)
-    if np.abs(F).max() > _bloch.PLAQUETTE_PHASE_LIMIT:
-        raise _bloch.ChernIndeterminateError("plaquette phase too close to +-pi")
-    c = F.sum() / (2 * np.pi)
-    ci = round(c)
-    if abs(c - ci) > 1e-6:
-        raise _bloch.ChernIndeterminateError(f"phase sum {c!r} is not integral")
-    return int(ci)
+    return _bloch._chern_integer(min(direct.min(), wrap.min()), thr,
+                                 lambda: _bloch._plaquette_phases(low),
+                                 what="folded quasienergy gap")

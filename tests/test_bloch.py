@@ -239,3 +239,63 @@ def test_diagram_half_pi_columns_agree(small_diagrams):
         assert abs(dd.phi_values[i] - phi) < 1e-12  # grid hits +-pi/2 exactly
         assert np.array_equal(dd.chern[i], dh.chern[i])
         assert np.array_equal(dd.indeterminate[i], dh.indeterminate[i])
+
+
+def dirac_mass_chern(kind, phi, ratio):
+    """C = (sign h3(K') - sign h3(K)) / 2, K = (2pi/3, 2pi/3) in k.b
+    coordinates, with the Dirac masses written out in units of j2: the
+    driven model has h3(K) = ratio + 6 cos(phi + 2pi/3) and
+    h3(K') = ratio + 6 cos(phi - 2pi/3); the Haldane reference adds
+    3 cos(phi) to both."""
+    shift = 3 * np.cos(phi) if kind == "haldane_reference" else 0.0
+    m_k = ratio + 6 * np.cos(phi + 2 * np.pi / 3) + shift
+    m_kp = ratio + 6 * np.cos(phi - 2 * np.pi / 3) + shift
+    return int((np.sign(m_kp) - np.sign(m_k)) / 2)
+
+
+def test_diagram_matches_dirac_mass_oracle(small_diagrams):
+    for kind, dg in small_diagrams.items():
+        det = ~dg.indeterminate
+        assert det.mean() > 0.9
+        for i, phi in enumerate(dg.phi_values):
+            for j, ratio in enumerate(dg.ratio_values):
+                if det[i, j]:
+                    assert dg.chern[i, j] == dirac_mass_chern(kind, phi, ratio), (kind, phi, ratio)
+
+
+def test_diagram_closure_cells_indeterminate_on_dirac_grid():
+    # 30 is divisible by 3, so K and K' are grid points; at phi = +-pi/2
+    # both models close their gap at delta/j2 = +-3 sqrt(3)
+    b = 3 * np.sqrt(3.0)
+    phis = np.array([-np.pi / 2, np.pi / 2])
+    ratios = np.array([-7.0, -b, -2.0, 0.0, 2.0, b, 7.0])
+    closure = np.isin(ratios, (-b, b))
+    for kind, dg in phase_diagram(phis, ratios, N1=30, N2=30).items():
+        for i, phi in enumerate(phis):
+            assert np.array_equal(dg.indeterminate[i], closure), kind
+            assert (dg.min_gap[i, closure] < 1e-12).all()
+            for j in np.flatnonzero(~closure):
+                assert dg.chern[i, j] == dirac_mass_chern(kind, phi, ratios[j])
+
+
+@pytest.mark.parametrize("kind", ["driven_hexagonal", "haldane_reference"])
+def test_diagram_cells_match_chern_number_and_band_scan(kind):
+    # every cell is the chern_number and band_scan of its own model, bit for
+    # bit; the phi grid holds the +-pi/2 columns, the ratio grid their
+    # gap closures (indeterminate on a 24^2 grid)
+    N, j1, j2 = 24, 1.3, 0.4
+    b = 3 * np.sqrt(3.0)
+    phis = np.linspace(-np.pi, np.pi, 9)
+    ratios = np.array([-8.0, -b, -4.0, -1.5, 0.0, 0.7, 2.0, b, 6.5])
+    dg = phase_diagram(phis, ratios, N1=N, N2=N, kinds=(kind,), j1=j1, j2=j2)[kind]
+    assert dg.indeterminate.any() and not dg.indeterminate.all()
+    for i, phi in enumerate(phis):
+        for j, ratio in enumerate(ratios):
+            m = BlochModel(kind, ratio * j2, j1, j2, phi, GEOM)
+            assert dg.min_gap[i, j] == band_scan(m, N, N).min_gap / j1
+            try:
+                c = chern_number(m, N, N)
+            except ChernIndeterminateError:
+                assert dg.indeterminate[i, j] and dg.chern[i, j] == 0
+            else:
+                assert not dg.indeterminate[i, j] and dg.chern[i, j] == c

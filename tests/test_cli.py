@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import floqchern
 from floqchern.cli import main, parse_range
 
 PLUS_N1 = '{"family":"plus","omega":1.0,"A":[1.0],"delta":[0.0]}'
@@ -46,11 +49,34 @@ def test_parse_range_rejects_nonfinite():
     ["rates", "--drive", '{"family":"plus","omega":1e400,"A":[1.0],"delta":[0.0]}'],
     ["rates", "--drive", PLUS_N1, "--j0", "inf"],
     ["chern-diagram", "--kgrid", "2", "--phi=-1:1:1", "--ratio=0:1:1"],
+    ["validate", "--drive", PLUS_N1, "--kgrid", "0", "--steps", "256"],
+    ["validate", "--drive", PLUS_N1, "--kgrid", "-3", "--steps", "256"],
 ])
 def test_meaningless_input_exit_2(argv, tmp_path, capsys):
     code, out, err = run(argv + ["--out", str(tmp_path)], capsys)
     assert code == 2
     assert json.loads(err)["error"]["type"] == "config"
+    assert not os.listdir(tmp_path)
+
+
+def test_validate_names_empty_kgrid(tmp_path, capsys):
+    code, _, err = run(["validate", "--drive", PLUS_N1, "--kgrid", "0", "--steps", "256",
+                        "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert "k-grid" in json.loads(err)["error"]["message"]
+
+
+def test_module_entry_point(tmp_path):
+    # `python -m floqchern` runs the CLI without an installed script
+    src = os.path.dirname(os.path.dirname(floqchern.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run(
+        [sys.executable, "-m", "floqchern", "chern-diagram", "--kgrid", "2",
+         "--phi=-1:1:1", "--ratio=0:1:1", "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 2
+    assert json.loads(done.stderr)["error"]["type"] == "config"
     assert not os.listdir(tmp_path)
 
 

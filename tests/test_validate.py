@@ -155,6 +155,13 @@ def test_zero_force_effective_is_exact():
     assert rep.unitarity_defect < 1e-10
 
 
+def test_compare_rejects_empty_kgrid():
+    settings = PropagatorSettings(steps_per_period=256)
+    for kgrid in (0, -3, np.empty((0, 2))):
+        with pytest.raises(ValueError, match="k-grid"):
+            compare_effective(ZERO, GEOM, 0.05, 0.01, kgrid, settings)
+
+
 def test_circular_drive_quasienergy_deviation():
     spec = build_family_drive("plus", 1.0, [1.5], [0.0])
     j0 = 0.02
@@ -216,6 +223,15 @@ def test_stroboscopic_growth_bounded():
 def test_floquet_chern_zero_force_trivial():
     settings = PropagatorSettings(steps_per_period=512)
     assert floquet_chern(ZERO, GEOM, 0.05, 0.02, 12, settings) == 0
+
+
+def test_floquet_chern_grid_validation():
+    # the plaquette rule needs the 12^2 grid chern_number requires; a 1^2
+    # grid would report C = 0 for this C = +1 drive
+    spec = build_family_drive("plus", 1.0, [1.2], [0.0])
+    for grid in (1, 4, 11):
+        with pytest.raises(ValueError, match="12"):
+            floquet_chern(spec, GEOM, 0.05, 0.0, grid, PropagatorSettings(steps_per_period=256))
 
 
 def test_floquet_chern_matches_effective_and_flips():
