@@ -31,6 +31,11 @@ SQRT3 = math.sqrt(3.0)
 FAMILIES = ("plus", "minus", "custom")
 
 
+#: largest Fourier grid of a drive: a (3, M) complex array of this size
+#: takes 48 MiB
+MAX_SAMPLES = 1 << 20
+
+
 class SpectrumTruncationError(ValueError):
     """Requested Fourier window is too small to hold the spectral weight."""
 
@@ -272,18 +277,11 @@ def _bond_amplitudes(spec: DriveSpec, geom: LatticeGeometry):
     return ms, _axis_bond_amplitudes(_bond_projections(geom), amp_x, phase_x, amp_y, phase_y)
 
 
-def _bond_sinusoids(spec: DriveSpec, geom: LatticeGeometry):
-    """For each bond k: arrays (m, z, theta) such that
-    chi_k(t) = sum_h z_h * sin(m_h * omega * t - theta_h).
-
-    Writing F(t).a_k = sum_h C_h cos(m_h omega t - theta_h), the zero-mean
-    antiderivative is sum_h (C_h / (m_h omega)) sin(m_h omega t - theta_h);
-    here z_h = C_h / (m_h omega), which is omega-free by the amplitude
-    convention.
-    """
+def _peierls_phases(spec: DriveSpec, geom: LatticeGeometry, t) -> np.ndarray:
+    """chi_k(t) = Im[sum_h (Z_kh / m_h) e^{i m_h omega t}] of the three
+    bonds at the times t (T,); shape (3, T)."""
     ms, Z = _bond_amplitudes(spec, geom)
-    return [(ms, np.abs(Z[k]) / np.maximum(ms, 1.0), -np.angle(Z[k]))
-            for k in range(3)]
+    return ((Z / ms) @ np.exp(1j * spec.omega * np.outer(ms, t))).imag
 
 
 def chi(spec: DriveSpec, geom: LatticeGeometry, k: int, t) -> np.ndarray:
@@ -294,12 +292,8 @@ def chi(spec: DriveSpec, geom: LatticeGeometry, k: int, t) -> np.ndarray:
     """
     if k not in (1, 2, 3):
         raise ValueError(f"bond index must be 1, 2 or 3, got {k}")
-    ms, zs, ths = _bond_sinusoids(spec, geom)[k - 1]
     t = np.asarray(t, dtype=float)
-    if len(ms) == 0:
-        return np.zeros(t.shape)
-    phases = np.multiply.outer(t, ms) * spec.omega - ths
-    return np.sin(phases) @ zs
+    return _peierls_phases(spec, geom, t.ravel())[k - 1].reshape(t.shape)
 
 
 @functools.lru_cache(maxsize=8)
@@ -346,14 +340,6 @@ def _quadrature_sizes(ms, Z):
     zmax = (absZ / ms).sum(axis=-1).max(axis=-1)
     bandwidth = absZ.sum(axis=-1).max(axis=-1)
     return zmax, bandwidth, int(ms.max())
-
-
-def _sample_count(mmax: int, zmax: float) -> int:
-    # power of two >= 64*(largest harmonic + ceil(total modulation index));
-    # Peierls spectra decay superexponentially past the modulation index,
-    # which keeps aliasing below 1e-12 at this rate.
-    need = 64 * (mmax + math.ceil(zmax))
-    return max(256, 1 << math.ceil(math.log2(max(need, 1))))
 
 
 @dataclass(frozen=True)
@@ -421,14 +407,26 @@ def fourier_components(spec: DriveSpec, geom: LatticeGeometry, j0: float,
 def _grid_size(mmax: int, zmax: float, bandwidth: float, n_max: int | None = None,
                samples: int | None = None):
     """(n_max, M) of one drive from its `_quadrature_sizes`: the retained
-    order and grid-size rules of `fourier_components`, or its overrides."""
+    order and grid-size rules of `fourier_components`, or its overrides.
+    A grid above MAX_SAMPLES raises ValueError before anything of its
+    size is allocated."""
+    M = samples
+    if M is None:
+        # power of two >= 64*(largest harmonic + ceil(total modulation index));
+        # Peierls spectra decay superexponentially past the modulation index,
+        # which keeps aliasing below 1e-12 at this rate.  The cap is tested
+        # on the unrounded index (mmax + ceil(zmax) <= MAX_SAMPLES / 64 exactly
+        # when mmax + zmax is), so that an overflowing index is refused too.
+        if not mmax + zmax <= MAX_SAMPLES // 64:
+            raise ValueError(f"a drive of modulation index {zmax:.6g} needs more than "
+                             f"{MAX_SAMPLES} Fourier samples")
+        M = max(256, 1 << math.ceil(math.log2(64 * (mmax + math.ceil(zmax)))))
+    if M & (M - 1) or not 4 <= M <= MAX_SAMPLES:
+        raise ValueError(f"sample count must be a power of two in [4, {MAX_SAMPLES}], got {M}")
     if n_max is None:
         n_max = math.ceil(bandwidth) + 20 + 4 * mmax
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    M = samples if samples is not None else _sample_count(mmax, zmax)
-    if M & (M - 1) or M < 4:
-        raise ValueError(f"sample count must be a power of two >= 4, got {M}")
     if 2 * n_max + 1 > M:
         raise ValueError(f"n_max = {n_max} does not fit in {M} samples")
     return n_max, M

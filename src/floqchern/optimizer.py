@@ -6,8 +6,14 @@ delta_2 ... delta_N) subject to a target NNN phase phi = phi_target and a
 floor j1/j0 >= r_threshold on the NN rate.  R is invariant under
 rescaling of omega and j0, so candidates are evaluated at omega = j0 = 1.
 
-Method: multistart derivative-free simplex descent on a quadratically
-penalized objective, with two penalty-escalation rounds (x100 each).
+Method: multistart SLSQP (sequential least squares programming, Kraft
+1988) with the constraints written as constraints: -R is minimized
+under the equality wrap(phi - phi_target) = 0 and the inequality
+j1/j0 - r_threshold >= 0, with the amplitudes bounded by +-amp_bound
+and the phases free.  Gradients are SLSQP's own finite differences, and
+each start memoizes its evaluations so that the objective and both
+constraints share them.  Every start record counts its evaluations,
+iterations and SLSQP exit status (`n_eval`, `n_iter`, `status`).
 Starts come from a seeded scrambled Sobol sequence over the box
 (amplitudes in [0, bound], phases in (-pi, pi]), so identical problem +
 seed reproduce identical results bit for bit.  Starts are independent
@@ -26,8 +32,7 @@ Phase maps and random search evaluate whole arrays of parameter
 vectors at once (`_candidate_batch`): drives are grouped by their
 Fourier grid and run through the spectrum and rate code along a
 leading axis, in blocks of bounded size.  The results are bit for bit
-those of the one-drive kernel `_candidate_rates` that the simplex
-descent calls.
+those of the one-drive kernel `_candidate_rates` that SLSQP calls.
 """
 
 from __future__ import annotations
@@ -45,19 +50,6 @@ from .drive import (_axis_bond_amplitudes, _bond_projections, _family_axis_offse
                     _grid_size, _peierls_components, _quadrature_sizes, _truncation_error,
                     default_geometry, family_harmonic_integer, wrap_angle)
 from .effective import _rate_arrays
-
-#: penalty weights (phi, feasibility) per escalation round, with the
-#: simplex convergence tolerances (xatol, fatol) tightening alongside
-RHO_SCHEDULE = ((1e4, 1e4, 1e-6, 1e-9),
-                (1e6, 1e6, 1e-8, 1e-11),
-                (1e8, 1e8, 1e-11, 1e-13))
-
-#: slack added to the j1 threshold inside the penalty so the converged
-#: point lands strictly feasible rather than a hair below the constraint
-FEAS_MARGIN = 1e-6
-
-#: stiffness of the amplitude box penalty
-RHO_BOX = 1e8
 
 #: sweep targets closer than this (mod 2 pi) share one optimization
 SAME_ANGLE = 1e-12
@@ -229,27 +221,6 @@ def evaluate_candidate(family: str, N: int, p):
     return R, j1, (phi if defined else math.nan)
 
 
-def _penalized(p, problem: OptimizationProblem, rho_phi: float, rho_feas: float) -> float:
-    """-R plus quadratic penalties.
-
-    The merit ratio uses j1 clamped at half the threshold: the true R
-    diverges as j1 -> 0, which no finite quadratic penalty could
-    dominate; the clamp is inactive anywhere near the feasible set.
-    """
-    R, j1, phi, defined, j2 = _candidate_rates(problem.family, problem.N, p)
-    floor = 0.5 * problem.r_threshold if problem.r_threshold > 0 else 1e-9
-    merit = j2 / max(j1, floor)
-    pen = rho_phi * (wrap_angle(phi - problem.phi_target) ** 2 if defined else np.pi ** 2)
-    violation = (problem.r_threshold + FEAS_MARGIN) - j1
-    if violation > 0:
-        pen += rho_feas * violation ** 2
-    for A in np.asarray(p[:problem.N]):
-        excess = abs(A) - problem.amp_bound
-        if excess > 0:
-            pen += RHO_BOX * excess ** 2
-    return -merit + pen
-
-
 def _canonical(p, N):
     """Canonical representative of a parameter vector's gauge class.
 
@@ -307,21 +278,34 @@ def _start_record(problem: OptimizationProblem, p, R, j1, phi, defined, converge
 
 
 def _run_start(args):
-    """Penalty-escalated simplex descent from one start point."""
+    """SLSQP from one start point.  The phase gap is pi where phi is
+    undefined; the objective and both constraints share each evaluation
+    through a memo keyed on the point."""
     problem, x0 = args
-    x = np.asarray(x0, dtype=float)
-    converged = False
-    for rho_phi, rho_feas, xatol, fatol in RHO_SCHEDULE:
-        res = _sciopt.minimize(
-            _penalized, x, args=(problem, rho_phi, rho_feas),
-            method="Nelder-Mead",
-            options={"maxiter": problem.max_iter, "xatol": xatol,
-                     "fatol": fatol, "adaptive": True})
-        x = res.x
-        converged = bool(res.success)
-    p = _canonical(x, problem.N)
+    memo = {}
+
+    def rates(x):
+        key = x.tobytes()
+        if key not in memo:
+            memo[key] = _candidate_rates(problem.family, problem.N, x)
+        return memo[key]
+
+    def phase_gap(x):
+        _, _, phi, defined, _ = rates(x)
+        return wrap_angle(phi - problem.phi_target) if defined else np.pi
+
+    bounds = ([(-problem.amp_bound, problem.amp_bound)] * problem.N
+              + [(None, None)] * (problem.N - 1))
+    res = _sciopt.minimize(
+        lambda x: -rates(x)[0], np.asarray(x0, dtype=float), method="SLSQP", bounds=bounds,
+        constraints=({"type": "eq", "fun": phase_gap},
+                     {"type": "ineq", "fun": lambda x: rates(x)[1] - problem.r_threshold}),
+        options={"ftol": 1e-12, "maxiter": problem.max_iter})
+    p = _canonical(res.x, problem.N)
     R, j1, phi, defined, _ = _candidate_rates(problem.family, problem.N, p)
-    return _start_record(problem, p, R, j1, phi, defined, converged)
+    record = _start_record(problem, p, R, j1, phi, defined, bool(res.success))
+    record.update(n_eval=len(memo), n_iter=int(res.nit), status=int(res.status))
+    return record
 
 
 def _image_record(record, problem: OptimizationProblem, mirror: bool, negate_even: bool):
@@ -334,8 +318,10 @@ def _image_record(record, problem: OptimizationProblem, mirror: bool, negate_eve
         p, phi = _mirror(p, problem.N), float(wrap_angle(-phi))
     if mirror or negate_even:
         p = _canonical(p, problem.N)
-    return _start_record(problem, p, record["R"], record["j1"], phi, record["defined"],
-                  record["converged"])
+    image = _start_record(problem, p, record["R"], record["j1"], phi, record["defined"],
+                          record["converged"])
+    image.update((key, record[key]) for key in ("n_eval", "n_iter", "status"))
+    return image
 
 
 def sobol_starts(problem: OptimizationProblem) -> np.ndarray:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bloch as _bloch
-from .drive import DriveSpec, LatticeGeometry, _bond_amplitudes
+from .drive import DriveSpec, LatticeGeometry, _peierls_phases
 from .effective import derive_rates
 from .drive import fourier_components
 
@@ -58,12 +58,7 @@ class PropagatorSettings:
 def _bond_rates_at(spec, geom, j0, t):
     """g_k(t) = j0 exp(i chi_k(t)) for the three bonds; shape (3, len(t))."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    ms, Z = _bond_amplitudes(spec, geom)
-    if len(ms):
-        chis = ((Z / ms) @ np.exp(1j * spec.omega * np.outer(ms, t))).imag
-    else:
-        chis = np.zeros((3, len(t)))
-    return j0 * np.exp(1j * chis)
+    return j0 * np.exp(1j * _peierls_phases(spec, geom, t))
 
 
 def bloch_hamiltonian_t(spec: DriveSpec, geom: LatticeGeometry, j0: float,

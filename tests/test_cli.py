@@ -51,6 +51,7 @@ def test_parse_range_rejects_nonfinite():
     ["chern-diagram", "--kgrid", "2", "--phi=-1:1:1", "--ratio=0:1:1"],
     ["validate", "--drive", PLUS_N1, "--kgrid", "0", "--steps", "256"],
     ["validate", "--drive", PLUS_N1, "--kgrid", "-3", "--steps", "256"],
+    ["rates", "--drive", '{"family":"plus","omega":1,"A":[1e6],"delta":[0]}'],
 ])
 def test_meaningless_input_exit_2(argv, tmp_path, capsys):
     code, out, err = run(argv + ["--out", str(tmp_path)], capsys)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,6 +254,23 @@ def test_spectrum_input_validation():
         fourier_components(spec, GEOM, 1.0, n_max=0)
     with pytest.raises(ValueError):
         fourier_components(spec, GEOM, 1.0, samples=1000)  # not a power of two
+    with pytest.raises(ValueError):
+        fourier_components(spec, GEOM, 1.0, samples=1 << 21)  # above MAX_SAMPLES
+
+
+def test_grid_cap_raises_before_allocation():
+    # A = 2e4 would need 2^21 samples (96 MiB per (3, M) complex array);
+    # two amplitudes of 1e308 overflow the spectral bandwidth to inf
+    for amps in ([2e4], [1e308, 1e308]):
+        spec = build_family_drive("plus", 1.0, amps, [0.0] * len(amps))
+        tracemalloc.start()
+        try:
+            with np.errstate(over="ignore"), pytest.raises(ValueError, match="Fourier samples"):
+                fourier_components(spec, GEOM, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_tunneling_rate_periodicity():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq, minimize_scalar
+from scipy.special import jv
 
 from floqchern import (
     OptimizationProblem,
@@ -132,6 +134,32 @@ def test_maximize_parallel_matches_serial(small_max):
 def test_multistart_beats_cheap_random_search(small_max):
     prob, res = small_max
     assert res.R_value >= random_search_best(prob, 500, seed=3)
+
+
+def test_maximize_reaches_monochromatic_optimum():
+    # at phi = pi/2 the N = 2 optimum is the N = 1 one (A2 = 0): the bounded
+    # 1-D maximum of R(A) under J0(A) >= r_th, edge included
+    r_th = 0.25
+    edge = brentq(lambda A: jv(0, A) - r_th, 0.0, 2.4048, xtol=1e-15)
+    R_of = lambda A: evaluate_candidate("plus", 1, [A])[0]
+    inner = minimize_scalar(lambda A: -R_of(A), bounds=(0.0, edge), method="bounded")
+    R_opt = max(-inner.fun, R_of(edge))
+    prob = OptimizationProblem(phi_target=np.pi / 2, r_threshold=r_th, N=2,
+                               n_starts=4, seed=42)
+    res = maximize(prob, workers=1)
+    assert res.feasible
+    assert abs(res.R_value - R_opt) <= 1e-9
+
+
+def test_start_records_count_work(small_max):
+    prob, res = small_max
+    for r in res.best_per_start:
+        assert r["n_eval"] > r["n_iter"] >= 1
+        assert r["converged"] == (r["status"] == 0)
+    mirror = OptimizationProblem(phi_target=-np.pi / 2, r_threshold=0.25, family="minus")
+    images = [optimizer._image_record(r, mirror, True, False) for r in res.best_per_start]
+    assert ([(r["n_eval"], r["n_iter"], r["status"]) for r in images]
+            == [(r["n_eval"], r["n_iter"], r["status"]) for r in res.best_per_start])
 
 
 def test_family_mirror_pointwise():
