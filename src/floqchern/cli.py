@@ -216,7 +216,12 @@ def cmd_validate(args) -> int:
     geom = default_geometry()
     settings = validate.PropagatorSettings(steps_per_period=args.steps,
                                            richardson_check=args.richardson)
-    rep = validate.compare_effective(spec, geom, j0, args.delta, args.kgrid, settings)
+    if args.ladder:
+        # the ladder's first rung is the base comparison
+        lad = validate.omega_ladder(spec, geom, j0, args.delta, args.kgrid, settings)
+        rep = lad.report
+    else:
+        rep = validate.compare_effective(spec, geom, j0, args.delta, args.kgrid, settings)
     summary = {
         "max_abs_deviation": rep.max_abs_deviation,
         "mean_abs_deviation": rep.mean_abs_deviation,
@@ -226,7 +231,6 @@ def cmd_validate(args) -> int:
         "steps": args.steps,
     }
     if args.ladder:
-        lad = validate.omega_ladder(spec, geom, j0, args.delta, args.kgrid, settings)
         summary["ladder_omegas"] = list(lad.omegas)
         summary["ladder_deviations"] = list(lad.deviations)
         summary["scaling_exponent"] = lad.exponent

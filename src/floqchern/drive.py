@@ -64,12 +64,6 @@ class LatticeGeometry:
             raise ValueError(f"bond index must be 1, 2 or 3, got {k}")
         return (self.a1, self.a2, self.a3)[k - 1]
 
-    def bravais(self, k: int) -> np.ndarray:
-        """NNN vector b_k, k in {1, 2, 3}."""
-        if k not in (1, 2, 3):
-            raise ValueError(f"bravais index must be 1, 2 or 3, got {k}")
-        return (self.b1, self.b2, self.b3)[k - 1]
-
 
 def build_geometry(a: float = 1.0) -> LatticeGeometry:
     """Construct the hexagonal-lattice geometry for NN distance `a`.
@@ -337,8 +331,10 @@ def _quadrature_sizes(ms, Z):
         zero = np.zeros(Z.shape[:-2])
         return zero, zero, 1
     absZ = np.abs(Z)
-    zmax = (absZ / ms).sum(axis=-1).max(axis=-1)
-    bandwidth = absZ.sum(axis=-1).max(axis=-1)
+    with np.errstate(over="ignore"):
+        # an inf here is refused by `_grid_size`'s MAX_SAMPLES cap
+        zmax = (absZ / ms).sum(axis=-1).max(axis=-1)
+        bandwidth = absZ.sum(axis=-1).max(axis=-1)
     return zmax, bandwidth, int(ms.max())
 
 

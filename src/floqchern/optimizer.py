@@ -324,6 +324,14 @@ def _image_record(record, problem: OptimizationProblem, mirror: bool, negate_eve
     return image
 
 
+def _search_box(problem: OptimizationProblem):
+    """(lo, hi) of the search box: amplitudes in [0, amp_bound], the free
+    phases in [-pi, pi]."""
+    lo = np.concatenate((np.zeros(problem.N), np.full(problem.N - 1, -np.pi)))
+    hi = np.concatenate((np.full(problem.N, problem.amp_bound), np.full(problem.N - 1, np.pi)))
+    return lo, hi
+
+
 def sobol_starts(problem: OptimizationProblem) -> np.ndarray:
     """Seeded low-discrepancy start points over the search box."""
     import warnings
@@ -332,8 +340,7 @@ def sobol_starts(problem: OptimizationProblem) -> np.ndarray:
         # Sobol balance only matters for integration, not for start spreading
         warnings.simplefilter("ignore", UserWarning)
         u = sampler.random(problem.n_starts)
-    lo = np.concatenate((np.zeros(problem.N), np.full(problem.N - 1, -np.pi)))
-    hi = np.concatenate((np.full(problem.N, problem.amp_bound), np.full(problem.N - 1, np.pi)))
+    lo, hi = _search_box(problem)
     return lo + u * (hi - lo)
 
 
@@ -388,8 +395,7 @@ def random_search_best(problem: OptimizationProblem, n_samples: int, seed: int =
     -inf when no sample is feasible.  Serves as an optimality floor for
     the multistart result."""
     rng = np.random.default_rng(seed)
-    lo = np.concatenate((np.zeros(problem.N), np.full(problem.N - 1, -np.pi)))
-    hi = np.concatenate((np.full(problem.N, problem.amp_bound), np.full(problem.N - 1, np.pi)))
+    lo, hi = _search_box(problem)
     best = -math.inf
     for start in range(0, n_samples, _BATCH_ROWS):
         # one draw of k x dim numbers is k draws of dim numbers, in order
@@ -409,10 +415,6 @@ def random_search_best(problem: OptimizationProblem, n_samples: int, seed: int =
 class SweepResult:
     rows: list                 # (phi_target, r_th, OptimizationResult)
     jumps: dict                # r_th -> list of (gap_index, jump_norm)
-
-    def iter_rows(self):
-        for phi_tg, r_th, res in self.rows:
-            yield phi_tg, r_th, res
 
 
 def _param_jump(res_a: OptimizationResult, res_b: OptimizationResult, N: int) -> float:
@@ -550,11 +552,6 @@ class PhaseMap:
         from scipy import ndimage
         _, n = ndimage.label(self.j1_over_j0 >= level)
         return int(n)
-
-    def level_segments(self, level: float):
-        """Contour of j1/j0 = level as short line segments in (A1, A2)."""
-        from .svg import marching_squares
-        return marching_squares(self.A1, self.A2, self.j1_over_j0, level)
 
     def rows(self):
         for i, A1 in enumerate(self.A1):

@@ -15,12 +15,15 @@ terms land on the bonds used by the effective module.
 One-period propagators are ordered products of midpoint exponentials
 (second-order Magnus), evaluated with the closed-form 2x2 matrix
 exponential, so each factor is unitary to machine precision.
-Quasienergies are folded to (-omega/2, omega/2]; branch pairing against
-the effective spectrum goes by eigenvector overlap (in the same
-sublattice gauge), since folding can invert energy order.
+`period_propagator` is the one entry point, for a single k or a k-array,
+and runs the optional Richardson step-doubling check.  Each Floquet
+spectrum is diagonalized in one place: quasienergies are folded to
+(-omega/2, omega/2] and sorted per k-point.  Branch pairing against the
+effective spectrum goes by eigenvector overlap (in the same sublattice
+gauge), since folding can invert energy order.
 
-Per-k propagations are independent; grid comparisons are deterministic
-parallel maps.
+The omega ladder's first rung (factor 1) is the base comparison, so
+`validate --ladder` propagates each omega once.
 """
 
 from __future__ import annotations
@@ -30,9 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bloch as _bloch
-from .drive import DriveSpec, LatticeGeometry, _peierls_phases
+from .drive import DriveSpec, LatticeGeometry, _peierls_phases, fourier_components
 from .effective import derive_rates
-from .drive import fourier_components
 
 RICHARDSON_TOL = 1e-8
 
@@ -114,27 +116,39 @@ def _propagators(spec, geom, j0, delta, ks, steps):
     return U
 
 
-def _checked_propagators(spec, geom, j0, delta, ks, settings):
-    U = _propagators(spec, geom, j0, delta, ks, settings.steps_per_period)
+def period_propagator(spec: DriveSpec, geom: LatticeGeometry, j0: float,
+                      delta: float, k, settings: PropagatorSettings) -> np.ndarray:
+    """One-period time-ordered propagator U(T): shape (2, 2) for a momentum
+    k of shape (2,), (Nk, 2, 2) for an (Nk, 2) k-array.
+
+    With settings.richardson_check, doubling the step count must move no
+    entry of any U by RICHARDSON_TOL or more (StepCountError otherwise).
+    """
+    k = np.asarray(k, dtype=float)
+    U = _propagators(spec, geom, j0, delta, k, settings.steps_per_period)
     if settings.richardson_check:
-        U2 = _propagators(spec, geom, j0, delta, ks, 2 * settings.steps_per_period)
+        U2 = _propagators(spec, geom, j0, delta, k, 2 * settings.steps_per_period)
         err = np.abs(U - U2).max()
         if err >= RICHARDSON_TOL:
             raise StepCountError(
                 f"doubling steps moved propagator entries by {err:.2e} "
                 f">= {RICHARDSON_TOL}; increase steps_per_period")
-    return U
-
-
-def period_propagator(spec: DriveSpec, geom: LatticeGeometry, j0: float,
-                      delta: float, k, settings: PropagatorSettings) -> np.ndarray:
-    """One-period time-ordered propagator U(T) at momentum k."""
-    return _checked_propagators(spec, geom, j0, delta, [k], settings)[0]
+    return U if k.ndim == 2 else U[0]
 
 
 def fold_quasienergy(eps, omega: float):
     """Fold to (-omega/2, omega/2]."""
     return omega / 2 - np.mod(omega / 2 - np.asarray(eps), omega)
+
+
+def _floquet_branches(U, spec: DriveSpec):
+    """Folded quasienergies of the (Nk, 2, 2) propagators U, sorted per
+    row, and the eigenvectors as matching columns."""
+    evals, evecs = np.linalg.eig(U)
+    eps = fold_quasienergy(-np.angle(evals) / spec.period, spec.omega)
+    order = np.argsort(eps, axis=1)
+    return (np.take_along_axis(eps, order, axis=1),
+            np.take_along_axis(evecs, order[:, None, :], axis=2))
 
 
 def torus_grid(geom: LatticeGeometry, N1: int, N2: int) -> np.ndarray:
@@ -145,7 +159,7 @@ def torus_grid(geom: LatticeGeometry, N1: int, N2: int) -> np.ndarray:
     return (m.ravel()[:, None] / N1) * geom.G1 + (n.ravel()[:, None] / N2) * geom.G2
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuasienergyReport:
     """Exact vs effective quasienergies over a k-grid.
 
@@ -164,7 +178,6 @@ class QuasienergyReport:
     mean_abs_deviation: float
     unitarity_defect: float
     omega: float
-    scaling_exponent: float | None = None
 
     def rows(self):
         for i in range(len(self.ks)):
@@ -190,34 +203,25 @@ def _effective_h(rates, delta_bare, geom, ks):
 
 
 def compare_effective(spec: DriveSpec, geom: LatticeGeometry, j0: float,
-                      delta: float, kgrid, settings: PropagatorSettings,
-                      rates=None) -> QuasienergyReport:
+                      delta: float, kgrid, settings: PropagatorSettings) -> QuasienergyReport:
     """Folded exact quasienergies vs the effective spectrum on a k-grid.
 
     kgrid: integer N (an N x N torus grid) or an explicit (Nk, 2) array.
     """
-    if rates is None:
-        rates = derive_rates(fourier_components(spec, geom, j0))
+    rates = derive_rates(fourier_components(spec, geom, j0))
     if not (rates.isotropic_nn and rates.isotropic_nnn):
         raise ValueError("effective comparison requires an isotropic drive")
     ks = torus_grid(geom, kgrid, kgrid) if np.isscalar(kgrid) else np.asarray(kgrid, dtype=float)
     if ks.ndim != 2 or ks.shape[1] != 2 or not len(ks):
         raise ValueError(f"k-grid must be a nonempty (Nk, 2) array, got shape {ks.shape}")
-    omega = spec.omega
-    T = spec.period
 
-    U = _checked_propagators(spec, geom, j0, delta, ks, settings)
-    eye = np.eye(2)
-    defect = float(np.abs(np.einsum("kij,kil->kjl", U.conj(), U) - eye).max())
-    evals, evecs = np.linalg.eig(U)
-    eps_x = fold_quasienergy(-np.angle(evals) / T, omega)
-    order = np.argsort(eps_x, axis=1)
-    eps_x = np.take_along_axis(eps_x, order, axis=1)
-    vx = np.take_along_axis(evecs, order[:, None, :], axis=2)
+    U = period_propagator(spec, geom, j0, delta, ks, settings)
+    defect = float(np.abs(np.einsum("kij,kil->kjl", U.conj(), U) - np.eye(2)).max())
+    eps_x, vx = _floquet_branches(U, spec)
 
     He = _effective_h(rates, delta, geom, ks)
     eps_e, ve = np.linalg.eigh(He)
-    eps_e = fold_quasienergy(eps_e, omega)
+    eps_e = fold_quasienergy(eps_e, spec.omega)
     # same sublattice gauge as the exact Hamiltonian
     ve = ve.copy()
     ve[:, 1, :] *= np.exp(1j * rates.gauge_phase)
@@ -235,7 +239,7 @@ def compare_effective(spec: DriveSpec, geom: LatticeGeometry, j0: float,
         ks=ks, eps_exact=eps_x, eps_eff=eps_e_paired, deviation=deviation,
         pairing_flag=pairing_flag,
         max_abs_deviation=float(dev.max()), mean_abs_deviation=float(dev.mean()),
-        unitarity_defect=defect, omega=omega)
+        unitarity_defect=defect, omega=spec.omega)
 
 
 @dataclass(frozen=True)
@@ -244,7 +248,7 @@ class LadderResult:
     deviations: np.ndarray
     exponent: float          # slope of log(dev) vs log(omega); -2 expected
     shrink_factors: np.ndarray  # dev(w) / dev(2w) per doubling
-    report: QuasienergyReport   # base-omega report, exponent filled in
+    report: QuasienergyReport   # the first rung's report
 
 
 def omega_ladder(spec: DriveSpec, geom: LatticeGeometry, j0: float, delta: float,
@@ -253,25 +257,18 @@ def omega_ladder(spec: DriveSpec, geom: LatticeGeometry, j0: float, delta: float
     """Deviation scaling across an omega ladder at fixed A/omega and fixed j0.
 
     Amplitudes are stored as multiples of omega, so raising omega with the
-    same harmonics realizes exactly the fixed-ratio ladder.
+    same harmonics realizes exactly the fixed-ratio ladder.  With the
+    default first factor 1.0, the first rung is `compare_effective` at the
+    base omega, bit for bit.
     """
-    devs = []
-    omegas = []
-    base = None
-    for f in factors:
-        scaled = DriveSpec(family=spec.family, omega=spec.omega * f,
-                           harmonics=spec.harmonics)
-        rep = compare_effective(scaled, geom, j0, delta, kgrid, settings)
-        if base is None:
-            base = rep
-        devs.append(rep.max_abs_deviation)
-        omegas.append(scaled.omega)
-    omegas = np.array(omegas)
-    devs = np.array(devs)
+    reports = [compare_effective(DriveSpec(family=spec.family, omega=spec.omega * f,
+                                           harmonics=spec.harmonics),
+                                 geom, j0, delta, kgrid, settings) for f in factors]
+    omegas = np.array([rep.omega for rep in reports])
+    devs = np.array([rep.max_abs_deviation for rep in reports])
     slope = float(np.polyfit(np.log(omegas), np.log(devs), 1)[0])
-    base.scaling_exponent = slope
     return LadderResult(omegas=omegas, deviations=devs, exponent=slope,
-                        shrink_factors=devs[:-1] / devs[1:], report=base)
+                        shrink_factors=devs[:-1] / devs[1:], report=reports[0])
 
 
 def floquet_chern(spec: DriveSpec, geom: LatticeGeometry, j0: float, delta: float,
@@ -286,12 +283,7 @@ def floquet_chern(spec: DriveSpec, geom: LatticeGeometry, j0: float, delta: floa
     _bloch._check_grid(grid, grid)
     thr = 1e-6 * j0 if gap_threshold is None else gap_threshold
     ks = torus_grid(geom, grid, grid)
-    U = _checked_propagators(spec, geom, j0, delta, ks, settings)
-    evals, evecs = np.linalg.eig(U)
-    eps = fold_quasienergy(-np.angle(evals) / spec.period, spec.omega)
-    order = np.argsort(eps, axis=1)
-    eps = np.take_along_axis(eps, order, axis=1)
-    vecs = np.take_along_axis(evecs, order[:, None, :], axis=2)
+    eps, vecs = _floquet_branches(period_propagator(spec, geom, j0, delta, ks, settings), spec)
     direct = eps[:, 1] - eps[:, 0]
     wrap = spec.omega - direct
     low = vecs[:, :, 0].reshape(grid, grid, 2)

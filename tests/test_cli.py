@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import floqchern
+from floqchern import validate
 from floqchern.cli import main, parse_range
 
 PLUS_N1 = '{"family":"plus","omega":1.0,"A":[1.0],"delta":[0.0]}'
@@ -20,6 +21,16 @@ def run(argv, capsys):
 def read(path):
     with open(path, "rb") as f:
         return f.read()
+
+
+def _run_module(argv, tmp_path):
+    """`python -m floqchern ARGV --out TMP_PATH` in a fresh interpreter, with
+    this checkout's package first on the path; stderr as the child wrote it."""
+    src = os.path.dirname(os.path.dirname(floqchern.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, "-m", "floqchern", *argv, "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 # ---------------------------------------------------------------------------
@@ -69,16 +80,21 @@ def test_validate_names_empty_kgrid(tmp_path, capsys):
 
 def test_module_entry_point(tmp_path):
     # `python -m floqchern` runs the CLI without an installed script
-    src = os.path.dirname(os.path.dirname(floqchern.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    done = subprocess.run(
-        [sys.executable, "-m", "floqchern", "chern-diagram", "--kgrid", "2",
-         "--phi=-1:1:1", "--ratio=0:1:1", "--out", str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120)
+    done = _run_module(["chern-diagram", "--kgrid", "2", "--phi=-1:1:1", "--ratio=0:1:1"],
+                       tmp_path)
     assert done.returncode == 2
     assert json.loads(done.stderr)["error"]["type"] == "config"
     assert not os.listdir(tmp_path)
+
+
+def test_overflowing_drive_stderr_is_json(tmp_path):
+    # amplitudes whose modulation index overflows to inf: the grid cap
+    # refuses the drive, and no numpy warning precedes the JSON error
+    # (pytest would capture an in-process warning, so run a fresh interpreter)
+    done = _run_module(["rates", "--drive",
+                        '{"family":"plus","omega":1,"A":[1e308,1e308],"delta":[0,0]}'], tmp_path)
+    assert done.returncode == 2
+    assert json.loads(done.stderr)["error"]["type"] == "config"
 
 
 def test_bad_worker_env_exit_2(tmp_path, capsys, monkeypatch):
@@ -206,14 +222,33 @@ def test_sweep_rejects_nonfinite_target(tmp_path, capsys):
     assert json.loads(err)["error"]["type"] == "config"
 
 
-def test_validate_ladder(tmp_path, capsys):
+def test_validate_ladder(tmp_path, capsys, monkeypatch):
+    calls = []
+    propagators = validate._propagators
+
+    def counted(*args):
+        calls.append(args[-1])
+        return propagators(*args)
+
+    monkeypatch.setattr(validate, "_propagators", counted)
     code, out, _ = run(["validate", "--drive", PLUS_N1, "--kgrid", "3",
                         "--steps", "512", "--ladder", "--out", str(tmp_path)], capsys)
     assert code == 0
+    # one propagation per rung: the first rung is the base comparison
+    assert calls == [512] * 4
     doc = json.loads(out)
     assert len(doc["ladder_deviations"]) == 4
     # second-order truncation: deviation falls roughly like 1/omega^2
     assert -2.6 < doc["scaling_exponent"] < -1.4
+
+
+def test_validate_ladder_keeps_base_outputs(tmp_path, capsys):
+    argv = ["validate", "--drive", PLUS_N1, "--kgrid", "3", "--steps", "512"]
+    _, base, _ = run(argv + ["--out", str(tmp_path / "a")], capsys)
+    _, ladder, _ = run(argv + ["--ladder", "--out", str(tmp_path / "b")], capsys)
+    assert read(tmp_path / "a" / "validate.csv") == read(tmp_path / "b" / "validate.csv")
+    base, ladder = json.loads(base), json.loads(ladder)
+    assert {key: ladder[key] for key in base} == base
 
 
 def test_validate_command(tmp_path, capsys):

@@ -137,6 +137,23 @@ def test_richardson_check():
     period_propagator(spec, GEOM, 0.02, 0.0, np.array([0.5, 0.5]), good)
 
 
+def test_period_propagator_batch_matches_single_k():
+    spec = build_family_drive("plus", 1.0, [3.0, 2.0], [0.0, 0.8])
+    ks = np.vstack([np.random.default_rng(5).normal(size=(3, 2)), [0.5, 0.5]])
+    settings = PropagatorSettings(steps_per_period=256)
+    U = period_propagator(spec, GEOM, 0.6, 0.0, ks, settings)
+    assert np.array_equal(U, _propagators(spec, GEOM, 0.6, 0.0, ks, 256))
+    single = np.stack([period_propagator(spec, GEOM, 0.6, 0.0, k, settings) for k in ks])
+    assert np.array_equal(single, np.stack([_propagators(spec, GEOM, 0.6, 0.0, [k], 256)[0]
+                                            for k in ks]))
+    # a one-row k @ b rounds apart from an Nk-row one in the last bit
+    assert np.abs(U - single).max() < 1e-14
+    # the k that fails test_richardson_check fails the batch that holds it
+    with pytest.raises(StepCountError):
+        period_propagator(spec, GEOM, 0.6, 0.0, ks,
+                          PropagatorSettings(steps_per_period=256, richardson_check=True))
+
+
 def test_fold_quasienergy_window():
     w = 2.0
     assert fold_quasienergy(1.0, w) == pytest.approx(1.0)
