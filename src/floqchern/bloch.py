@@ -331,21 +331,20 @@ def _check_grid(N1: int, N2: int):
         raise ValueError(f"Chern grids need N1, N2 >= 12, got {N1} x {N2}")
 
 
-def chern_number(model: BlochModel, N1: int = 48, N2: int = 48,
-                 closure_threshold: float | None = None) -> int:
+def chern_number(model: BlochModel, N1: int = 48, N2: int = 48) -> int:
     """Plaquette Chern number of the lowest band on an N1 x N2 torus grid.
 
-    Raises ChernIndeterminateError when the grid gap falls below the
-    closure threshold (default 1e-6 * j1), a plaquette phase comes within
-    ~0.34 rad of +-pi, or the phase sum fails to round to an integer.
+    Raises ChernIndeterminateError when the grid gap falls below
+    CLOSURE_THRESHOLD * j1, a plaquette phase comes within ~0.34 rad of
+    +-pi, or the phase sum fails to round to an integer.
     """
     _check_grid(N1, N2)
-    thr = CLOSURE_THRESHOLD * model.j1 if closure_threshold is None else closure_threshold
     kb1, kb2 = _kb_grid(N1, N2, closed=True)
     _, h1, h2, h3 = _h_from_kb(model.kind, model.delta, model.j1, model.j2,
                                model.phi, kb1, kb2)
     kernel = _BandKernel(h1, h2)
-    return _chern_integer(kernel.gap(h3), thr, lambda: kernel.phases(h3))
+    return _chern_integer(kernel.gap(h3), CLOSURE_THRESHOLD * model.j1,
+                          lambda: kernel.phases(h3))
 
 
 @dataclass(frozen=True)
@@ -386,8 +385,7 @@ def default_ratio_grid(n: int = 97, lim: float = 8.0) -> np.ndarray:
 
 
 def phase_diagram(phi_values=None, ratio_values=None, N1: int = 48, N2: int = 48,
-                  kinds=KINDS, j1: float = 1.0, j2: float = 0.25,
-                  geom: LatticeGeometry | None = None) -> dict:
+                  kinds=KINDS, j1: float = 1.0, j2: float = 0.25) -> dict:
     """Chern diagrams over (phi, delta_eff/j2) for the requested model kinds.
 
     The Chern number depends only on phi and delta_eff/j2, so j1 and j2

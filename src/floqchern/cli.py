@@ -4,8 +4,10 @@ Commands: rates, phase-map, chern-diagram, optimize, sweep, validate.
 Every command is deterministic given its flags and seed; reruns write
 byte-identical files.  Exit codes: 0 success, 2 configuration error,
 3 numerical failure; errors also go to stderr as one JSON object.
+A malformed or missing flag is a configuration error like any other.
 Grid flags use start:stop:step with the stop included when it lands on
-the grid within epsilon.  FCF_THREADS overrides the worker count.
+the grid within epsilon.  Only optimize and sweep run a worker pool, so
+only they take --threads; FCF_THREADS overrides it.
 """
 
 from __future__ import annotations
@@ -28,6 +30,14 @@ class ConfigError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors raise ConfigError instead of printing usage and
+    exiting, so that they reach stderr as JSON; subparsers inherit it."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _fmt(x) -> str:
     if isinstance(x, str):
         return x
@@ -38,11 +48,13 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _write_csv(path, header, rows):
+def _write(path, text):
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+        f.write(text)
+
+
+def _write_csv(path, header, rows):
+    _write(path, "".join(",".join(map(_fmt, row)) + "\n" for row in [header, *rows]))
 
 
 def parse_range(text: str) -> np.ndarray:
@@ -102,9 +114,7 @@ def cmd_rates(args) -> int:
     text = json.dumps(doc, indent=2)
     print(text)
     out = _outdir(args)
-    path = os.path.join(out, "rates.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(text + "\n")
+    _write(os.path.join(out, "rates.json"), text + "\n")
     return 0
 
 
@@ -119,8 +129,7 @@ def cmd_phase_map(args) -> int:
           f"{pm.phase_bin_coverage():.4f}, j1/j0>=0.25 components "
           f"{pm.superlevel_components(0.25)} -> {path}")
     if args.svg:
-        with open(os.path.join(out, "phase_map.svg"), "w", encoding="utf-8", newline="\n") as f:
-            f.write(svg.phase_map_svg(pm))
+        _write(os.path.join(out, "phase_map.svg"), svg.phase_map_svg(pm))
     return 0
 
 
@@ -139,8 +148,7 @@ def cmd_chern_diagram(args) -> int:
         n_indet = int(dg.indeterminate.sum())
         print(f"{kind}: {len(phis)}x{len(ratios)} cells, {n_indet} indeterminate -> {path}")
         if args.svg:
-            with open(os.path.join(out, f"chern_{kind}.svg"), "w", encoding="utf-8", newline="\n") as f:
-                f.write(svg.chern_diagram_svg(dg))
+            _write(os.path.join(out, f"chern_{kind}.svg"), svg.chern_diagram_svg(dg))
     return 0
 
 
@@ -247,14 +255,16 @@ def cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="floqchern",
         description="Shaken hexagonal lattice: effective rates, Chern diagrams, drive optimization")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, pool=False):
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=0, help="worker hint (FCF_THREADS overrides)")
+        if pool:
+            p.add_argument("--threads", type=int, default=0,
+                           help="worker hint (FCF_THREADS overrides)")
 
     p = sub.add_parser("rates", help="effective rates of a drive")
     p.add_argument("--drive", required=True, help="drive JSON path or inline JSON")
@@ -289,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--starts", type=int, default=64)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--amp-bound", type=float, default=5.0, dest="amp_bound")
-    common(p)
+    common(p, pool=True)
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("sweep", help="sweep targets, polar R e^{i phi} table")
@@ -303,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--starts", type=int, default=64)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--amp-bound", type=float, default=5.0, dest="amp_bound")
-    common(p)
+    common(p, pool=True)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("validate", help="exact Floquet vs effective quasienergies")
@@ -330,8 +340,8 @@ def _check_finite(args):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_finite(args)
         return args.func(args)
     except (ConfigError, OSError) as e:

@@ -164,8 +164,8 @@ class DriveSpec:
             self._check_family_structure()
 
     def _check_family_structure(self):
-        sgn = 1.0 if self.family == "plus" else -1.0
-        for idx, h in enumerate(self.harmonics, start=1):
+        offsets = _family_axis_offsets(self.family, len(self.harmonics))
+        for idx, (h, off) in enumerate(zip(self.harmonics, offsets), start=1):
             if h.m != family_harmonic_integer(idx):
                 raise ValueError(
                     f"family {self.family!r} harmonic {idx} must have m = "
@@ -174,7 +174,7 @@ class DriveSpec:
                 raise ValueError("first harmonic phase must be 0 for plus/minus families")
             if abs(h.amp_x - h.amp_y) > 1e-12 * max(1.0, abs(h.amp_x)):
                 raise ValueError("plus/minus families carry equal amplitudes on both axes")
-            want = h.phase_x + sgn * (-1) ** idx * np.pi / 2
+            want = h.phase_x + off
             if abs(wrap_angle(h.phase_y - want)) > 1e-9:
                 raise ValueError(
                     f"family {self.family!r} harmonic {idx} has phase_y = {h.phase_y}, "

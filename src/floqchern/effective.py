@@ -25,7 +25,8 @@ from .drive import TunnelingSpectrum
 #: below this fraction of j0, |tau| is treated as zero and phi undefined
 PHI_UNDEFINED_FLOOR = 1e-14
 
-DEFAULT_ISO_TOL = 1e-8
+#: isotropy tolerance on the residuals, relative to j0 (NN) and j0^2/omega (NNN)
+ISO_TOL = 1e-8
 
 
 def w_commutator(ga: np.ndarray, gb: np.ndarray, omega: float, n_max: int) -> complex:
@@ -155,8 +156,7 @@ class _RateArrays(NamedTuple):
     isotropic_nnn: np.ndarray
 
 
-def _rate_arrays(g, n_max: int, j0: float, omega: float,
-                 iso_tol: float = DEFAULT_ISO_TOL) -> _RateArrays:
+def _rate_arrays(g, n_max: int, j0: float, omega: float) -> _RateArrays:
     """The reduction of `derive_rates` for spectra g (..., 3, 2 n_max + 1)
     sharing j0, omega and n_max; phi is 0 where it is undefined."""
     g0 = g[..., n_max]
@@ -171,24 +171,21 @@ def _rate_arrays(g, n_max: int, j0: float, omega: float,
         j1=np.hypot(mean_g0.real, mean_g0.imag), j2=j2,
         phi=np.where(phi_defined, np.arctan2(t1.imag, t1.real), 0.0),
         phi_defined=phi_defined, residual_nn=residual_nn, residual_nnn=residual_nnn,
-        isotropic_nn=residual_nn <= iso_tol * j0,
-        isotropic_nnn=residual_nnn <= iso_tol * j0 ** 2 / omega)
+        isotropic_nn=residual_nn <= ISO_TOL * j0,
+        isotropic_nnn=residual_nnn <= ISO_TOL * j0 ** 2 / omega)
 
 
-def derive_rates(spectrum: TunnelingSpectrum,
-                 iso_tol: float = DEFAULT_ISO_TOL) -> EffectiveRates:
+def derive_rates(spectrum: TunnelingSpectrum) -> EffectiveRates:
     """Reduce a tunneling spectrum to effective rates with isotropy checks.
 
     Isotropy of the NN sector requires the three complex averages g0_k to
     coincide (a single sublattice phase can only remove a phase common to
     all three bonds).  Residuals are max pairwise deviations, compared
-    against iso_tol relative to j0 (NN) and j0^2/omega (NNN).  A
+    against ISO_TOL relative to j0 (NN) and j0^2/omega (NNN).  A
     non-isotropic drive is diagnosed, not rejected.
     """
-    if not iso_tol > 0:
-        raise ValueError("iso_tol must be positive")
     j0, omega = spectrum.j0, spectrum.omega
-    r = _rate_arrays(spectrum.g, spectrum.n_max, j0, omega, iso_tol)
+    r = _rate_arrays(spectrum.g, spectrum.n_max, j0, omega)
     g0 = r.g0.copy()
     tau = r.tau.copy()
     tau0 = complex(r.tau0)

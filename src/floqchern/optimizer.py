@@ -54,6 +54,12 @@ from .effective import _rate_arrays
 #: sweep targets closer than this (mod 2 pi) share one optimization
 SAME_ANGLE = 1e-12
 
+#: feasibility tolerances on |wrap(phi - phi_target)| and on j1/j0 below
+#: r_threshold, and the SLSQP iteration cap per start
+PHI_TOL = 1e-3
+FEAS_TOL = 1e-9
+MAX_ITER = 600
+
 #: drive-axis projections on the bonds of the a = 1 geometry
 _PROJ = _bond_projections(default_geometry())
 
@@ -90,9 +96,6 @@ class OptimizationProblem:
     amp_bound: float = 5.0
     n_starts: int = 64
     seed: int = 0
-    phi_tol: float = 1e-3
-    feas_tol: float = 1e-9
-    max_iter: int = 600
 
     def __post_init__(self):
         if not math.isfinite(self.phi_target):
@@ -101,6 +104,8 @@ class OptimizationProblem:
             raise ValueError("r_threshold must lie in [0, 1]")
         if self.N < 1:
             raise ValueError("N must be >= 1")
+        if self.n_starts < 1:
+            raise ValueError(f"n_starts must be >= 1, got {self.n_starts}")
         if self.family not in ("plus", "minus"):
             raise ValueError("optimization families are 'plus' and 'minus'")
 
@@ -270,8 +275,8 @@ def _start_record(problem: OptimizationProblem, p, R, j1, phi, defined, converge
     phi_res = abs(float(wrap_angle(phi - problem.phi_target))) if defined else np.pi
     r_res = max(0.0, problem.r_threshold - j1)
     amps_ok = bool(np.all(np.abs(p[:problem.N]) <= problem.amp_bound + 1e-9))
-    feasible = (defined and phi_res <= problem.phi_tol
-                and j1 >= problem.r_threshold - problem.feas_tol and amps_ok)
+    feasible = (defined and phi_res <= PHI_TOL
+                and j1 >= problem.r_threshold - FEAS_TOL and amps_ok)
     return {"p": p, "R": R, "j1": j1, "phi": phi, "defined": defined,
             "feasible": feasible, "converged": converged,
             "phi_residual": phi_res, "r_residual": r_res}
@@ -300,7 +305,7 @@ def _run_start(args):
         lambda x: -rates(x)[0], np.asarray(x0, dtype=float), method="SLSQP", bounds=bounds,
         constraints=({"type": "eq", "fun": phase_gap},
                      {"type": "ineq", "fun": lambda x: rates(x)[1] - problem.r_threshold}),
-        options={"ftol": 1e-12, "maxiter": problem.max_iter})
+        options={"ftol": 1e-12, "maxiter": MAX_ITER})
     p = _canonical(res.x, problem.N)
     R, j1, phi, defined, _ = _candidate_rates(problem.family, problem.N, p)
     record = _start_record(problem, p, R, j1, phi, defined, bool(res.success))
@@ -401,7 +406,7 @@ def random_search_best(problem: OptimizationProblem, n_samples: int, seed: int =
         # one draw of k x dim numbers is k draws of dim numbers, in order
         P = lo + rng.random((min(_BATCH_ROWS, n_samples - start), problem.dim)) * (hi - lo)
         R, j1, phi, defined, _ = _candidate_batch(problem.family, problem.N, P)
-        feasible = (defined & (np.abs(wrap_angle(phi - problem.phi_target)) <= problem.phi_tol)
+        feasible = (defined & (np.abs(wrap_angle(phi - problem.phi_target)) <= PHI_TOL)
                     & (j1 >= problem.r_threshold))
         if feasible.any():
             best = max(best, float(R[feasible].max()))

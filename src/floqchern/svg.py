@@ -57,14 +57,19 @@ def _phase_color(phi):
     return f"#{int(255*r):02x}{int(255*g):02x}{int(255*b):02x}"
 
 
+#: canvas margin around the plot area, in px
+MARGIN = 55
+
+
 class _Canvas:
-    def __init__(self, width, height, xlim, ylim, margin=55):
-        self.w, self.h, self.m = width, height, margin
+    def __init__(self, width, height, xlim, ylim):
+        self.w, self.h, self.m = width, height, MARGIN
         self.xlim, self.ylim = xlim, ylim
+        W, H = width + 2 * MARGIN, height + 2 * MARGIN
         self.parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width + 2*margin}" '
-            f'height="{height + 2*margin}" viewBox="0 0 {width + 2*margin} {height + 2*margin}">',
-            f'<rect x="0" y="0" width="{width + 2*margin}" height="{height + 2*margin}" fill="white"/>',
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" '
+            f'height="{H}" viewBox="0 0 {W} {H}">',
+            f'<rect x="0" y="0" width="{W}" height="{H}" fill="white"/>',
         ]
 
     def x(self, v):
@@ -81,14 +86,15 @@ class _Canvas:
             f'width="{abs(self.x(x + dx) - self.x(x)):.2f}" '
             f'height="{abs(self.y(y) - self.y(y + dy)):.2f}" fill="{color}"/>')
 
-    def segment(self, p0, p1, color="white", width=1.6, dash=None):
+    def segment(self, p0, p1, dash=None):
+        """A white contour line segment, dashed when `dash` is given."""
         d = f' stroke-dasharray="{dash}"' if dash else ""
         self.parts.append(
             f'<line x1="{self.x(p0[0]):.2f}" y1="{self.y(p0[1]):.2f}" '
             f'x2="{self.x(p1[0]):.2f}" y2="{self.y(p1[1]):.2f}" '
-            f'stroke="{color}" stroke-width="{width}"{d}/>')
+            f'stroke="white" stroke-width="1.6"{d}/>')
 
-    def labels(self, xlabel, ylabel, title=""):
+    def labels(self, xlabel, ylabel, title):
         cx = self.m + self.w / 2
         self.parts.append(
             f'<text x="{cx}" y="{self.m + self.h + 38}" text-anchor="middle" '
@@ -97,10 +103,9 @@ class _Canvas:
         self.parts.append(
             f'<text x="16" y="{cy}" text-anchor="middle" font-family="sans-serif" '
             f'font-size="15" transform="rotate(-90 16 {cy})">{ylabel}</text>')
-        if title:
-            self.parts.append(
-                f'<text x="{cx}" y="{self.m - 14}" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="15">{title}</text>')
+        self.parts.append(
+            f'<text x="{cx}" y="{self.m - 14}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="15">{title}</text>')
         x0, x1 = self.xlim
         y0, y1 = self.ylim
         for v, anchor in ((x0, "start"), (x1, "end")):
@@ -116,7 +121,7 @@ class _Canvas:
         return "\n".join(self.parts + ["</svg>"])
 
 
-def chern_diagram_svg(diagram, title="") -> str:
+def chern_diagram_svg(diagram) -> str:
     """Three-color heatmap of a ChernDiagram."""
     phis = diagram.phi_values
     ratios = diagram.ratio_values
@@ -131,13 +136,13 @@ def chern_diagram_svg(diagram, title="") -> str:
             else:
                 color = CHERN_COLORS[int(diagram.chern[i, j])]
             cv.rect(p - dphi / 2, r - dr / 2, dphi, dr, color)
-    cv.labels("phi", "delta_eff / j2", title or diagram.kind)
+    cv.labels("phi", "delta_eff / j2", diagram.kind)
     return cv.render()
 
 
-def phase_map_svg(pm, levels=(0.25, 0.5), title="") -> str:
+def phase_map_svg(pm) -> str:
     """Cyclic-hue heatmap of the achieved phase with j1/j0 contour overlays
-    (solid for the first level, dashed for the second)."""
+    (solid at 0.25, dashed at 0.5)."""
     A1, A2 = pm.A1, pm.A2
     d1 = A1[1] - A1[0] if len(A1) > 1 else 0.1
     d2 = A2[1] - A2[0] if len(A2) > 1 else 0.1
@@ -148,9 +153,8 @@ def phase_map_svg(pm, levels=(0.25, 0.5), title="") -> str:
             phi = pm.phi[i, j]
             color = "#d0d0d0" if np.isnan(phi) else _phase_color(phi)
             cv.rect(a1 - d1 / 2, a2 - d2 / 2, d1, d2, color)
-    dashes = [None, "6,4"]
-    for lvl, dash in zip(levels, dashes):
+    for lvl, dash in ((0.25, None), (0.5, "6,4")):
         for p0, p1 in marching_squares(A1, A2, pm.j1_over_j0, lvl):
-            cv.segment(p0, p1, color="white", dash=dash)
-    cv.labels("A1 / omega", "A2 / omega", title or f"phase map, delta2 = {pm.delta2:.4g}")
+            cv.segment(p0, p1, dash=dash)
+    cv.labels("A1 / omega", "A2 / omega", f"phase map, delta2 = {pm.delta2:.4g}")
     return cv.render()

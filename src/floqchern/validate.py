@@ -46,15 +46,12 @@ class StepCountError(RuntimeError):
 @dataclass(frozen=True)
 class PropagatorSettings:
     steps_per_period: int = 4096
-    integrator: str = "midpoint-exponential"
     richardson_check: bool = False
 
     def __post_init__(self):
         s = self.steps_per_period
         if s < 256 or (s & (s - 1)):
             raise ValueError("steps_per_period must be a power of two >= 256")
-        if self.integrator != "midpoint-exponential":
-            raise ValueError(f"unknown integrator {self.integrator!r}")
 
 
 def _bond_rates_at(spec, geom, j0, t):
@@ -188,12 +185,8 @@ class QuasienergyReport:
 
 
 def _effective_h(rates, delta_bare, geom, ks):
-    """Gauge-fixed effective Bloch matrices and the sublattice gauge V."""
-    kb1 = ks @ geom.b1
-    kb2 = ks @ geom.b2
-    _, h1, h2, h3 = _bloch._h_from_kb(
-        "driven_hexagonal", delta_bare + rates.delta_shift, rates.j1,
-        rates.j2, rates.phi if rates.phi_defined else 0.0, kb1, kb2)
+    """Effective Bloch matrices h.sigma of the driven model at momenta ks."""
+    _, h1, h2, h3 = _bloch.h_vector(_bloch.model_from_rates(rates, delta_bare, geom=geom), ks)
     H = np.empty((len(ks), 2, 2), dtype=complex)
     H[:, 0, 0] = h3
     H[:, 0, 1] = h1 - 1j * h2
@@ -272,21 +265,19 @@ def omega_ladder(spec: DriveSpec, geom: LatticeGeometry, j0: float, delta: float
 
 
 def floquet_chern(spec: DriveSpec, geom: LatticeGeometry, j0: float, delta: float,
-                  grid: int, settings: PropagatorSettings,
-                  gap_threshold: float | None = None) -> int:
+                  grid: int, settings: PropagatorSettings) -> int:
     """Chern number of the lower Floquet branch of U(T, k) on a torus grid.
 
     The lower branch is the smaller folded quasienergy; both the direct
-    folded gap and the wrap-around gap must stay above the threshold
-    (default 1e-6 * j0) at every grid point.
+    folded gap and the wrap-around gap must stay above
+    bloch.CLOSURE_THRESHOLD * j0 at every grid point.
     """
     _bloch._check_grid(grid, grid)
-    thr = 1e-6 * j0 if gap_threshold is None else gap_threshold
     ks = torus_grid(geom, grid, grid)
     eps, vecs = _floquet_branches(period_propagator(spec, geom, j0, delta, ks, settings), spec)
     direct = eps[:, 1] - eps[:, 0]
     wrap = spec.omega - direct
     low = vecs[:, :, 0].reshape(grid, grid, 2)
-    return _bloch._chern_integer(min(direct.min(), wrap.min()), thr,
+    return _bloch._chern_integer(min(direct.min(), wrap.min()), _bloch.CLOSURE_THRESHOLD * j0,
                                  lambda: _bloch._plaquette_phases(low),
                                  what="folded quasienergy gap")

@@ -63,6 +63,10 @@ def test_parse_range_rejects_nonfinite():
     ["validate", "--drive", PLUS_N1, "--kgrid", "0", "--steps", "256"],
     ["validate", "--drive", PLUS_N1, "--kgrid", "-3", "--steps", "256"],
     ["rates", "--drive", '{"family":"plus","omega":1,"A":[1e6],"delta":[0]}'],
+    ["rates"],
+    ["chern-diagram", "--kgrid", "abc"],
+    ["rates", "--drive", PLUS_N1, "--threads", "2"],
+    ["optimize", "--phi-target", "1.0", "--r-th", "0.25", "--starts", "0"],
 ])
 def test_meaningless_input_exit_2(argv, tmp_path, capsys):
     code, out, err = run(argv + ["--out", str(tmp_path)], capsys)

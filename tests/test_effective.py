@@ -149,13 +149,6 @@ def test_truncation_convergence():
     assert np.abs(r1.tau - r2.tau).max() < 1e-12
 
 
-def test_iso_tol_validation():
-    spec = build_family_drive("plus", 1.0, [1.0], [0.0])
-    sp = fourier_components(spec, GEOM, 1.0)
-    with pytest.raises(ValueError):
-        derive_rates(sp, iso_tol=0.0)
-
-
 def test_json_dict_shape():
     r = rates_for("plus", 1.0, [1.0], [0.0])
     d = r.to_json_dict()

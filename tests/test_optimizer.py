@@ -79,6 +79,8 @@ def test_problem_validation():
         OptimizationProblem(phi_target=0.0, r_threshold=0.5, N=0)
     with pytest.raises(ValueError):
         OptimizationProblem(phi_target=0.0, r_threshold=0.5, family="custom")
+    with pytest.raises(ValueError, match="n_starts"):
+        OptimizationProblem(phi_target=0.0, r_threshold=0.5, n_starts=0)
 
 
 def test_sobol_starts_deterministic_and_in_box():
@@ -106,7 +108,7 @@ def test_maximize_finds_monochromatic_optimum(small_max):
     assert res.feasible
     assert abs(res.p_star[1]) <= 0.05      # A2 collapses
     assert res.R_value > 1.5
-    assert res.j1_over_j0 >= 0.25 - prob.feas_tol
+    assert res.j1_over_j0 >= 0.25 - optimizer.FEAS_TOL
 
 
 def test_maximize_deterministic(small_max):
@@ -121,8 +123,8 @@ def test_feasibility_soundness(small_max):
     prob, res = small_max
     R, j1, phi = evaluate_candidate(prob.family, prob.N, res.p_star)
     assert R == pytest.approx(res.R_value, rel=1e-12)
-    assert abs(wrap_angle(phi - prob.phi_target)) <= prob.phi_tol
-    assert j1 >= prob.r_threshold - prob.feas_tol
+    assert abs(wrap_angle(phi - prob.phi_target)) <= optimizer.PHI_TOL
+    assert j1 >= prob.r_threshold - optimizer.FEAS_TOL
 
 
 def test_maximize_parallel_matches_serial(small_max):
@@ -342,7 +344,7 @@ def _random_search_loop(problem, n_samples, seed):
     for _ in range(n_samples):
         p = lo + rng.random(problem.dim) * (hi - lo)
         R, j1, phi, defined, _ = _candidate_rates(problem.family, problem.N, p)
-        if (defined and abs(wrap_angle(phi - problem.phi_target)) <= problem.phi_tol
+        if (defined and abs(wrap_angle(phi - problem.phi_target)) <= optimizer.PHI_TOL
                 and j1 >= problem.r_threshold):
             best = max(best, R)
     return best

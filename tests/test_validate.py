@@ -79,8 +79,6 @@ def test_settings_validation():
         PropagatorSettings(steps_per_period=100)
     with pytest.raises(ValueError):
         PropagatorSettings(steps_per_period=300)
-    with pytest.raises(ValueError):
-        PropagatorSettings(integrator="rk4")
 
 
 def test_propagator_zero_force_commuting_limit():
