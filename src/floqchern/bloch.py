@@ -92,12 +92,13 @@ class BlochModel:
             raise ValueError("j2 must be nonnegative")
 
 
-def model_from_rates(rates, delta_bare: float, kind: str = "driven_hexagonal",
+def model_from_rates(rates, delta_bare: float,
                      geom: LatticeGeometry | None = None) -> BlochModel:
-    """BlochModel from EffectiveRates, with delta_eff = delta_bare + delta_shift."""
+    """Driven-hexagonal BlochModel from EffectiveRates, with
+    delta_eff = delta_bare + delta_shift."""
     if not rates.isotropic_nn or not rates.isotropic_nnn:
         raise ValueError("effective rates are not isotropic; no two-band model applies")
-    return BlochModel(kind=kind, delta=delta_bare + rates.delta_shift,
+    return BlochModel(kind="driven_hexagonal", delta=delta_bare + rates.delta_shift,
                       j1=rates.j1, j2=rates.j2, phi=rates.phi if rates.phi_defined else 0.0,
                       geom=geom or default_geometry())
 
@@ -167,10 +168,6 @@ class BandScan:
     eps_hi: np.ndarray
     min_gap: float
     argmin_kb: tuple
-
-    @property
-    def gap(self) -> np.ndarray:
-        return self.eps_hi - self.eps_lo
 
 
 def _gap_on_kb(model, kb1, kb2):

@@ -4,10 +4,11 @@ Commands: rates, phase-map, chern-diagram, optimize, sweep, validate.
 Every command is deterministic given its flags and seed; reruns write
 byte-identical files.  Exit codes: 0 success, 2 configuration error,
 3 numerical failure; errors also go to stderr as one JSON object.
-A malformed or missing flag is a configuration error like any other.
-Grid flags use start:stop:step with the stop included when it lands on
-the grid within epsilon.  Only optimize and sweep run a worker pool, so
-only they take --threads; FCF_THREADS overrides it.
+A malformed or missing flag is a configuration error like any other,
+and so is a count above MAX_POINTS or MAX_KSTEPS.  Grid flags use
+start:stop:step with the stop included when it lands on the grid within
+epsilon.  Only optimize and sweep run a worker pool, so only they take
+--threads; FCF_THREADS overrides it.
 """
 
 from __future__ import annotations
@@ -24,6 +25,14 @@ from . import bloch, optimizer, svg, validate
 from .drive import (SpectrumTruncationError, default_geometry, drive_from_json,
                     fourier_components)
 from .effective import derive_rates
+
+
+#: most points in one range, cells in one grid, --starts, --targets or
+#: k-points in one BZ grid
+MAX_POINTS = 1 << 20
+
+#: most k-point steps (k-points x steps per period) in one propagation
+MAX_KSTEPS = 1 << 23
 
 
 class ConfigError(ValueError):
@@ -76,7 +85,33 @@ def parse_range(text: str) -> np.ndarray:
     if not math.isfinite(span):
         raise ConfigError(f"range {text!r} has a non-finite number of points")
     count = int(math.floor(span + 1e-9)) + 1
+    if count > MAX_POINTS:
+        raise ConfigError(f"range {text!r} has {count} points, more than {MAX_POINTS}")
     return start + step * np.arange(count)
+
+
+def _grid(args, *names):
+    """The ranges of the named grid flags; an error names its flag, and a
+    grid of more than MAX_POINTS cells is refused."""
+    ranges = []
+    for name in names:
+        try:
+            ranges.append(parse_range(getattr(args, name)))
+        except ConfigError as e:
+            raise ConfigError(f"--{name}: {e}") from None
+    cells = math.prod(len(r) for r in ranges)
+    if cells > MAX_POINTS:
+        raise ConfigError(f"{' x '.join('--' + n for n in names)} grid has {cells} cells, "
+                          f"more than {MAX_POINTS}")
+    return ranges
+
+
+def _floats(text: str, flag: str) -> list:
+    """A comma-separated list of floats."""
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"bad {flag} {text!r}") from None
 
 
 def _load_drive(arg: str):
@@ -119,8 +154,7 @@ def cmd_rates(args) -> int:
 
 
 def cmd_phase_map(args) -> int:
-    A1 = parse_range(args.A1)
-    A2 = parse_range(args.A2)
+    A1, A2 = _grid(args, "A1", "A2")
     pm = optimizer.phase_map(A1, A2, args.delta2, family=args.family)
     out = _outdir(args)
     path = os.path.join(out, "phase_map.csv")
@@ -134,12 +168,12 @@ def cmd_phase_map(args) -> int:
 
 
 def cmd_chern_diagram(args) -> int:
-    phis = parse_range(args.phi)
-    ratios = parse_range(args.ratio)
+    phis, ratios = _grid(args, "phi", "ratio")
+    if args.kgrid ** 2 > MAX_POINTS:
+        raise ConfigError(f"--kgrid {args.kgrid} has {args.kgrid ** 2} k-points, "
+                          f"more than {MAX_POINTS}")
     kinds = {"both": bloch.KINDS, "driven": ("driven_hexagonal",),
-             "haldane": ("haldane_reference",)}.get(args.model)
-    if kinds is None:
-        raise ConfigError(f"--model must be both, driven or haldane, got {args.model!r}")
+             "haldane": ("haldane_reference",)}[args.model]
     diagrams = bloch.phase_diagram(phis, ratios, N1=args.kgrid, N2=args.kgrid, kinds=kinds)
     out = _outdir(args)
     for kind, dg in diagrams.items():
@@ -183,30 +217,17 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.phi_list:
-        try:
-            targets = [float(x) for x in args.phi_list.split(",")]
-        except ValueError:
-            raise ConfigError(f"bad --phi-list {args.phi_list!r}") from None
-    else:
-        targets = list(np.linspace(-np.pi, np.pi, args.targets + 1)[1:])
-    try:
-        r_ths = [float(x) for x in args.r_th.split(",")]
-    except ValueError:
-        raise ConfigError(f"bad --r-th {args.r_th!r}") from None
-    if not targets or not r_ths:
-        raise ConfigError("sweep needs nonempty target lists")
+    targets = (_floats(args.phi_list, "--phi-list") if args.phi_list
+               else list(np.linspace(-np.pi, np.pi, args.targets + 1)[1:]))
+    r_ths = _floats(args.r_th, "--r-th")
     template = optimizer.OptimizationProblem(
-        phi_target=0.0, r_threshold=r_ths[0], family=args.family, N=args.N,
+        phi_target=0.0, r_threshold=r_ths[0], N=args.N,
         amp_bound=args.amp_bound, n_starts=args.starts, seed=args.seed)
     sw = optimizer.sweep_targets(targets, r_ths, template,
                                  workers=optimizer.worker_count(args.threads))
     jump_rows = {(r_th, i + 1) for r_th, pairs in sw.jumps.items() for i, _ in pairs}
-    rows = []
-    for idx, (phi_tg, r_th, res) in enumerate(sw.rows):
-        i_target = idx % len(targets)
-        rows.append(_opt_row(phi_tg, r_th, res, args.N)
-                    + [int((r_th, i_target) in jump_rows)])
+    rows = [_opt_row(phi_tg, r_th, res, args.N) + [int((r_th, idx % len(targets)) in jump_rows)]
+            for idx, (phi_tg, r_th, res) in enumerate(sw.rows)]
     out = _outdir(args)
     path = os.path.join(out, "sweep.csv")
     _write_csv(path, _opt_header(args.N) + ["p_jump_from_prev"], rows)
@@ -217,6 +238,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if args.kgrid ** 2 * args.steps > MAX_KSTEPS:
+        raise ConfigError(f"--kgrid {args.kgrid} and --steps {args.steps} make "
+                          f"{args.kgrid ** 2 * args.steps} k-point steps, more than {MAX_KSTEPS}")
     spec = _load_drive(args.drive)
     if args.j0_over_omega <= 0:
         raise ConfigError("--j0-over-omega must be positive")
@@ -263,6 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, pool=False):
         p.add_argument("--out", default=".", help="output directory")
         if pool:
+            p.add_argument("--N", type=int, default=2)
+            p.add_argument("--starts", type=int, default=64)
+            p.add_argument("--seed", type=int, default=42)
+            p.add_argument("--amp-bound", type=float, default=5.0, dest="amp_bound")
             p.add_argument("--threads", type=int, default=0,
                            help="worker hint (FCF_THREADS overrides)")
 
@@ -294,11 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="maximize R at one target")
     p.add_argument("--phi-target", type=float, required=True, dest="phi_target")
     p.add_argument("--r-th", type=float, required=True, dest="r_th")
-    p.add_argument("--N", type=int, default=2)
     p.add_argument("--family", choices=("plus", "minus"), default="plus")
-    p.add_argument("--starts", type=int, default=64)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--amp-bound", type=float, default=5.0, dest="amp_bound")
     common(p, pool=True)
     p.set_defaults(func=cmd_optimize)
 
@@ -306,13 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", type=int, default=8, help="evenly spaced targets in (-pi, pi]")
     p.add_argument("--phi-list", default="", dest="phi_list", help="comma list overriding --targets")
     p.add_argument("--r-th", default="0.25,0.5", dest="r_th")
-    p.add_argument("--N", type=int, default=2)
-    p.add_argument("--family", choices=("plus", "minus"), default="plus",
-                   help="family the optimizations run in and that wins exact ties; "
-                        "rows take the optimum over both families")
-    p.add_argument("--starts", type=int, default=64)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--amp-bound", type=float, default=5.0, dest="amp_bound")
     common(p, pool=True)
     p.set_defaults(func=cmd_sweep)
 
@@ -333,16 +350,20 @@ def _emit_error(code: int, kind: str, message: str):
     sys.stderr.write(json.dumps({"error": {"code": code, "type": kind, "message": message}}) + "\n")
 
 
-def _check_finite(args):
+def _check_args(args):
+    """Refuse non-finite floats, and --starts or --targets above MAX_POINTS."""
     for name, value in vars(args).items():
+        flag = "--" + name.replace("_", "-")
         if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
+            raise ConfigError(f"{flag} must be finite, got {value}")
+        if name in ("starts", "targets") and value > MAX_POINTS:
+            raise ConfigError(f"{flag} must be at most {MAX_POINTS}, got {value}")
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        _check_finite(args)
+        _check_args(args)
         return args.func(args)
     except (ConfigError, OSError) as e:
         _emit_error(2, "config", str(e))

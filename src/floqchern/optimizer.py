@@ -17,16 +17,19 @@ iterations and SLSQP exit status (`n_eval`, `n_iter`, `status`).
 Starts come from a seeded scrambled Sobol sequence over the box
 (amplitudes in [0, bound], phases in (-pi, pi]), so identical problem +
 seed reproduce identical results bit for bit.  Starts are independent
-tasks; the reduction picks the best feasible point with a lexicographic
-tie-break on p, independent of execution order.
+tasks.  One ranking rule, `_rank`, orders optima everywhere: feasible
+points first, by larger R, then infeasible points by smaller constraint
+residual.  The reduction over starts breaks its ties on the
+lexicographically smallest p, independent of execution order.
 
 Two exact symmetries leave R and j1/j0 unchanged: the minus family at
 (A, -delta) is the mirror image (phi -> -phi) of the plus family at
 (A, delta), and within a family negating every even-m harmonic maps
 phi -> pi - phi.  `maximize` searches the problem's family only.
-`sweep_targets` reports at each target the optimum over both families,
-and through the two symmetries runs one maximization per class of
-equivalent targets, all starts mapped over one worker pool.
+`sweep_targets` reports at each target the better of the two families'
+optima, the plus family winning exact ties.  Through the two symmetries
+it runs one plus-family maximization per class of equivalent targets,
+all starts mapped over one worker pool.
 
 Phase maps and random search evaluate whole arrays of parameter
 vectors at once (`_candidate_batch`): drives are grouped by their
@@ -349,18 +352,22 @@ def sobol_starts(problem: OptimizationProblem) -> np.ndarray:
     return lo + u * (hi - lo)
 
 
+def _rank(feasible: bool, R: float, residual: float) -> tuple:
+    """Sort key of an optimum, smaller is better: feasible points first,
+    by larger R, then infeasible points by smaller constraint residual."""
+    return (0, -R) if feasible else (1, residual)
+
+
 def _best(records, family: str) -> OptimizationResult:
-    """The best feasible record, or the smallest-residual record flagged
-    infeasible when no start satisfies the constraints; ties go to the
-    lexicographically smallest p, independent of execution order."""
-    feas = [r for r in records if r["feasible"]]
-    if feas:
-        best = min(feas, key=lambda r: (-r["R"], tuple(r["p"])))
-    else:
-        best = min(records, key=lambda r: (r["phi_residual"] + r["r_residual"], tuple(r["p"])))
+    """The best record by `_rank`: the feasible one with the largest R, or
+    the smallest-residual one, flagged infeasible, when no start satisfies
+    the constraints; ties go to the lexicographically smallest p,
+    independent of execution order."""
+    best = min(records, key=lambda r: (
+        _rank(r["feasible"], r["R"], r["phi_residual"] + r["r_residual"]), tuple(r["p"])))
     return OptimizationResult(
         p_star=best["p"], R_value=best["R"], j1_over_j0=best["j1"],
-        phi_achieved=best["phi"], feasible=bool(feas),
+        phi_achieved=best["phi"], feasible=bool(best["feasible"]),
         starts_converged=sum(r["converged"] for r in records), family=family,
         best_per_start=records,
         phi_residual=best["phi_residual"], r_residual=best["r_residual"])
@@ -443,7 +450,7 @@ def _folded(a: float) -> float:
 
 
 def _sweep_angles(phi_targets) -> list:
-    """Angles to optimize the template family at: one per class of the
+    """Angles to optimize the plus family at: one per class of the
     targets and their negations under phi -> pi - phi.  Targets that
     already lie in [-pi/2, pi/2] come first, then their negations, so a
     representative is an input value wherever one is available."""
@@ -455,51 +462,33 @@ def _sweep_angles(phi_targets) -> list:
     return angles
 
 
-def _family_optimum(solved: dict, template: OptimizationProblem, phi_target: float,
-                    r_threshold: float, family: str) -> OptimizationResult:
-    """The optimum in `family` at (phi_target, r_threshold), carried over
-    from a solved template-family problem by the exact symmetries: the
-    other family at phi is the mirror image of the template family at
-    -phi, and within a family phi and pi - phi are images under
-    `_negate_even`."""
-    problem = replace(template, phi_target=phi_target, r_threshold=r_threshold,
-                      family=family)
-    mirror = family != template.family
+def _family_optimum(solved, angles, problem: OptimizationProblem) -> OptimizationResult:
+    """The optimum of `problem`, carried over by the exact symmetries from
+    `solved`, the plus-family results at `angles` and the problem's
+    threshold: the minus family at phi is the mirror image of the plus
+    family at -phi, and within a family phi and pi - phi are images
+    under `_negate_even`."""
+    mirror = problem.family == "minus"
     b = -problem.phi_target if mirror else problem.phi_target
-    for (r_th, a), base in solved.items():
-        if r_th != problem.r_threshold:
-            continue
-        if abs(wrap_angle(b - a)) <= SAME_ANGLE:
-            negate_even = False
-        elif abs(wrap_angle(np.pi - b - a)) <= SAME_ANGLE:
-            negate_even = True
-        else:
-            continue
-        records = [_image_record(r, problem, mirror, negate_even) for r in base.best_per_start]
-        return _best(records, problem.family)
-    raise KeyError((problem.phi_target, problem.r_threshold))
-
-
-def _beats(a: OptimizationResult, b: OptimizationResult) -> bool:
-    """Whether a is strictly better than b: feasible over infeasible, then
-    the larger R, or for two infeasible results the smaller residual."""
-    if a.feasible != b.feasible:
-        return a.feasible
-    if a.feasible:
-        return a.R_value > b.R_value
-    return a.phi_residual + a.r_residual < b.phi_residual + b.r_residual
+    for a, base in zip(angles, solved):
+        for negate_even, image in ((False, b), (True, np.pi - b)):
+            if abs(wrap_angle(image - a)) <= SAME_ANGLE:
+                records = [_image_record(r, problem, mirror, negate_even)
+                           for r in base.best_per_start]
+                return _best(records, problem.family)
 
 
 def sweep_targets(phi_targets, r_thresholds, template: OptimizationProblem,
                   workers: int | None = None) -> SweepResult:
     """Optimum over both drive families at each (phi_target, r_threshold).
 
-    Maximizations run in the template's family only, at one angle per
-    symmetry class (`_sweep_angles`); the rows take the better of the two
-    families' optima (`_family_optimum`), the template's family winning
-    exact ties.  Parameter jumps between adjacent targets exceeding 10x
-    the median jump for that threshold, and every change of family, are
-    recorded as discontinuities.
+    The template supplies N, amp_bound, n_starts and seed.  Maximizations
+    run in the plus family only, at one angle per symmetry class
+    (`_sweep_angles`); each row takes the better of the two families'
+    optima (`_family_optimum`) by `_rank`, plus winning exact ties.
+    Parameter jumps between adjacent targets exceeding 10x the median
+    jump for that threshold, and every change of family, are recorded as
+    discontinuities.
     """
     phi_targets = list(phi_targets)
     r_thresholds = list(r_thresholds)
@@ -508,19 +497,20 @@ def sweep_targets(phi_targets, r_thresholds, template: OptimizationProblem,
     if not all(math.isfinite(t) for t in phi_targets):
         raise ValueError("sweep targets must be finite angles")
     angles = _sweep_angles(phi_targets)
-    problems = [replace(template, phi_target=a, r_threshold=r_th)
-                for r_th in r_thresholds for a in angles]
-    solved = {(prob.r_threshold, prob.phi_target): res
-              for prob, res in zip(problems, _maximize_all(problems, workers))}
-    other = "minus" if template.family == "plus" else "plus"
+    solved = _maximize_all([replace(template, phi_target=a, r_threshold=r_th, family="plus")
+                            for r_th in r_thresholds for a in angles], workers)
     rows = []
     jumps = {}
-    for r_th in r_thresholds:
+    for k, r_th in enumerate(r_thresholds):
+        base = solved[k * len(angles):(k + 1) * len(angles)]
         series = []
         for phi_tg in phi_targets:
-            own = _family_optimum(solved, template, phi_tg, r_th, template.family)
-            alt = _family_optimum(solved, template, phi_tg, r_th, other)
-            res = alt if _beats(alt, own) else own
+            optima = [_family_optimum(base, angles, replace(
+                template, phi_target=phi_tg, r_threshold=r_th, family=family))
+                for family in ("plus", "minus")]
+            # min keeps the first of equals, so plus wins exact ties
+            res = min(optima, key=lambda r: _rank(r.feasible, r.R_value,
+                                                  r.phi_residual + r.r_residual))
             rows.append((phi_tg, r_th, res))
             series.append(res)
         ds = [_param_jump(series[i], series[i + 1], template.N)

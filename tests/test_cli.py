@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -67,12 +68,36 @@ def test_parse_range_rejects_nonfinite():
     ["chern-diagram", "--kgrid", "abc"],
     ["rates", "--drive", PLUS_N1, "--threads", "2"],
     ["optimize", "--phi-target", "1.0", "--r-th", "0.25", "--starts", "0"],
+    ["sweep", "--family", "minus", "--phi-list", "0.5", "--r-th", "0.25", "--starts", "1"],
 ])
 def test_meaningless_input_exit_2(argv, tmp_path, capsys):
     code, out, err = run(argv + ["--out", str(tmp_path)], capsys)
     assert code == 2
     assert json.loads(err)["error"]["type"] == "config"
     assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["optimize", "--phi-target", "1", "--r-th", "0.25", "--starts", "1000000000"], "--starts"),
+    (["phase-map", "--A1", "0:1e9:1", "--A2", "0:1:1"], "--A1"),
+    (["sweep", "--targets", "1000000000"], "--targets"),
+    (["validate", "--drive", PLUS_N1, "--kgrid", "24", "--steps", "1073741824"], "--steps"),
+    (["chern-diagram", "--kgrid", "100000", "--phi=0:0:1", "--ratio=0:0:1"], "--kgrid"),
+])
+def test_count_caps_refuse_before_allocation(argv, flag, tmp_path, capsys):
+    # each input asks for gigabytes; the caps refuse it with no large allocation
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _, err = capsys.readouterr()
+    assert code == 2
+    error = json.loads(err)["error"]
+    assert error["type"] == "config" and flag in error["message"]
+    assert not os.listdir(tmp_path)
+    assert peak < 1 << 20
 
 
 def test_validate_names_empty_kgrid(tmp_path, capsys):

@@ -207,7 +207,7 @@ def test_family_mirror_optimized(small_max):
 
 
 def test_sweep_takes_optimum_over_both_families(tmp_path, capsys):
-    targets = [-np.pi / 2, -np.pi / 4, np.pi / 4, np.pi / 2]
+    targets = [-np.pi / 2, -np.pi / 4, np.pi / 4, np.pi / 2, 0.0, np.pi]
     assert cli_main(["sweep", "--phi-list=" + ",".join(repr(t) for t in targets),
                      "--r-th", "0.25", "--starts", "8", "--seed", "42",
                      "--out", str(tmp_path / "sweep")]) == 0
@@ -224,6 +224,10 @@ def test_sweep_takes_optimum_over_both_families(tmp_path, capsys):
     R = {float(r["phi_target"]): float(r["R"]) for r in rows}
     for t in (np.pi / 4, np.pi / 2):
         assert abs(R[-t] - R[t]) <= 1e-10
+    # 0 and pi are images under phi -> pi - phi of one maximization, and at
+    # both the two families tie exactly, which the plus family wins
+    assert R[np.pi] == R[0.0]
+    assert [r["family"] for r in rows[4:]] == ["plus", "plus"]
     for r in rows:
         assert r["feasible"] == "1"
         assert r["family"] == ("minus" if float(r["phi_target"]) < 0 else "plus")
