@@ -5,10 +5,10 @@ Every command is deterministic given its flags and seed; reruns write
 byte-identical files.  Exit codes: 0 success, 2 configuration error,
 3 numerical failure; errors also go to stderr as one JSON object.
 A malformed or missing flag is a configuration error like any other,
-and so is a count above MAX_POINTS or MAX_KSTEPS.  Grid flags use
-start:stop:step with the stop included when it lands on the grid within
-epsilon.  Only optimize and sweep run a worker pool, so only they take
---threads; FCF_THREADS overrides it.
+and so is a count above MAX_POINTS, MAX_KSTEPS or MAX_HARMONICS.  Grid
+flags use start:stop:step with the stop included when it lands on the
+grid within epsilon.  Only optimize and sweep run a worker pool, so only
+they take --threads; FCF_THREADS overrides it.
 """
 
 from __future__ import annotations
@@ -31,8 +31,15 @@ from .effective import derive_rates
 #: k-points in one BZ grid
 MAX_POINTS = 1 << 20
 
-#: most k-point steps (k-points x steps per period) in one propagation
+#: most k-point steps (k-points x steps per period) in one propagation;
+#: the propagator works in step blocks of bounded size, so this bounds
+#: run time, not memory
 MAX_KSTEPS = 1 << 23
+
+#: most drive harmonics (--N) that optimize and sweep search over; each
+#: optimizer evaluation is a drive of N harmonics and SLSQP has 2N - 1
+#: variables, so N bounds the run time of a start
+MAX_HARMONICS = 16
 
 
 class ConfigError(ValueError):
@@ -351,13 +358,16 @@ def _emit_error(code: int, kind: str, message: str):
 
 
 def _check_args(args):
-    """Refuse non-finite floats, and --starts or --targets above MAX_POINTS."""
+    """Refuse non-finite floats, --starts or --targets above MAX_POINTS,
+    and --N above MAX_HARMONICS."""
     for name, value in vars(args).items():
         flag = "--" + name.replace("_", "-")
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{flag} must be finite, got {value}")
         if name in ("starts", "targets") and value > MAX_POINTS:
             raise ConfigError(f"{flag} must be at most {MAX_POINTS}, got {value}")
+        if name == "N" and value > MAX_HARMONICS:
+            raise ConfigError(f"{flag} must be at most {MAX_HARMONICS}, got {value}")
 
 
 def main(argv=None) -> int:

@@ -46,8 +46,6 @@ import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import optimize as _sciopt
-from scipy.stats import qmc
 
 from .drive import (_axis_bond_amplitudes, _bond_projections, _family_axis_offsets,
                     _grid_size, _peierls_components, _quadrature_sizes, _truncation_error,
@@ -289,6 +287,7 @@ def _run_start(args):
     """SLSQP from one start point.  The phase gap is pi where phi is
     undefined; the objective and both constraints share each evaluation
     through a memo keyed on the point."""
+    from scipy.optimize import minimize
     problem, x0 = args
     memo = {}
 
@@ -304,7 +303,7 @@ def _run_start(args):
 
     bounds = ([(-problem.amp_bound, problem.amp_bound)] * problem.N
               + [(None, None)] * (problem.N - 1))
-    res = _sciopt.minimize(
+    res = minimize(
         lambda x: -rates(x)[0], np.asarray(x0, dtype=float), method="SLSQP", bounds=bounds,
         constraints=({"type": "eq", "fun": phase_gap},
                      {"type": "ineq", "fun": lambda x: rates(x)[1] - problem.r_threshold}),
@@ -341,8 +340,12 @@ def _search_box(problem: OptimizationProblem):
 
 
 def sobol_starts(problem: OptimizationProblem) -> np.ndarray:
-    """Seeded low-discrepancy start points over the search box."""
+    """Seeded low-discrepancy start points over the search box.  Its scipy
+    import runs in the parent before `_maximize_all` forks, so pool
+    workers inherit it."""
     import warnings
+
+    from scipy.stats import qmc
     sampler = qmc.Sobol(d=problem.dim, scramble=True, seed=problem.seed)
     with warnings.catch_warnings():
         # Sobol balance only matters for integration, not for start spreading

@@ -38,6 +38,10 @@ from .effective import derive_rates
 
 RICHARDSON_TOL = 1e-8
 
+#: most k-point steps whose step matrices are held at once; 2^15 keeps a
+#: block in cache (56 steps at the 24^2 grid)
+STEP_BLOCK_SAMPLES = 1 << 15
+
 
 class StepCountError(RuntimeError):
     """Propagator step count too small (Richardson doubling check failed)."""
@@ -81,6 +85,9 @@ def _propagators(spec, geom, j0, delta, ks, steps):
 
     Midpoint-exponential products with the closed-form 2x2 exponential:
     exp(-i(h.sigma)dt) = cos(|h|dt) - i sin(|h|dt)/|h| * h.sigma.
+    The step matrices are built step-major, (block, Nk), one block of
+    at most STEP_BLOCK_SAMPLES k-point steps at a time, so the working
+    set grows with neither the k-grid nor the step count.
     """
     ks = np.atleast_2d(np.asarray(ks, dtype=float))
     T = spec.period
@@ -89,24 +96,26 @@ def _propagators(spec, geom, j0, delta, ks, steps):
     g = _bond_rates_at(spec, geom, j0, tmid)
     ph1 = np.exp(1j * (ks @ geom.b1))
     ph2 = np.exp(-1j * (ks @ geom.b2))
-    G = g[2][None, :] + g[1][None, :] * ph1[:, None] + g[0][None, :] * ph2[:, None]
-    h1 = G.real
-    h2 = G.imag
-    E = np.sqrt(h1 ** 2 + h2 ** 2 + delta ** 2)
-    c = np.cos(E * dt)
-    s = np.where(E > 0, np.sin(E * dt) / np.where(E > 0, E, 1.0), dt)
-    m11 = c - 1j * s * delta
-    m12 = -1j * s * (h1 - 1j * h2)
-    m21 = -1j * s * (h1 + 1j * h2)
-    m22 = c + 1j * s * delta
     u11 = np.ones(len(ks), dtype=complex)
     u12 = np.zeros(len(ks), dtype=complex)
     u21 = np.zeros(len(ks), dtype=complex)
     u22 = np.ones(len(ks), dtype=complex)
-    for n in range(steps):
-        a11, a12, a21, a22 = m11[:, n], m12[:, n], m21[:, n], m22[:, n]
-        u11, u12, u21, u22 = (a11 * u11 + a12 * u21, a11 * u12 + a12 * u22,
-                              a21 * u11 + a22 * u21, a21 * u12 + a22 * u22)
+    block = max(1, STEP_BLOCK_SAMPLES // len(ks))
+    for n0 in range(0, steps, block):
+        sl = slice(n0, n0 + block)
+        G = g[2][sl, None] + g[1][sl, None] * ph1[None, :] + g[0][sl, None] * ph2[None, :]
+        h1 = G.real
+        h2 = G.imag
+        E = np.sqrt(h1 ** 2 + h2 ** 2 + delta ** 2)
+        c = np.cos(E * dt)
+        s = np.where(E > 0, np.sin(E * dt) / np.where(E > 0, E, 1.0), dt)
+        m11 = c - 1j * s * delta
+        m12 = -1j * s * (h1 - 1j * h2)
+        m21 = -1j * s * (h1 + 1j * h2)
+        m22 = c + 1j * s * delta
+        for a11, a12, a21, a22 in zip(m11, m12, m21, m22):
+            u11, u12, u21, u22 = (a11 * u11 + a12 * u21, a11 * u12 + a12 * u22,
+                                  a21 * u11 + a22 * u21, a21 * u12 + a22 * u22)
     U = np.empty((len(ks), 2, 2), dtype=complex)
     U[:, 0, 0], U[:, 0, 1] = u11, u12
     U[:, 1, 0], U[:, 1, 1] = u21, u22

@@ -24,14 +24,18 @@ def read(path):
         return f.read()
 
 
+def _child_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(floqchern.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
 def _run_module(argv, tmp_path):
     """`python -m floqchern ARGV --out TMP_PATH` in a fresh interpreter, with
     this checkout's package first on the path; stderr as the child wrote it."""
-    src = os.path.dirname(os.path.dirname(floqchern.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     return subprocess.run([sys.executable, "-m", "floqchern", *argv, "--out", str(tmp_path)],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=_child_env(), timeout=120)
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +87,8 @@ def test_meaningless_input_exit_2(argv, tmp_path, capsys):
     (["sweep", "--targets", "1000000000"], "--targets"),
     (["validate", "--drive", PLUS_N1, "--kgrid", "24", "--steps", "1073741824"], "--steps"),
     (["chern-diagram", "--kgrid", "100000", "--phi=0:0:1", "--ratio=0:0:1"], "--kgrid"),
+    (["optimize", "--phi-target", "1", "--r-th", "0.25", "--starts", "1", "--N", "17"], "--N"),
+    (["sweep", "--targets", "2", "--starts", "1", "--N", "20000"], "--N"),
 ])
 def test_count_caps_refuse_before_allocation(argv, flag, tmp_path, capsys):
     # each input asks for gigabytes; the caps refuse it with no large allocation
@@ -114,6 +120,23 @@ def test_module_entry_point(tmp_path):
     assert done.returncode == 2
     assert json.loads(done.stderr)["error"]["type"] == "config"
     assert not os.listdir(tmp_path)
+
+
+def test_commands_without_optimizer_do_not_import_scipy(tmp_path):
+    # only the optimizer's starts and solves need scipy; the package, its
+    # CLI and chern-diagram import none of it
+    code = ("import sys\n"
+            "from floqchern import cli\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print('scipy:', loaded())\n"
+            "code = cli.main(['chern-diagram', '--kgrid', '12', '--phi=0:0:1', '--ratio=0:0:1',\n"
+            "                 '--out', sys.argv[1]])\n"
+            "print('scipy:', loaded(), code)\n")
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                          text=True, env=_child_env(), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert [line for line in done.stdout.splitlines()
+            if line.startswith("scipy:")] == ["scipy: []", "scipy: [] 0"]
 
 
 def test_overflowing_drive_stderr_is_json(tmp_path):

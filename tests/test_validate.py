@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,29 @@ def test_period_propagator_batch_matches_single_k():
     with pytest.raises(StepCountError):
         period_propagator(spec, GEOM, 0.6, 0.0, ks,
                           PropagatorSettings(steps_per_period=256, richardson_check=True))
+
+
+def test_step_blocks_match_one_block(monkeypatch):
+    # 7 k-points in one block of all 256 steps, then in blocks of 142 steps
+    # (1,000 samples), whose last block is short
+    spec = build_family_drive("plus", 1.0, [2.0, 1.0], [0.0, 0.4])
+    ks = np.random.default_rng(6).normal(size=(7, 2))
+    whole = _propagators(spec, GEOM, 0.4, 0.2, ks, 256)
+    monkeypatch.setattr("floqchern.validate.STEP_BLOCK_SAMPLES", 1000)
+    assert np.array_equal(_propagators(spec, GEOM, 0.4, 0.2, ks, 256), whole)
+
+
+def test_propagator_memory_does_not_grow_with_steps():
+    # 12^2 k-points x 2,048 steps: whole (Nk, steps) arrays would take ~30 MiB
+    spec = build_family_drive("plus", 1.0, [2.0, 1.0], [0.0, 0.4])
+    ks = torus_grid(GEOM, 12, 12)
+    tracemalloc.start()
+    try:
+        _propagators(spec, GEOM, 0.02, 0.0, ks, 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_fold_quasienergy_window():
