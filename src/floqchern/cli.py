@@ -8,7 +8,10 @@ A malformed or missing flag is a configuration error like any other,
 and so is a count above MAX_POINTS, MAX_KSTEPS or MAX_HARMONICS.  Grid
 flags use start:stop:step with the stop included when it lands on the
 grid within epsilon.  Only optimize and sweep run a worker pool, so only
-they take --threads; FCF_THREADS overrides it.
+they take --threads; FCF_THREADS overrides it.  phase-map runs its
+kernel blocks on worker threads, FCF_THREADS of them, by default one per
+usable core.  A FCF_THREADS or --threads above optimizer.MAX_WORKERS is
+a configuration error.
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(x) -> str:
+    if type(x) is float:
+        return format(x, ".17g")
     if isinstance(x, str):
         return x
     if isinstance(x, (bool, np.bool_)):
@@ -359,7 +364,7 @@ def _emit_error(code: int, kind: str, message: str):
 
 def _check_args(args):
     """Refuse non-finite floats, --starts or --targets above MAX_POINTS,
-    and --N above MAX_HARMONICS."""
+    --N above MAX_HARMONICS and --threads above optimizer.MAX_WORKERS."""
     for name, value in vars(args).items():
         flag = "--" + name.replace("_", "-")
         if isinstance(value, float) and not math.isfinite(value):
@@ -368,6 +373,8 @@ def _check_args(args):
             raise ConfigError(f"{flag} must be at most {MAX_POINTS}, got {value}")
         if name == "N" and value > MAX_HARMONICS:
             raise ConfigError(f"{flag} must be at most {MAX_HARMONICS}, got {value}")
+        if name == "threads" and value > optimizer.MAX_WORKERS:
+            raise ConfigError(f"{flag} must be at most {optimizer.MAX_WORKERS}, got {value}")
 
 
 def main(argv=None) -> int:

@@ -34,8 +34,12 @@ all starts mapped over one worker pool.
 Phase maps and random search evaluate whole arrays of parameter
 vectors at once (`_candidate_batch`): drives are grouped by their
 Fourier grid and run through the spectrum and rate code along a
-leading axis, in blocks of bounded size.  The results are bit for bit
-those of the one-drive kernel `_candidate_rates` that SLSQP calls.
+leading axis, in blocks of bounded size.  The blocks run on
+`worker_count()` threads (FCF_THREADS overrides the default of every
+usable core); each block depends on its own rows only, and its values
+are scattered in submission order, so the results are bit for bit
+those of the one-drive kernel `_candidate_rates` that SLSQP calls,
+whatever the thread count.
 """
 
 from __future__ import annotations
@@ -72,20 +76,27 @@ _BLOCK_SAMPLES = 1 << 15
 #: vectors `random_search_best` draws at a time
 _BATCH_ROWS = 4096
 
+#: most workers FCF_THREADS or --threads may ask for, threads or pool
+#: processes; each thread holds a kernel block and a malloc arena
+MAX_WORKERS = 64
+
 
 def worker_count(hint: int = 0) -> int:
     """Worker count: the FCF_THREADS env var, else a positive `hint`, else
-    all available cores.  A FCF_THREADS that is not an integer raises
-    ValueError."""
+    the cores this process may run on.  A FCF_THREADS that is not an
+    integer, or is above MAX_WORKERS, raises ValueError."""
     env = os.environ.get("FCF_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            n = int(env)
         except ValueError:
             raise ValueError(f"FCF_THREADS must be an integer, got {env!r}") from None
+        if n > MAX_WORKERS:
+            raise ValueError(f"FCF_THREADS must be at most {MAX_WORKERS}, got {n}")
+        return max(1, n)
     if hint:
         return max(1, hint)
-    return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0))
 
 
 @dataclass(frozen=True)
@@ -186,12 +197,27 @@ def _candidate_rates(family, N, p):
     return j2 / j1 if j1 > 0 else math.inf, j1, float(phi), bool(defined), j2
 
 
+def _candidate_blocks(family, ms, Z, blocks):
+    """`_candidate_block` of Z[rows] on its grid for each (rows, n_max, M)
+    of `blocks`, in order, on up to `worker_count()` threads.  The threads
+    run private helpers only, and no thread outlives the call."""
+    workers = min(worker_count(), len(blocks))
+    if workers <= 1:
+        return [_candidate_block(family, ms, Z[rows], n_max, M) for rows, n_max, M in blocks]
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(_candidate_block, family, ms, Z[rows], n_max, M)
+                   for rows, n_max, M in blocks]
+        return [f.result() for f in futures]
+
+
 def _candidate_batch(family, N, P):
     """(R, j1/j0, phi, phi_defined, j2) arrays (K,) over the rows of
     P (K, 2N - 1), bit for bit K calls of `_candidate_rates`.  Each run of
     _BATCH_ROWS rows is grouped by grid (n_max, M) and evaluated in blocks
-    of at most _BLOCK_SAMPLES complex samples; like a loop over the rows,
-    it raises the error of the first row that fails."""
+    of at most _BLOCK_SAMPLES complex samples (`_candidate_blocks`); like
+    a loop over the rows, it raises the error of the first row that
+    fails."""
     P = np.asarray(P, dtype=float)
     K = len(P)
     j1, phi, defined, j2 = np.empty(K), np.empty(K), np.empty(K, dtype=bool), np.empty(K)
@@ -203,17 +229,18 @@ def _candidate_batch(family, N, P):
         groups = {}
         for u, (z, b) in enumerate(sizes.T.tolist()):
             groups.setdefault(_grid_size(mmax, z, b), []).append(u)
-        first = (len(Z), None)
+        blocks = []
         for (n_max, M), members in groups.items():
             rows = np.flatnonzero(np.isin(inverse, members))
             step = max(1, _BLOCK_SAMPLES // (3 * M))
-            for s in range(0, len(rows), step):
-                block = rows[s:s + step]
-                values, i, error = _candidate_block(family, ms, Z[block], n_max, M)
-                for dest, v in zip((j1, phi, defined, j2), values):
-                    dest[start + block] = v
-                if error and block[i] < first[0]:
-                    first = (block[i], error)
+            blocks += [(rows[s:s + step], n_max, M) for s in range(0, len(rows), step)]
+        first = (len(Z), None)
+        for (block, _, _), (values, i, error) in zip(blocks,
+                                                     _candidate_blocks(family, ms, Z, blocks)):
+            for dest, v in zip((j1, phi, defined, j2), values):
+                dest[start + block] = v
+            if error and block[i] < first[0]:
+                first = (block[i], error)
         if first[1]:
             raise first[1]
     R = np.divide(j2, j1, out=np.full(K, math.inf), where=j1 > 0)
@@ -552,11 +579,12 @@ class PhaseMap:
         return int(n)
 
     def rows(self):
-        for i, A1 in enumerate(self.A1):
-            for j, A2 in enumerate(self.A2):
-                yield (float(A1), float(A2), float(self.phi[i, j]),
-                       float(self.j1_over_j0[i, j]),
-                       int(not np.isnan(self.phi[i, j])))
+        """(A1, A2, phi, j1/j0, phi_defined) per cell, row-major in A1, as
+        Python floats and ints."""
+        n1, n2 = self.phi.shape
+        return zip(np.repeat(self.A1, n2).tolist(), np.tile(self.A2, n1).tolist(),
+                   self.phi.ravel().tolist(), self.j1_over_j0.ravel().tolist(),
+                   (~np.isnan(self.phi)).ravel().astype(int).tolist())
 
 
 def phase_map(A1_values, A2_values, delta2: float, family: str = "plus") -> PhaseMap:

@@ -6,7 +6,7 @@ stack is warranted for flat-file figure reproduction.
 
 from __future__ import annotations
 
-import colorsys
+import itertools
 
 import numpy as np
 
@@ -19,42 +19,52 @@ def marching_squares(xs, ys, field, level):
     """Contour segments of field(x, y) = level on a rectilinear grid.
 
     field[i, j] corresponds to (xs[i], ys[j]).  Returns a list of
-    ((x0, y0), (x1, y1)) segments from linear edge interpolation.
+    ((x0, y0), (x1, y1)) segments from linear edge interpolation, cell by
+    cell in (i, j) order.  A cell with a non-finite corner has none.  The
+    corners of cell (i, j) run (i, j), (i+1, j), (i+1, j+1), (i, j+1), and
+    edge e joins corners e and e + 1 (mod 4); an edge crosses the level
+    when (fa > 0) != (fb > 0) at its ends, at t = fa / (fa - fb) of the way
+    along it.  A cell crosses on two edges, one segment, or on four, two
+    segments pairing its crossings in edge order.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     f = np.asarray(field, dtype=float) - level
-    segs = []
-
-    def interp(pa, pb, fa, fb):
-        t = fa / (fa - fb)
-        return (pa[0] + t * (pb[0] - pa[0]), pa[1] + t * (pb[1] - pa[1]))
-
-    for i in range(len(xs) - 1):
-        for j in range(len(ys) - 1):
-            corners = [(xs[i], ys[j]), (xs[i + 1], ys[j]),
-                       (xs[i + 1], ys[j + 1]), (xs[i], ys[j + 1])]
-            vals = [f[i, j], f[i + 1, j], f[i + 1, j + 1], f[i, j + 1]]
-            if any(not np.isfinite(v) for v in vals):
-                continue
-            pts = []
-            for e in range(4):
-                fa, fb = vals[e], vals[(e + 1) % 4]
-                if (fa > 0) != (fb > 0):
-                    pts.append(interp(corners[e], corners[(e + 1) % 4], fa, fb))
-            if len(pts) == 2:
-                segs.append((pts[0], pts[1]))
-            elif len(pts) == 4:
-                segs.append((pts[0], pts[1]))
-                segs.append((pts[2], pts[3]))
-    return segs
+    if len(xs) < 2 or len(ys) < 2:
+        return []
+    # (cell i, cell j, corner) arrays of the corner values and coordinates
+    shape = (len(xs) - 1, len(ys) - 1, 4)
+    vals = np.stack((f[:-1, :-1], f[1:, :-1], f[1:, 1:], f[:-1, 1:]), axis=-1)
+    cx = np.broadcast_to(np.stack((xs[:-1], xs[1:], xs[1:], xs[:-1]), axis=-1)[:, None], shape)
+    cy = np.broadcast_to(np.stack((ys[:-1], ys[:-1], ys[1:], ys[1:]), axis=-1)[None], shape)
+    nxt = [1, 2, 3, 0]
+    cross = (np.isfinite(vals).all(axis=-1, keepdims=True)
+             & ((vals > 0) != (vals[..., nxt] > 0)))
+    # the crossing edges in (i, j, e) order, every cell's even count in turn
+    fa, fb = vals[cross], vals[..., nxt][cross]
+    xa, xb = cx[cross], cx[..., nxt][cross]
+    ya, yb = cy[cross], cy[..., nxt][cross]
+    t = fa / (fa - fb)
+    pts = list(zip((xa + t * (xb - xa)).tolist(), (ya + t * (yb - ya)).tolist()))
+    return list(zip(pts[::2], pts[1::2]))
 
 
-def _phase_color(phi):
-    """Cyclic hue for a phase in (-pi, pi]."""
-    h = (phi + np.pi) / (2 * np.pi)
-    r, g, b = colorsys.hsv_to_rgb(h % 1.0, 0.85, 0.95)
-    return f"#{int(255*r):02x}{int(255*g):02x}{int(255*b):02x}"
+def _phase_colors(phi) -> list:
+    """Cyclic hues for phases in (-pi, pi]: colorsys.hsv_to_rgb at
+    saturation 0.85 and value 0.95, replicated over an array with the same
+    expressions and truncations, as '#rrggbb' strings."""
+    s, v = 0.85, 0.95
+    h = ((np.asarray(phi, dtype=float) + np.pi) / (2 * np.pi)) % 1.0
+    i = (h * 6.0).astype(int)
+    f = (h * 6.0) - i
+    p = v * (1.0 - s)
+    q = v * (1.0 - s * f)
+    t = v * (1.0 - s * (1.0 - f))
+    # hsv_to_rgb's six sectors as indices into (v, p, q, t)
+    sector = np.array([[0, 3, 1], [2, 0, 1], [1, 0, 3], [1, 2, 0], [3, 1, 0], [0, 1, 2]])
+    comps = np.stack(np.broadcast_arrays(v, p, q, t))
+    rgb = (255 * np.take_along_axis(comps, sector[i % 6].T, axis=0)).astype(int)
+    return [f"#{r:02x}{g:02x}{b:02x}" for r, g, b in zip(*rgb.tolist())]
 
 
 #: canvas margin around the plot area, in px
@@ -80,11 +90,20 @@ class _Canvas:
         y0, y1 = self.ylim
         return self.m + self.h - (v - y0) / (y1 - y0) * self.h
 
-    def rect(self, x, y, dx, dy, color):
-        self.parts.append(
-            f'<rect x="{self.x(x):.2f}" y="{self.y(y + dy):.2f}" '
-            f'width="{abs(self.x(x + dx) - self.x(x)):.2f}" '
-            f'height="{abs(self.y(y) - self.y(y + dy)):.2f}" fill="{color}"/>')
+    def rects(self, x, y, dx, dy, colors):
+        """A heatmap: the dx by dy rect with lower-left corner (x[i], y[j])
+        for each i, then each j, filled with colors[i * len(y) + j].  The
+        pixel coordinates are those of one rect at a time, computed over
+        the arrays and formatted once per row and column."""
+        x, y = np.asarray(x), np.asarray(y)
+        px, py = self.x(x), self.y(y + dy)
+        cols = [f'x="{a:.2f}" ' for a in px.tolist()]
+        widths = [f'width="{w:.2f}" ' for w in np.abs(self.x(x + dx) - px).tolist()]
+        rows = [f'y="{b:.2f}" ' for b in py.tolist()]
+        heights = [f'height="{h:.2f}" ' for h in np.abs(self.y(y) - py).tolist()]
+        cells = itertools.product(zip(cols, widths), zip(rows, heights))
+        self.parts += [f'<rect {c}{r}{w}{h}fill="{color}"/>'
+                       for ((c, w), (r, h)), color in zip(cells, colors)]
 
     def segment(self, p0, p1, dash=None):
         """A white contour line segment, dashed when `dash` is given."""
@@ -129,13 +148,10 @@ def chern_diagram_svg(diagram) -> str:
     dr = ratios[1] - ratios[0] if len(ratios) > 1 else 0.1
     cv = _Canvas(580, 480, (phis[0] - dphi / 2, phis[-1] + dphi / 2),
                  (ratios[0] - dr / 2, ratios[-1] + dr / 2))
-    for i, p in enumerate(phis):
-        for j, r in enumerate(ratios):
-            if diagram.indeterminate[i, j]:
-                color = INDET_COLOR
-            else:
-                color = CHERN_COLORS[int(diagram.chern[i, j])]
-            cv.rect(p - dphi / 2, r - dr / 2, dphi, dr, color)
+    colors = [INDET_COLOR if indet else CHERN_COLORS[c] for indet, c in
+              zip(diagram.indeterminate.ravel().tolist(),
+                  diagram.chern.ravel().tolist())]
+    cv.rects(phis - dphi / 2, ratios - dr / 2, dphi, dr, colors)
     cv.labels("phi", "delta_eff / j2", diagram.kind)
     return cv.render()
 
@@ -148,11 +164,10 @@ def phase_map_svg(pm) -> str:
     d2 = A2[1] - A2[0] if len(A2) > 1 else 0.1
     cv = _Canvas(560, 560, (A1[0] - d1 / 2, A1[-1] + d1 / 2),
                  (A2[0] - d2 / 2, A2[-1] + d2 / 2))
-    for i, a1 in enumerate(A1):
-        for j, a2 in enumerate(A2):
-            phi = pm.phi[i, j]
-            color = "#d0d0d0" if np.isnan(phi) else _phase_color(phi)
-            cv.rect(a1 - d1 / 2, a2 - d2 / 2, d1, d2, color)
+    defined = ~np.isnan(pm.phi.ravel())
+    colors = np.full(defined.shape, "#d0d0d0", dtype=object)
+    colors[defined] = _phase_colors(pm.phi.ravel()[defined])
+    cv.rects(A1 - d1 / 2, A2 - d2 / 2, d1, d2, colors)
     for lvl, dash in ((0.25, None), (0.5, "6,4")):
         for p0, p1 in marching_squares(A1, A2, pm.j1_over_j0, lvl):
             cv.segment(p0, p1, dash=dash)

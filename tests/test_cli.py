@@ -331,3 +331,27 @@ def test_rerun_byte_identical(argv, tmp_path, capsys):
     assert files_a == sorted(os.listdir(b)) and files_a
     for name in files_a:
         assert read(a / name) == read(b / name), name
+
+
+@pytest.mark.parametrize("argv, env, flag", [
+    (["phase-map", "--A1", "0:1:0.5", "--A2", "0:1:0.5"], "100000", "FCF_THREADS"),
+    (["optimize", "--phi-target", "1", "--r-th", "0.25", "--starts", "4"], "100000",
+     "FCF_THREADS"),
+    (["optimize", "--phi-target", "1", "--r-th", "0.25", "--starts", "4",
+      "--threads", "100000"], None, "--threads"),
+])
+def test_worker_cap_exit_2(argv, env, flag, tmp_path, capsys, monkeypatch):
+    # refused before any thread or process starts (the values are never run)
+    def no_workers(*args, **kwargs):
+        raise AssertionError("a worker was started")
+    import concurrent.futures
+    import multiprocessing
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_workers)
+    monkeypatch.setattr(multiprocessing, "get_context", no_workers)
+    if env:
+        monkeypatch.setenv("FCF_THREADS", env)
+    code, _, err = run(argv + ["--out", str(tmp_path)], capsys)
+    assert code == 2
+    error = json.loads(err)["error"]
+    assert error["type"] == "config" and f"{flag} must be at most 64" in error["message"]
+    assert not os.listdir(tmp_path)

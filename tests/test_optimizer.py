@@ -1,3 +1,7 @@
+import contextlib
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize_scalar
@@ -388,3 +392,102 @@ def test_candidate_batch_raises_first_failing_row(monkeypatch):
             with pytest.raises(SpectrumTruncationError) as batch:
                 _candidate_batch("plus", 2, np.array(P))
             assert str(batch.value) == scalar_error(first)
+
+
+# ---------------------------------------------------------------------------
+# kernel blocks on worker threads: bit for bit one thread
+
+@contextlib.contextmanager
+def _threads(monkeypatch, threads):
+    """FCF_THREADS = threads and a short GIL switch interval for the body,
+    which gets the set of threads that ran `_candidate_block`; no thread
+    may outlive the body."""
+    ran = set()
+    block = optimizer._candidate_block
+
+    def recorded(*args):
+        ran.add(threading.get_ident())
+        return block(*args)
+    monkeypatch.setattr(optimizer, "_candidate_block", recorded)
+    monkeypatch.setenv("FCF_THREADS", str(threads))
+    interval = sys.getswitchinterval()
+    alive = threading.active_count()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield ran
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == alive
+    # one thread runs the blocks inline; more run them off the calling thread
+    assert (threading.get_ident() in ran) == (threads == 1)
+
+
+def _bits(arrays):
+    return [(a.dtype, a.tobytes()) for a in arrays]
+
+
+@pytest.mark.parametrize("family", ["plus", "minus"])
+def test_kernel_blocks_thread_count_invariant(family, monkeypatch):
+    delta2 = np.pi / 2 if family == "plus" else -np.pi / 2
+    A1, A2 = np.arange(0.0, 5.0 + 1e-9, 0.25), np.arange(-5.0, 5.0 + 1e-9, 0.25)
+    P = np.array([[a1, a2, delta2] for a1 in A1 for a2 in A2])
+    ms, Z = _family_bond_amplitudes(family, 2, P)
+    zmax, bandwidth, mmax = _quadrature_sizes(ms, Z)
+    assert {_grid_size(mmax, z, b)[1] for z, b in zip(zmax, bandwidth)} == {256, 512, 1024}
+    prob = OptimizationProblem(phi_target=np.pi / 2, r_threshold=0.25, family=family)
+    runs = {}
+    for threads in (1, 3):
+        with _threads(monkeypatch, threads):
+            batch = _candidate_batch(family, 2, P)
+        with _threads(monkeypatch, threads):
+            pm = phase_map(A1, A2, delta2, family)
+        with _threads(monkeypatch, threads):
+            best = random_search_best(prob, 5000, 9)
+        runs[threads] = (_bits(batch), _bits([pm.phi, pm.j1_over_j0]), best)
+    assert runs[1] == runs[3]
+    assert np.isfinite(runs[1][2])
+
+
+def test_thread_blocks_raise_first_failing_row(monkeypatch):
+    # a retained order of 3 truncates every drive of bandwidth above 2; the
+    # failing rows sit at the end, in blocks that worker threads pick up last
+    def short_window(mmax, zmax, bandwidth, n_max=None, samples=None):
+        return _grid_size(mmax, zmax, bandwidth, 3 if bandwidth > 2 else n_max, samples)
+    monkeypatch.setattr(optimizer, "_grid_size", short_window)
+    rng = np.random.default_rng(8)
+    ok = np.column_stack((rng.uniform(0.0, 0.6, 400), rng.uniform(0.0, 0.3, 400),
+                          rng.uniform(-np.pi, np.pi, 400)))
+    # the larger drive's grid group (M = 512) is evaluated after the smaller one's
+    large, small = [3.4, 1.0, 0.3], [1.0, 1.6, 0.3]
+    with pytest.raises(SpectrumTruncationError) as e:
+        _candidate_rates("plus", 2, large)
+    for P in (np.vstack((ok, [large], ok[:50], [small])),
+              np.vstack((ok, [large], [small]))):
+        for threads in (1, 3):
+            with _threads(monkeypatch, threads), pytest.raises(SpectrumTruncationError) as batch:
+                _candidate_batch("plus", 2, P)
+            assert str(batch.value) == str(e.value)
+
+
+@pytest.mark.parametrize("value", ["65", "100000"])
+def test_worker_env_cap_refused_before_any_worker(value, monkeypatch):
+    # the cap fires in worker_count, before an executor or a pool exists
+    def no_workers(*args, **kwargs):
+        raise AssertionError("a worker was started")
+    import concurrent.futures
+    import multiprocessing
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_workers)
+    monkeypatch.setattr(multiprocessing, "get_context", no_workers)
+    monkeypatch.setenv("FCF_THREADS", value)
+    alive = threading.active_count()
+    prob = OptimizationProblem(phi_target=np.pi / 2, r_threshold=0.25, n_starts=4)
+    for call in (lambda: optimizer.worker_count(),
+                 lambda: phase_map([0.5, 1.0], [0.5, 1.0], np.pi / 2),
+                 lambda: random_search_best(prob, 100),
+                 lambda: maximize(prob)):
+        with pytest.raises(ValueError, match=f"FCF_THREADS must be at most "
+                                             f"{optimizer.MAX_WORKERS}, got {value}"):
+            call()
+    assert threading.active_count() == alive
+    monkeypatch.setenv("FCF_THREADS", str(optimizer.MAX_WORKERS))
+    assert optimizer.worker_count() == optimizer.MAX_WORKERS
