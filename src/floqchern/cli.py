@@ -17,6 +17,7 @@ a configuration error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -75,7 +76,9 @@ def _write(path, text):
 
 
 def _write_csv(path, header, rows):
-    _write(path, "".join(",".join(map(_fmt, row)) + "\n" for row in [header, *rows]))
+    """One line per row, streamed: the file's text is never held whole."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.writelines(",".join(map(_fmt, row)) + "\n" for row in itertools.chain([header], rows))
 
 
 def parse_range(text: str) -> np.ndarray:

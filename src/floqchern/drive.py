@@ -305,14 +305,14 @@ def _chi_samples(ms, Z, M):
 
     chi_k(t_j) = Im[sum_h (Z_kh / m_h) e^{2 pi i m_h j / M}]; the harmonic
     rows are built from the fundamental by repeated multiplication, which
-    beats an (H, M) complex exp for the small m of interest.
+    beats an (H, M) complex exp for the small m of interest.  The sum
+    starts from its first term, not from zeros.
     """
-    shape = Z.shape[:-1] + (M,)
     if len(ms) == 0:
-        return np.zeros(shape)
+        return np.zeros(Z.shape[:-1] + (M,))
     base = _unit_roots(M)
-    acc = np.zeros(shape, dtype=complex)
     W = Z / ms
+    acc = None
     row = base
     power = 1
     for h in np.argsort(ms):
@@ -320,7 +320,11 @@ def _chi_samples(ms, Z, M):
         for _ in range(m - power):
             row = row * base
         power = m
-        acc += W[..., h, None] * row
+        term = W[..., h, None] * row
+        if acc is None:
+            acc = term
+        else:
+            acc += term
     return acc.imag
 
 
@@ -441,15 +445,28 @@ def _peierls_components(ms, Z, j0: float, n_max: int, M: int):
     (see `_bond_amplitudes`) on one grid: g[..., k-1, n_max + n] = g_k^n
     and the largest weight of a bond outside |n| <= n_max, over the leading
     axes of Z.  Each drive's values do not depend on the others'."""
-    # in place where the arithmetic allows, to hold fewer block-sized arrays
-    z = 1j * _chi_samples(ms, Z, M)
-    np.exp(z, out=z)
-    np.multiply(j0, z, out=z)
-    F = np.fft.fft(z, axis=-1)
+    # in place where the arithmetic allows, to hold fewer block-sized arrays.
+    # e^{i chi} as cos chi + i sin chi: the complex exp of i chi computes
+    # the same sin and cos, and exp(0) = 1 exactly; chi + 0.0 turns -0.0
+    # into the +0.0 that the product i chi carries.
+    chi = _chi_samples(ms, Z, M)
+    z = np.empty(chi.shape, dtype=complex)
+    np.add(chi, 0.0, out=z.imag)
+    del chi
+    np.cos(z.imag, out=z.real)
+    np.sin(z.imag, out=z.imag)
+    if j0 != 1.0:
+        np.multiply(j0, z, out=z)
+    # the forward norm scales by 1/M inside the transform: M is a power of
+    # two, so that is the exact division F / M
+    F = np.fft.fft(z, axis=-1, norm="forward")
     del z
-    F /= M
-    g = F[..., _window(n_max, M)]
-    tail = np.max(np.sum(np.abs(F) ** 2, axis=-1) - np.sum(np.abs(g) ** 2, axis=-1), axis=-1)
+    window = _window(n_max, M)
+    g = F[..., window]
+    weight = np.abs(F)
+    del F
+    np.square(weight, out=weight)
+    tail = (weight.sum(axis=-1) - weight[..., window].sum(axis=-1)).max(axis=-1)
     return g, tail
 
 

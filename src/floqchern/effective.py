@@ -15,6 +15,7 @@ Pure functions over immutable inputs; safe for parallel parameter sweeps.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -61,19 +62,35 @@ def nnn_rates(spectrum: TunnelingSpectrum):
     return complex(tau0), complex(tau[0]), complex(tau[1]), complex(tau[2])
 
 
+@functools.lru_cache(maxsize=64)
+def _pair_gathers(n_max: int):
+    """(index, n): flat indices (4, n_max, 6) into g (..., 3, 2 n_max + 1)
+    of the factors g_i^{-n}, g_j^{-n}, g_j^{n} and g_i^{n} of `_nnn_arrays`
+    for the pairs (i, j) of `nnn_rates`, in (n, pair) layout, and n as
+    floats (n_max, 1); both read-only."""
+    c, width = n_max, 2 * n_max + 1
+    n = np.arange(1, c + 1)[:, None]
+    i = np.array([0, 1, 2, 1, 2, 0]) * width
+    j = np.array([0, 1, 2, 2, 0, 1]) * width
+    index = np.stack((i + c - n, j + c - n, j + c + n, i + c + n))
+    n = n.astype(float)
+    index.setflags(write=False)
+    n.setflags(write=False)
+    return index, n
+
+
 def _nnn_arrays(g, n_max: int, omega: float):
     """(tau0, tau) of `nnn_rates` over the leading axes of the spectra
     g (..., 3, 2 n_max + 1): tau0 of shape (...), tau of shape (..., 3)."""
-    c = n_max
-    n = np.arange(1, c + 1)
-    # pairs (i, j) realizing w(a_i, -a_j); the -a_j array is conj(g[j][::-1]).
-    # These gathers leave the n axis outermost in memory, so the sum over n
-    # below runs in order of n; a contiguous copy would sum pairwise and
-    # move the last bits of every rate.
-    gi = g[..., [0, 1, 2, 1, 2, 0], :]
-    gj = np.conj(g[..., [0, 1, 2, 2, 0, 1], ::-1])
-    terms = (gi[..., c - n] * gj[..., c + n] - gj[..., c - n] * gi[..., c + n]) / (n * omega)
-    w = terms.sum(axis=-1)
+    # pairs (i, j) realizing w(a_i, -a_j); the -a_j array is conj(g[j][::-1]),
+    # so its order n is g_j's order -n.  The terms are gathered (..., n, pair)
+    # and summed over n in order of n; a pairwise sum would move the last
+    # bits of every rate.
+    index, n = _pair_gathers(n_max)
+    f = np.take(g.reshape(g.shape[:-2] + (-1,)), index, axis=-1)
+    gj = np.conj(f[..., 1:3, :, :])
+    terms = (f[..., 0, :, :] * gj[..., 0, :, :] - gj[..., 1, :, :] * f[..., 3, :, :]) / (n * omega)
+    w = terms.sum(axis=-2)
     return w[..., 0] + w[..., 1] + w[..., 2], w[..., 3:]
 
 

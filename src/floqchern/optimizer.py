@@ -7,20 +7,24 @@ floor j1/j0 >= r_threshold on the NN rate.  R is invariant under
 rescaling of omega and j0, so candidates are evaluated at omega = j0 = 1.
 
 Method: multistart SLSQP (sequential least squares programming, Kraft
-1988) with the constraints written as constraints: -R is minimized
-under the equality wrap(phi - phi_target) = 0 and the inequality
-j1/j0 - r_threshold >= 0, with the amplitudes bounded by +-amp_bound
-and the phases free.  Gradients are SLSQP's own finite differences, and
-each start memoizes its evaluations so that the objective and both
-constraints share them.  Every start record counts its evaluations,
-iterations and SLSQP exit status (`n_eval`, `n_iter`, `status`).
-Starts come from a seeded scrambled Sobol sequence over the box
-(amplitudes in [0, bound], phases in (-pi, pi]), so identical problem +
-seed reproduce identical results bit for bit.  Starts are independent
-tasks.  One ranking rule, `_rank`, orders optima everywhere: feasible
-points first, by larger R, then infeasible points by smaller constraint
-residual.  The reduction over starts breaks its ties on the
-lexicographically smallest p, independent of execution order.
+1988) with the constraints written as constraints: -R is minimized under
+the equality wrap(phi - phi_target) = 0 and the inequality
+j1/j0 - r_threshold >= 0, with the amplitudes bounded by +-amp_bound and
+the phases free.  Gradients are forward differences on the points and
+steps SLSQP chooses for the objective: the 2N - 1 points of one gradient
+reach `_run_start` together, through SLSQP's `workers` map, and are
+evaluated as one batch in the calling thread; the constraint gradients
+are the same quotients on the same points.  Each start memoizes its
+evaluations, so that the objective and both constraints share them and
+no point is evaluated twice.  Every start record counts its evaluations,
+iterations and SLSQP exit status (`n_eval`, `n_iter`, `status`).  Starts
+come from a seeded scrambled Sobol sequence over the box (amplitudes in
+[0, bound], phases in (-pi, pi]), so identical problem + seed reproduce
+identical results bit for bit.  Starts are independent tasks.  One
+ranking rule, `_rank`, orders optima everywhere: feasible points first,
+by larger R, then infeasible points by smaller constraint residual.  The
+reduction over starts breaks its ties on the lexicographically smallest
+p, independent of execution order.
 
 Two exact symmetries leave R and j1/j0 unchanged: the minus family at
 (A, -delta) is the mirror image (phi -> -phi) of the plus family at
@@ -31,15 +35,15 @@ optima, the plus family winning exact ties.  Through the two symmetries
 it runs one plus-family maximization per class of equivalent targets,
 all starts mapped over one worker pool.
 
-Phase maps and random search evaluate whole arrays of parameter
-vectors at once (`_candidate_batch`): drives are grouped by their
-Fourier grid and run through the spectrum and rate code along a
-leading axis, in blocks of bounded size.  The blocks run on
-`worker_count()` threads (FCF_THREADS overrides the default of every
-usable core); each block depends on its own rows only, and its values
-are scattered in submission order, so the results are bit for bit
-those of the one-drive kernel `_candidate_rates` that SLSQP calls,
-whatever the thread count.
+Phase maps, random search and SLSQP's gradients evaluate arrays of
+parameter vectors at once (`_candidate_batch`): drives are grouped by
+their Fourier grid and run through the spectrum and rate code along a
+leading axis, in blocks of bounded size.  For phase maps and random
+search the blocks run on `worker_count()` threads (FCF_THREADS
+overrides the default of every usable core); each block depends on its
+own rows only, and its values are scattered in submission order, so the
+results are bit for bit those of the one-drive kernel `_candidate_rates`
+that SLSQP's line search calls, whatever the thread count.
 """
 
 from __future__ import annotations
@@ -197,11 +201,11 @@ def _candidate_rates(family, N, p):
     return j2 / j1 if j1 > 0 else math.inf, j1, float(phi), bool(defined), j2
 
 
-def _candidate_blocks(family, ms, Z, blocks):
+def _candidate_blocks(family, ms, Z, blocks, workers):
     """`_candidate_block` of Z[rows] on its grid for each (rows, n_max, M)
-    of `blocks`, in order, on up to `worker_count()` threads.  The threads
-    run private helpers only, and no thread outlives the call."""
-    workers = min(worker_count(), len(blocks))
+    of `blocks`, in order, on up to `workers` threads.  The threads run
+    private helpers only, and no thread outlives the call."""
+    workers = min(workers, len(blocks))
     if workers <= 1:
         return [_candidate_block(family, ms, Z[rows], n_max, M) for rows, n_max, M in blocks]
     from concurrent.futures import ThreadPoolExecutor
@@ -211,34 +215,39 @@ def _candidate_blocks(family, ms, Z, blocks):
         return [f.result() for f in futures]
 
 
-def _candidate_batch(family, N, P):
-    """(R, j1/j0, phi, phi_defined, j2) arrays (K,) over the rows of
-    P (K, 2N - 1), bit for bit K calls of `_candidate_rates`.  Each run of
+def _candidate_batch(family, N, P, workers=None):
+    """(R, j1/j0, phi, phi_defined, j2) arrays (K,) over the K parameter
+    vectors P (K, 2N - 1), bit for bit K calls of `_candidate_rates`.  Each run of
     _BATCH_ROWS rows is grouped by grid (n_max, M) and evaluated in blocks
-    of at most _BLOCK_SAMPLES complex samples (`_candidate_blocks`); like
-    a loop over the rows, it raises the error of the first row that
-    fails."""
+    of at most _BLOCK_SAMPLES complex samples, on `workers` threads
+    (`_candidate_blocks`; default `worker_count()`); like a loop over the
+    rows, it raises the error of the first row that fails."""
     P = np.asarray(P, dtype=float)
     K = len(P)
+    workers = worker_count() if workers is None else workers
     j1, phi, defined, j2 = np.empty(K), np.empty(K), np.empty(K, dtype=bool), np.empty(K)
     for start in range(0, K, _BATCH_ROWS):
         ms, Z = _family_bond_amplitudes(family, N, P[start:start + _BATCH_ROWS])
         zmax, bandwidth, mmax = _quadrature_sizes(ms, Z)
-        # the grid depends on a drive through ceil(zmax) and ceil(bandwidth) only
-        sizes, inverse = np.unique(np.ceil([zmax, bandwidth]), axis=1, return_inverse=True)
-        groups = {}
-        for u, (z, b) in enumerate(sizes.T.tolist()):
-            groups.setdefault(_grid_size(mmax, z, b), []).append(u)
+        # the grid depends on a drive through ceil(zmax) and ceil(bandwidth)
+        # only; as one complex key they sort by ceil(zmax), then ceil(bandwidth)
+        keys = np.ceil(zmax).astype(complex)
+        keys.imag = np.ceil(bandwidth)
+        sizes = np.unique(keys)
+        grids = [_grid_size(mmax, k.real, k.imag) for k in sizes.tolist()]
+        order = list(dict.fromkeys(grids))
+        label = np.array([order.index(grid) for grid in grids])[np.searchsorted(sizes, keys)]
         blocks = []
-        for (n_max, M), members in groups.items():
-            rows = np.flatnonzero(np.isin(inverse, members))
+        for i, (n_max, M) in enumerate(order):
+            rows = np.flatnonzero(label == i)
             step = max(1, _BLOCK_SAMPLES // (3 * M))
             blocks += [(rows[s:s + step], n_max, M) for s in range(0, len(rows), step)]
         first = (len(Z), None)
-        for (block, _, _), (values, i, error) in zip(blocks,
-                                                     _candidate_blocks(family, ms, Z, blocks)):
+        for (block, _, _), (values, i, error) in zip(
+                blocks, _candidate_blocks(family, ms, Z, blocks, workers)):
+            at = start + block
             for dest, v in zip((j1, phi, defined, j2), values):
-                dest[start + block] = v
+                dest[at] = v
             if error and block[i] < first[0]:
                 first = (block[i], error)
         if first[1]:
@@ -313,32 +322,75 @@ def _start_record(problem: OptimizationProblem, p, R, j1, phi, defined, converge
 def _run_start(args):
     """SLSQP from one start point.  The phase gap is pi where phi is
     undefined; the objective and both constraints share each evaluation
-    through a memo keyed on the point."""
+    through a memo keyed on the point.
+
+    Gradients are forward differences on the points and steps that SLSQP
+    chooses for the objective (scipy's 2-point rule, bound flips
+    included).  SLSQP hands those points to its `workers` map at once, and
+    the map evaluates the ones not yet in the memo as one
+    `_candidate_batch` in the calling thread.  The constraint Jacobians,
+    which SLSQP asks for next at the same point, are the same quotients on
+    the same points, read from the memo.
+    """
     from scipy.optimize import minimize
     problem, x0 = args
+    family, N = problem.family, problem.N
     memo = {}
+    stencil = []    # the objective's latest forward-difference points
 
     def rates(x):
         key = x.tobytes()
         if key not in memo:
-            memo[key] = _candidate_rates(problem.family, problem.N, x)
+            memo[key] = _candidate_rates(family, N, x)
         return memo[key]
+
+    def forward_points(fun, points):
+        points = list(points)
+        stencil[:] = points
+        new = {key: x for x in points if (key := x.tobytes()) not in memo}
+        if new:
+            batch = _candidate_batch(family, N, list(new.values()), workers=1)
+            # as Python scalars, the tuples `_candidate_rates` returns
+            memo.update(zip(new, zip(*(a.tolist() for a in batch))))
+        return map(fun, points)
+
+    def gradient(con):
+        """x -> the forward-difference gradient of `con` at x on the
+        objective's points x_i at x: (con(x_i) - con(x)) / (x_i[i] - x[i]),
+        the quotient of scipy's 2-point rule."""
+        def jac(x):
+            c = con(x)
+            row = []
+            for i, point in enumerate(stencil):
+                base = point.copy()
+                base[i] = x[i]
+                if base.tobytes() != x.tobytes():
+                    break
+                row.append((con(point) - c) / (point[i] - x[i]))
+            if len(row) != len(x):
+                raise AssertionError("SLSQP asked for a constraint Jacobian away from "
+                                     "the objective's difference points")
+            return row
+        return jac
 
     def phase_gap(x):
         _, _, phi, defined, _ = rates(x)
         return wrap_angle(phi - problem.phi_target) if defined else np.pi
 
-    bounds = ([(-problem.amp_bound, problem.amp_bound)] * problem.N
-              + [(None, None)] * (problem.N - 1))
+    def nn_floor(x):
+        return rates(x)[1] - problem.r_threshold
+
+    bounds = [(-problem.amp_bound, problem.amp_bound)] * N + [(None, None)] * (N - 1)
     res = minimize(
         lambda x: -rates(x)[0], np.asarray(x0, dtype=float), method="SLSQP", bounds=bounds,
-        constraints=({"type": "eq", "fun": phase_gap},
-                     {"type": "ineq", "fun": lambda x: rates(x)[1] - problem.r_threshold}),
-        options={"ftol": 1e-12, "maxiter": MAX_ITER})
-    p = _canonical(res.x, problem.N)
-    R, j1, phi, defined, _ = _candidate_rates(problem.family, problem.N, p)
+        constraints=({"type": "eq", "fun": phase_gap, "jac": gradient(phase_gap)},
+                     {"type": "ineq", "fun": nn_floor, "jac": gradient(nn_floor)}),
+        options={"ftol": 1e-12, "maxiter": MAX_ITER, "workers": forward_points})
+    n_eval = len(memo)
+    p = _canonical(res.x, N)
+    R, j1, phi, defined, _ = rates(p)
     record = _start_record(problem, p, R, j1, phi, defined, bool(res.success))
-    record.update(n_eval=len(memo), n_iter=int(res.nit), status=int(res.status))
+    record.update(n_eval=n_eval, n_iter=int(res.nit), status=int(res.status))
     return record
 
 

@@ -94,8 +94,12 @@ def _propagators(spec, geom, j0, delta, ks, steps):
     dt = T / steps
     tmid = (np.arange(steps) + 0.5) * dt
     g = _bond_rates_at(spec, geom, j0, tmid)
-    ph1 = np.exp(1j * (ks @ geom.b1))
-    ph2 = np.exp(-1j * (ks @ geom.b2))
+    # k.b on numpy's many-row matrix-vector path for every k: a one-row
+    # product takes the dot path, which rounds k.b2 differently, so the
+    # k-array goes in with one extra row, which is dropped again
+    rows = np.concatenate((ks, ks[:1]))
+    ph1 = np.exp(1j * (rows @ geom.b1)[:-1])
+    ph2 = np.exp(-1j * (rows @ geom.b2)[:-1])
     u11 = np.ones(len(ks), dtype=complex)
     u12 = np.zeros(len(ks), dtype=complex)
     u21 = np.zeros(len(ks), dtype=complex)

@@ -1,13 +1,15 @@
 import json
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import floqchern
-from floqchern import validate
+from floqchern import cli, optimizer, validate
 from floqchern.cli import main, parse_range
 
 PLUS_N1 = '{"family":"plus","omega":1.0,"A":[1.0],"delta":[0.0]}'
@@ -210,6 +212,24 @@ def test_phase_map_single_cell(tmp_path, capsys):
     lines = read(tmp_path / "phase_map.csv").decode().strip().split("\n")
     assert lines[0] == "A1,A2,phi,j1_over_j0,phi_defined"
     assert len(lines) == 2
+
+
+def test_phase_map_csv_is_streamed(tmp_path):
+    # one 71 x 141 map: its whole text joined before the write peaked at
+    # 3.2 MiB; streamed, the row lists of `PhaseMap.rows` are most of the peak
+    pm = optimizer.phase_map(np.arange(0.0, 3.5 + 1e-9, 0.05),
+                             np.arange(-3.5, 3.5 + 1e-9, 0.05), math.pi / 2)
+    header = ["A1", "A2", "phi", "j1_over_j0", "phi_defined"]
+    joined = "".join(",".join(map(cli._fmt, row)) + "\n" for row in [header, *pm.rows()])
+    path = tmp_path / "phase_map.csv"
+    tracemalloc.start()
+    try:
+        cli._write_csv(path, header, pm.rows())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert read(path) == joined.encode()
+    assert peak < 2 << 20
 
 
 def test_phase_map_zero_delta2_pins_half_pi(tmp_path, capsys):

@@ -398,10 +398,11 @@ def test_candidate_batch_raises_first_failing_row(monkeypatch):
 # kernel blocks on worker threads: bit for bit one thread
 
 @contextlib.contextmanager
-def _threads(monkeypatch, threads):
+def _threads(monkeypatch, threads, inline=None):
     """FCF_THREADS = threads and a short GIL switch interval for the body,
     which gets the set of threads that ran `_candidate_block`; no thread
-    may outlive the body."""
+    may outlive the body.  The calling thread must have run blocks exactly
+    when `inline` (default: threads == 1)."""
     ran = set()
     block = optimizer._candidate_block
 
@@ -419,7 +420,7 @@ def _threads(monkeypatch, threads):
         sys.setswitchinterval(interval)
     assert threading.active_count() == alive
     # one thread runs the blocks inline; more run them off the calling thread
-    assert (threading.get_ident() in ran) == (threads == 1)
+    assert (threading.get_ident() in ran) == (threads == 1 if inline is None else inline)
 
 
 def _bits(arrays):
@@ -491,3 +492,133 @@ def test_worker_env_cap_refused_before_any_worker(value, monkeypatch):
     assert threading.active_count() == alive
     monkeypatch.setenv("FCF_THREADS", str(optimizer.MAX_WORKERS))
     assert optimizer.worker_count() == optimizer.MAX_WORKERS
+
+
+# ---------------------------------------------------------------------------
+# SLSQP's difference stencils: one batch each, bit for bit plain SLSQP
+
+def _plain_start(problem, x0):
+    """The start as plain SLSQP, written out: scipy's own finite
+    differences for the objective and both constraints, every point
+    evaluated once through a memo of `_candidate_rates`.  Returns the
+    record fields `_run_start` must match and the points evaluated."""
+    from scipy.optimize import minimize
+    memo = {}
+
+    def rates(x):
+        key = x.tobytes()
+        if key not in memo:
+            memo[key] = _candidate_rates(problem.family, problem.N, x)
+        return memo[key]
+
+    def phase_gap(x):
+        _, _, phi, defined, _ = rates(x)
+        return wrap_angle(phi - problem.phi_target) if defined else np.pi
+
+    N = problem.N
+    res = minimize(
+        lambda x: -rates(x)[0], np.asarray(x0, dtype=float), method="SLSQP",
+        bounds=[(-problem.amp_bound, problem.amp_bound)] * N + [(None, None)] * (N - 1),
+        constraints=({"type": "eq", "fun": phase_gap},
+                     {"type": "ineq", "fun": lambda x: rates(x)[1] - problem.r_threshold}),
+        options={"ftol": 1e-12, "maxiter": optimizer.MAX_ITER})
+    p = optimizer._canonical(res.x, N)
+    R, j1, phi, _, _ = _candidate_rates(problem.family, N, p)
+    record = {"p": p.tobytes(), "R": R, "j1": j1, "phi": phi, "status": int(res.status),
+              "n_iter": int(res.nit), "n_eval": len(memo), "converged": bool(res.success)}
+    return record, set(memo)
+
+
+def _kernel_rows(monkeypatch):
+    """Every kernel row from now on, as (call, point bytes): call counts
+    the one-drive and batch calls made so far."""
+    rows, calls = [], [0]
+    one, batch = optimizer._candidate_rates, optimizer._candidate_batch
+
+    def counted_one(family, N, p):
+        calls[0] += 1
+        rows.append((calls[0], np.asarray(p, dtype=float).tobytes()))
+        return one(family, N, p)
+
+    def counted_batch(family, N, P, workers=None):
+        calls[0] += 1
+        rows.extend((calls[0], np.asarray(p, dtype=float).tobytes()) for p in P)
+        return batch(family, N, P, workers)
+    monkeypatch.setattr(optimizer, "_candidate_rates", counted_one)
+    monkeypatch.setattr(optimizer, "_candidate_batch", counted_batch)
+    return rows
+
+
+def _grid_of(family, N, point):
+    ms, Z = _family_bond_amplitudes(family, N, np.frombuffer(point))
+    zmax, bandwidth, mmax = _quadrature_sizes(ms, Z)
+    return _grid_size(mmax, zmax, bandwidth)
+
+
+def _grid_edge_start():
+    """(problem, x0): an N = 2 plus start whose first forward-difference
+    point in A1 crosses a bandwidth integer, so the first stencil spans
+    two grids (n_max)."""
+    prob = OptimizationProblem(phi_target=1.0, r_threshold=0.3)
+    rest = [0.8, 0.4]
+
+    def bandwidth(a1):
+        ms, Z = _family_bond_amplitudes("plus", 2, np.array([a1] + rest))
+        return float(_quadrature_sizes(ms, Z)[1])
+    edge = brentq(lambda a1: bandwidth(a1) - 3.0, 1.0, 4.0, xtol=1e-15)
+    return prob, np.array([edge - 1e-8] + rest)
+
+
+def _stencil_cases():
+    cases = []
+    for family, phi in (("plus", 1.0), ("minus", -2.0)):
+        for N in (1, 2, 3):
+            prob = OptimizationProblem(phi_target=phi, r_threshold=0.3, family=family, N=N,
+                                       amp_bound=3.0, n_starts=1, seed=7)
+            cases.append((f"{family}-N{N}", prob, sobol_starts(prob)[0]))
+    # iterates on the amplitude bounds: the step at +amp_bound is flipped
+    prob = OptimizationProblem(phi_target=-np.pi / 2, r_threshold=0.5, N=2)
+    cases.append(("upper-bound", prob, np.array([2.0, prob.amp_bound, -1.5])))
+    cases.append(("lower-bound", prob, np.array([-prob.amp_bound, 1.0, 0.5])))
+    cases.append(("two-grids", *_grid_edge_start()))
+    return cases
+
+
+@pytest.mark.parametrize("case", _stencil_cases(), ids=lambda c: c[0])
+def test_run_start_matches_plain_slsqp(case, monkeypatch):
+    name, prob, x0 = case
+    ref, ref_points = _plain_start(prob, x0)
+    rows = _kernel_rows(monkeypatch)
+    record = optimizer._run_start((prob, x0))
+    got = {key: record[key] for key in ref}
+    got["p"] = record["p"].tobytes()
+    assert got == ref
+    # every point once: the points plain SLSQP evaluated, and the
+    # canonical optimum when SLSQP did not evaluate it itself
+    points = [point for _, point in rows]
+    assert len(points) == len(set(points))
+    assert set(points) == ref_points | {ref["p"]}
+    assert len(points) == record["n_eval"] + (ref["p"] not in ref_points)
+    # the first call evaluates x0, the second the first stencil around it,
+    # in one batch of dim points
+    first = [point for call, point in rows if call == 2]
+    assert len(first) == prob.dim
+    if name == "upper-bound":
+        assert np.frombuffer(first[1])[1] < prob.amp_bound
+    if name == "two-grids":
+        assert len({_grid_of(prob.family, prob.N, point) for point in first}) == 2
+
+
+def test_stencil_batches_run_in_the_calling_thread(monkeypatch):
+    # a stencil that spans two grids, and one of 11 points at M = 1024,
+    # more than _BLOCK_SAMPLES: both are split into blocks, which
+    # FCF_THREADS = 3 would otherwise hand to worker threads
+    monkeypatch.setattr(optimizer, "MAX_ITER", 3)
+    six = OptimizationProblem(phi_target=0.5, r_threshold=0.2, N=6, amp_bound=1.0)
+    x0 = np.concatenate((np.full(6, 0.3), np.linspace(-1.0, 1.0, 5)))
+    assert _grid_of("plus", 6, x0.tobytes())[1] == 1024
+    assert six.dim * 3 * 1024 > optimizer._BLOCK_SAMPLES
+    for prob, start in (_grid_edge_start(), (six, x0)):
+        with _threads(monkeypatch, 3, inline=True) as ran:
+            optimizer._run_start((prob, start))
+        assert ran == {threading.get_ident()}
