@@ -130,25 +130,40 @@ def _nnn_fields(j2, phi, sc, ss):
     return 2 * j2 * (np.cos(phi) * sc - np.sin(phi) * ss), 2 * j2 * np.cos(phi) * sc
 
 
+def _h3(kind, delta, nnn, h0p):
+    """h3 of a model kind from the NNN fields of `_nnn_fields`: delta + nnn,
+    less h0' for the Haldane reference."""
+    h3 = delta + nnn
+    return h3 if kind == "driven_hexagonal" else h3 - h0p
+
+
 def _h_from_kb(kind, delta, j1, j2, phi, kb1, kb2):
     """h-vector from the torus coordinates kb_i = k.b_i."""
     h1, h2, sc, ss = _k_fields(j1, kb1, kb2)
     nnn, h0p = _nnn_fields(j2, phi, sc, ss)
-    h3 = delta + nnn
-    if kind == "driven_hexagonal":
-        h0 = np.zeros_like(h3)
-    else:
-        h0 = h0p
-        h3 = h3 - h0
+    h3 = _h3(kind, delta, nnn, h0p)
+    h0 = np.zeros_like(h3) if kind == "driven_hexagonal" else h0p
     return h0, h1, h2, h3
+
+
+def _kb(k, geom: LatticeGeometry):
+    """(k.b1, k.b2) over any leading shape of k (..., 2).
+
+    Every k goes through numpy's many-row matrix-vector product: a single
+    k or a one-row array would take the dot path, which rounds k.b
+    differently, so the rows go in with one extra row, dropped again.  One
+    k then gives the same bytes as its row of any k-array."""
+    k = np.asarray(k, dtype=float)
+    rows = k.reshape(-1, 2)
+    rows = np.concatenate((rows, rows[:1]))
+    shape = k.shape[:-1]
+    return (rows @ geom.b1)[:-1].reshape(shape), (rows @ geom.b2)[:-1].reshape(shape)
 
 
 def h_vector(model: BlochModel, k):
     """(h0, h1, h2, h3) at momentum k (shape (..., 2))."""
-    k = np.asarray(k, dtype=float)
-    kb1 = k @ model.geom.b1
-    kb2 = k @ model.geom.b2
-    return _h_from_kb(model.kind, model.delta, model.j1, model.j2, model.phi, kb1, kb2)
+    return _h_from_kb(model.kind, model.delta, model.j1, model.j2, model.phi,
+                      *_kb(k, model.geom))
 
 
 def band_energies(model: BlochModel, k):
@@ -307,17 +322,19 @@ def _chern_integer(gap, threshold, phases, what="gap") -> int:
     Raises ChernIndeterminateError when `gap` is below `threshold`, a
     phase lies beyond PLAQUETTE_PHASE_LIMIT, or the phase sum is more than
     1e-6 from an integer.  `phases()` is called only when the gap is open.
+    Each test refuses a NaN too, so the phase sum that reaches `round` is
+    finite.
     """
-    if gap < threshold:
+    if not gap >= threshold:
         raise ChernIndeterminateError(
             f"{what} {gap:.3e} below closure threshold {threshold:.3e}")
     F = phases()
     peak = np.abs(F).max()
-    if peak > PLAQUETTE_PHASE_LIMIT:
+    if not peak <= PLAQUETTE_PHASE_LIMIT:
         raise ChernIndeterminateError(f"plaquette phase {peak:.3f} rad too close to +-pi")
     c = F.sum() / (2 * np.pi)
     ci = round(c)
-    if abs(c - ci) > 1e-6:
+    if not abs(c - ci) <= 1e-6:
         raise ChernIndeterminateError(f"phase sum {c!r} is not integral")
     return int(ci)
 
@@ -364,11 +381,12 @@ class ChernDiagram:
     N2: int
 
     def rows(self):
-        """(phi, ratio, chern, min_gap, indeterminate) per cell, row-major in phi."""
-        for i, p in enumerate(self.phi_values):
-            for j, r in enumerate(self.ratio_values):
-                yield (float(p), float(r), int(self.chern[i, j]),
-                       float(self.min_gap[i, j]), int(self.indeterminate[i, j]))
+        """(phi, ratio, chern, min_gap, indeterminate) per cell, row-major in
+        phi, as Python floats and ints."""
+        n1, n2 = self.chern.shape
+        return zip(np.repeat(self.phi_values, n2).tolist(),
+                   np.tile(self.ratio_values, n1).tolist(), self.chern.ravel().tolist(),
+                   self.min_gap.ravel().tolist(), self.indeterminate.ravel().astype(int).tolist())
 
 
 def default_phi_grid(n: int = 97) -> np.ndarray:
@@ -404,12 +422,9 @@ def phase_diagram(phi_values=None, ratio_values=None, N1: int = 48, N2: int = 48
         gaps = np.zeros(shape)
         indet = np.zeros(shape, dtype=bool)
         for i, phi in enumerate(phi_values):
-            # the h3 of `_h_from_kb` with delta = ratio * j2, term by term
             nnn, h0p = _nnn_fields(j2, phi, sc, ss)
             for j, ratio in enumerate(ratio_values):
-                h3 = ratio * j2 + nnn
-                if kind == "haldane_reference":
-                    h3 = h3 - h0p
+                h3 = _h3(kind, ratio * j2, nnn, h0p)
                 gap = kernel.gap(h3)
                 gaps[i, j] = gap / j1
                 try:

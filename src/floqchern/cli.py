@@ -12,6 +12,16 @@ they take --threads; FCF_THREADS overrides it.  phase-map runs its
 kernel blocks on worker threads, FCF_THREADS of them, by default one per
 usable core.  A FCF_THREADS or --threads above optimizer.MAX_WORKERS is
 a configuration error.
+
+Commands run with numpy's overflow, division-by-zero and invalid-operation
+errors raised (underflow stays silent), in phase-map's worker threads and
+the optimizer's worker processes too.  Such an error, like any other
+ArithmeticError (a Python float that overflows), is a numerical failure,
+exit 3, so no command prints a numpy warning or a traceback.  Every JSON
+document (rates.json, the stdout documents of rates and validate, the
+error object) is strict JSON: a NaN or infinity in one is a numerical
+failure too, and the ladder fields that a zero deviation leaves
+undefined are written as null.
 """
 
 from __future__ import annotations
@@ -68,6 +78,19 @@ def _fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return format(float(x), ".17g")
+
+
+def _json(doc, indent=None) -> str:
+    """Strict JSON text of doc; a NaN or infinity in it raises
+    FloatingPointError, a numerical failure."""
+    try:
+        return json.dumps(doc, indent=indent, allow_nan=False)
+    except ValueError:
+        raise FloatingPointError("a NaN or infinity reached a JSON document") from None
+
+
+def _nan_to_none(x):
+    return None if math.isnan(x) else x
 
 
 def _write(path, text):
@@ -161,7 +184,7 @@ def cmd_rates(args) -> int:
     rates = derive_rates(fourier_components(spec, default_geometry(), args.j0))
     doc = rates.to_json_dict()
     doc["delta_eff"] = args.delta + rates.delta_shift
-    text = json.dumps(doc, indent=2)
+    text = _json(doc, indent=2)
     print(text)
     out = _outdir(args)
     _write(os.path.join(out, "rates.json"), text + "\n")
@@ -280,9 +303,9 @@ def cmd_validate(args) -> int:
     if args.ladder:
         summary["ladder_omegas"] = list(lad.omegas)
         summary["ladder_deviations"] = list(lad.deviations)
-        summary["scaling_exponent"] = lad.exponent
-        summary["shrink_factors"] = list(lad.shrink_factors)
-    print(json.dumps(summary, indent=2))
+        summary["scaling_exponent"] = _nan_to_none(lad.exponent)
+        summary["shrink_factors"] = [_nan_to_none(f) for f in lad.shrink_factors.tolist()]
+    print(_json(summary, indent=2))
     out = _outdir(args)
     path = os.path.join(out, "validate.csv")
     _write_csv(path, ["kx", "ky", "eps_exact_lo", "eps_exact_hi",
@@ -362,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit_error(code: int, kind: str, message: str):
-    sys.stderr.write(json.dumps({"error": {"code": code, "type": kind, "message": message}}) + "\n")
+    sys.stderr.write(_json({"error": {"code": code, "type": kind, "message": message}}) + "\n")
 
 
 def _check_args(args):
@@ -382,14 +405,15 @@ def _check_args(args):
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        _check_args(args)
-        return args.func(args)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            args = build_parser().parse_args(argv)
+            _check_args(args)
+            return args.func(args)
     except (ConfigError, OSError) as e:
         _emit_error(2, "config", str(e))
         return 2
     except (SpectrumTruncationError, bloch.ChernIndeterminateError,
-            validate.StepCountError, AssertionError) as e:
+            validate.StepCountError, AssertionError, ArithmeticError) as e:
         _emit_error(3, "numerical", str(e))
         return 3
     except ValueError as e:

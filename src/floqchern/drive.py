@@ -472,11 +472,13 @@ def _peierls_components(ms, Z, j0: float, n_max: int, M: int):
 
 def _truncation_error(tail: float, n_max: int, j0: float):
     """The SpectrumTruncationError of a drive whose weight outside
-    |n| <= n_max is `tail`, or None when it stays within 1e-8 * j0^2."""
-    if tail > 1e-8 * j0 ** 2:
+    |n| <= n_max is `tail`, or None when it stays within 1e-8 * j0^2.  A
+    NaN tail is refused, and j0^2 overflows to inf, not OverflowError."""
+    limit = 1e-8 * (j0 * j0)
+    if not tail <= limit:
         return SpectrumTruncationError(
             f"spectral weight {tail:.3e} outside |n| <= {n_max} "
-            f"(exceeds 1e-8 * j0^2 = {1e-8 * j0**2:.3e})")
+            f"(exceeds 1e-8 * j0^2 = {limit:.3e})")
     return None
 
 

@@ -48,6 +48,7 @@ that SLSQP's line search calls, whatever the thread count.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
 import os
@@ -120,6 +121,10 @@ class OptimizationProblem:
             raise ValueError("r_threshold must lie in [0, 1]")
         if self.N < 1:
             raise ValueError("N must be >= 1")
+        if not 0 < self.amp_bound < math.inf:
+            # a zero box fixes every amplitude, which SLSQP's difference
+            # stencil leaves out; a negative one has no points at all
+            raise ValueError(f"amp_bound must be positive and finite, got {self.amp_bound}")
         if self.n_starts < 1:
             raise ValueError(f"n_starts must be >= 1, got {self.n_starts}")
         if self.family not in ("plus", "minus"):
@@ -172,7 +177,7 @@ def _candidate_block(family, ms, Z, n_max: int, M: int):
     g, tail = _peierls_components(ms, Z, 1.0, n_max, M)
     r = _rate_arrays(g, n_max, 1.0, 1.0)
     values = (r.j1, r.phi, r.phi_defined, r.j2)
-    failed = (tail > 1e-8) | ~(r.isotropic_nn & r.isotropic_nnn)
+    failed = ~((tail <= 1e-8) & r.isotropic_nn & r.isotropic_nnn)
     if not failed.any():
         return values, None, None
     i = np.unravel_index(np.argmax(failed), failed.shape)
@@ -209,8 +214,11 @@ def _candidate_blocks(family, ms, Z, blocks, workers):
     if workers <= 1:
         return [_candidate_block(family, ms, Z[rows], n_max, M) for rows, n_max, M in blocks]
     from concurrent.futures import ThreadPoolExecutor
+    # each block runs in a copy of the caller's context, so that it keeps
+    # the caller's numpy error state (np.errstate is a context variable)
     with ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(_candidate_block, family, ms, Z[rows], n_max, M)
+        futures = [pool.submit(contextvars.copy_context().run,
+                               _candidate_block, family, ms, Z[rows], n_max, M)
                    for rows, n_max, M in blocks]
         return [f.result() for f in futures]
 

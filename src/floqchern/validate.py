@@ -10,7 +10,8 @@ with g_k(t) the Peierls-modulated NN rates.  The momentum pairing and
 Fourier sign are fixed by requiring the undriven limit to reproduce the
 effective model's NN h-vector exactly (h1 + i h2 in the lower-left
 entry); the same convention then makes the first-order NNN and on-site
-terms land on the bonds used by the effective module.
+terms land on the bonds used by the effective module.  Both sides take
+k.b from `bloch._kb`, the one k.b product, and G from `_bond_sum`.
 
 One-period propagators are ordered products of midpoint exponentials
 (second-order Magnus), evaluated with the closed-form 2x2 matrix
@@ -28,6 +29,7 @@ The omega ladder's first rung (factor 1) is the base comparison, so
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,14 +66,24 @@ def _bond_rates_at(spec, geom, j0, t):
     return j0 * np.exp(1j * _peierls_phases(spec, geom, t))
 
 
+def _bond_phases(k, geom):
+    """(e^{+i k.b1}, e^{-i k.b2}) over the leading shape of k (..., 2)."""
+    kb1, kb2 = _bloch._kb(k, geom)
+    return np.exp(1j * kb1), np.exp(-1j * kb2)
+
+
+def _bond_sum(g, ph1, ph2):
+    """G = g_3 + g_2 e^{+i k.b1} + g_1 e^{-i k.b2} from the bond rates
+    g (3, ...) and the `_bond_phases` (ph1, ph2), broadcast together."""
+    return g[2] + g[1] * ph1 + g[0] * ph2
+
+
 def bloch_hamiltonian_t(spec: DriveSpec, geom: LatticeGeometry, j0: float,
                         delta: float, k, t) -> np.ndarray:
     """Instantaneous Bloch Hamiltonian H(k, t); shape (..., 2, 2) over t."""
-    k = np.asarray(k, dtype=float)
     t = np.asarray(t, dtype=float)
     g = _bond_rates_at(spec, geom, j0, np.atleast_1d(t))
-    G = (g[2] + g[1] * np.exp(1j * (k @ geom.b1))
-         + g[0] * np.exp(-1j * (k @ geom.b2)))
+    G = _bond_sum(g, *_bond_phases(k, geom))
     H = np.empty(G.shape + (2, 2), dtype=complex)
     H[..., 0, 0] = delta
     H[..., 0, 1] = np.conj(G)
@@ -94,12 +106,7 @@ def _propagators(spec, geom, j0, delta, ks, steps):
     dt = T / steps
     tmid = (np.arange(steps) + 0.5) * dt
     g = _bond_rates_at(spec, geom, j0, tmid)
-    # k.b on numpy's many-row matrix-vector path for every k: a one-row
-    # product takes the dot path, which rounds k.b2 differently, so the
-    # k-array goes in with one extra row, which is dropped again
-    rows = np.concatenate((ks, ks[:1]))
-    ph1 = np.exp(1j * (rows @ geom.b1)[:-1])
-    ph2 = np.exp(-1j * (rows @ geom.b2)[:-1])
+    ph1, ph2 = _bond_phases(ks, geom)
     u11 = np.ones(len(ks), dtype=complex)
     u12 = np.zeros(len(ks), dtype=complex)
     u21 = np.zeros(len(ks), dtype=complex)
@@ -107,7 +114,7 @@ def _propagators(spec, geom, j0, delta, ks, steps):
     block = max(1, STEP_BLOCK_SAMPLES // len(ks))
     for n0 in range(0, steps, block):
         sl = slice(n0, n0 + block)
-        G = g[2][sl, None] + g[1][sl, None] * ph1[None, :] + g[0][sl, None] * ph2[None, :]
+        G = _bond_sum(g[:, sl, None], ph1, ph2)
         h1 = G.real
         h2 = G.imag
         E = np.sqrt(h1 ** 2 + h2 ** 2 + delta ** 2)
@@ -139,7 +146,7 @@ def period_propagator(spec: DriveSpec, geom: LatticeGeometry, j0: float,
     if settings.richardson_check:
         U2 = _propagators(spec, geom, j0, delta, k, 2 * settings.steps_per_period)
         err = np.abs(U - U2).max()
-        if err >= RICHARDSON_TOL:
+        if not err < RICHARDSON_TOL:
             raise StepCountError(
                 f"doubling steps moved propagator entries by {err:.2e} "
                 f">= {RICHARDSON_TOL}; increase steps_per_period")
@@ -190,11 +197,10 @@ class QuasienergyReport:
     omega: float
 
     def rows(self):
-        for i in range(len(self.ks)):
-            yield (float(self.ks[i, 0]), float(self.ks[i, 1]),
-                   float(self.eps_exact[i, 0]), float(self.eps_exact[i, 1]),
-                   float(self.eps_eff[i, 0]), float(self.eps_eff[i, 1]),
-                   float(self.deviation[i]), int(self.pairing_flag[i]))
+        """(kx, ky, eps_exact lo and hi, eps_eff lo and hi, deviation,
+        pairing_flag) per k-point, as Python floats and ints."""
+        return zip(*self.ks.T.tolist(), *self.eps_exact.T.tolist(), *self.eps_eff.T.tolist(),
+                   self.deviation.tolist(), self.pairing_flag.astype(int).tolist())
 
 
 def _effective_h(rates, delta_bare, geom, ks):
@@ -252,8 +258,10 @@ def compare_effective(spec: DriveSpec, geom: LatticeGeometry, j0: float,
 class LadderResult:
     omegas: np.ndarray
     deviations: np.ndarray
-    exponent: float          # slope of log(dev) vs log(omega); -2 expected
-    shrink_factors: np.ndarray  # dev(w) / dev(2w) per doubling
+    exponent: float          # slope of log(dev) vs log(omega); -2 expected;
+                             # NaN when a deviation is 0
+    shrink_factors: np.ndarray  # dev(w) / dev(2w) per doubling; NaN where
+                                # dev(2w) is 0
     report: QuasienergyReport   # the first rung's report
 
 
@@ -265,16 +273,21 @@ def omega_ladder(spec: DriveSpec, geom: LatticeGeometry, j0: float, delta: float
     Amplitudes are stored as multiples of omega, so raising omega with the
     same harmonics realizes exactly the fixed-ratio ladder.  With the
     default first factor 1.0, the first rung is `compare_effective` at the
-    base omega, bit for bit.
+    base omega, bit for bit.  A deviation of exactly 0 (an effective model
+    that is exact on the grid) leaves the exponent and the shrink factors
+    that need its logarithm or divide by it undefined: NaN, with no warning.
     """
     reports = [compare_effective(DriveSpec(family=spec.family, omega=spec.omega * f,
                                            harmonics=spec.harmonics),
                                  geom, j0, delta, kgrid, settings) for f in factors]
     omegas = np.array([rep.omega for rep in reports])
     devs = np.array([rep.max_abs_deviation for rep in reports])
-    slope = float(np.polyfit(np.log(omegas), np.log(devs), 1)[0])
+    positive = devs > 0
+    slope = float(np.polyfit(np.log(omegas), np.log(devs), 1)[0]) if positive.all() else math.nan
+    shrink = np.divide(devs[:-1], devs[1:], out=np.full(len(devs) - 1, math.nan),
+                       where=positive[1:])
     return LadderResult(omegas=omegas, deviations=devs, exponent=slope,
-                        shrink_factors=devs[:-1] / devs[1:], report=reports[0])
+                        shrink_factors=shrink, report=reports[0])
 
 
 def floquet_chern(spec: DriveSpec, geom: LatticeGeometry, j0: float, delta: float,

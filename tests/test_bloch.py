@@ -14,7 +14,7 @@ from floqchern import (
     min_gap,
     phase_diagram,
 )
-from floqchern.bloch import _lowest_band_vectors, _plaquette_phases
+from floqchern.bloch import _kb, _lowest_band_vectors, _plaquette_phases
 
 GEOM = default_geometry()
 K_POINT = (GEOM.G1 + GEOM.G2) / 3  # k.b1 = k.b2 = 2*pi/3
@@ -34,6 +34,27 @@ def test_h_at_gamma():
     assert h1 == pytest.approx(3.0)
     assert h2 == pytest.approx(0.0)
     assert h3 == pytest.approx(0.3 + 6 * 0.15 * np.cos(0.8))
+
+
+@pytest.mark.parametrize("kind", ["driven_hexagonal", "haldane_reference"])
+def test_h_vector_one_k_matches_its_row(kind):
+    # one k rounds k.b as its row of a k-array does: the same bytes
+    m = model(kind=kind, delta=0.3, j2=0.15, phi=0.8)
+    ks = np.random.default_rng(11).uniform(-4, 4, size=(200, 2))
+    rows = np.stack(h_vector(m, ks), axis=-1)
+    single = np.stack([np.stack(h_vector(m, k)) for k in ks])
+    assert single.tobytes() == rows.tobytes()
+
+
+def test_kb_is_the_many_row_product():
+    # two or more rows: the plain product, bit for bit, for any leading shape
+    k = np.random.default_rng(12).uniform(-4, 4, size=(6, 5, 2))
+    kb1, kb2 = _kb(k, GEOM)
+    assert kb1.shape == kb2.shape == (6, 5)
+    flat = k.reshape(-1, 2)
+    assert kb1.tobytes() == (flat @ GEOM.b1).tobytes()
+    assert kb2.tobytes() == (flat @ GEOM.b2).tobytes()
+    assert [float(x) for x in _kb(k[2, 3], GEOM)] == [kb1[2, 3], kb2[2, 3]]
 
 
 def test_h_at_dirac_point():
@@ -193,6 +214,15 @@ def test_chern_refuses_at_closure():
     m = model(delta=3 * np.sqrt(3) * j2, j2=j2, phi=np.pi / 2)
     with pytest.raises(ChernIndeterminateError):
         chern_number(m, 48, 48)  # grid divisible by 3 hits the Dirac point
+
+
+def test_chern_integer_refuses_nan():
+    from floqchern.bloch import _chern_integer
+    # a NaN gap or phase is refused, and no NaN phase sum reaches round()
+    with pytest.raises(ChernIndeterminateError, match="closure"):
+        _chern_integer(np.nan, 1e-6, lambda: np.zeros((12, 12)))
+    with pytest.raises(ChernIndeterminateError, match="plaquette"):
+        _chern_integer(1.0, 1e-6, lambda: np.full((12, 12), np.nan))
 
 
 def test_chern_grid_validation():

@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import floqchern
 from floqchern import cli, optimizer, validate
@@ -106,6 +112,65 @@ def test_count_caps_refuse_before_allocation(argv, flag, tmp_path, capsys):
     assert error["type"] == "config" and flag in error["message"]
     assert not os.listdir(tmp_path)
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("command", [
+    ["optimize", "--phi-target", "1"],
+    ["sweep", "--phi-list", "1"],
+])
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_amp_bound_box_refused_before_workers(command, bound, tmp_path, capsys, monkeypatch):
+    # a zero box fixes the amplitudes, which SLSQP's difference stencil
+    # leaves out; a negative one is empty: both are refused up front
+    def no_workers(*args, **kwargs):
+        raise AssertionError("a worker was started")
+    import concurrent.futures
+    import multiprocessing
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_workers)
+    monkeypatch.setattr(multiprocessing, "get_context", no_workers)
+    code, _, err = run(command + ["--r-th", "0.25", "--starts", "2", "--amp-bound", bound,
+                                  "--out", str(tmp_path)], capsys)
+    assert code == 2
+    error = json.loads(err)["error"]
+    assert error["type"] == "config" and "amp_bound" in error["message"]
+    assert not os.listdir(tmp_path)
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--drive", PLUS_N1, "--j0-over-omega", "1e300", "--kgrid", "2", "--steps", "256"],
+    ["validate", "--drive", '{"family":"plus","omega":1e300,"A":[1],"delta":[0]}',
+     "--kgrid", "2", "--steps", "256"],
+    ["validate", "--drive", PLUS_N1, "--delta", "1e308", "--kgrid", "1", "--steps", "256"],
+    ["chern-diagram", "--phi", "0:1:1", "--ratio=0:1e308:1e307", "--kgrid", "12"],
+    ["rates", "--drive", '{"family":"plus","omega":1e-320,"A":[1],"delta":[0]}'],
+    ["rates", "--drive", '{"family":"plus","omega":1e-300,"A":[1],"delta":[0]}', "--j0", "1e10"],
+])
+def test_overflow_is_numerical_failure(argv, tmp_path, capsys):
+    # numpy's floating-point errors raise under the CLI, and a Python float
+    # that overflows is an ArithmeticError: exit 3, no warning, no NaN output
+    code, out, err = run(argv + ["--out", str(tmp_path)], capsys)
+    assert code == 3
+    assert _strict_json(err)["error"]["type"] == "numerical"
+    assert out == "" and not os.listdir(tmp_path)
+
+
+def test_validate_ladder_writes_undefined_fields_as_null(tmp_path, capsys):
+    # no drive: the effective model is exact, so deviations of 0 leave the
+    # exponent and some shrink factors undefined
+    code, out, err = run(["validate", "--drive", '{"family":"custom","omega":1,"harmonics":[]}',
+                          "--kgrid", "2", "--steps", "256", "--ladder",
+                          "--out", str(tmp_path)], capsys)
+    assert code == 0 and err == ""
+    doc = _strict_json(out)
+    assert doc["scaling_exponent"] is None
+    zero = [d == 0 for d in doc["ladder_deviations"]]
+    assert [f is None for f in doc["shrink_factors"]] == zero[1:] and any(zero)
 
 
 def test_validate_names_empty_kgrid(tmp_path, capsys):
@@ -375,3 +440,107 @@ def test_worker_cap_exit_2(argv, env, flag, tmp_path, capsys, monkeypatch):
     error = json.loads(err)["error"]
     assert error["type"] == "config" and f"{flag} must be at most 64" in error["message"]
     assert not os.listdir(tmp_path)
+
+# ---------------------------------------------------------------------------
+# fuzzed argv: every input ends in exit 0, 2 or 3, with nothing on stderr
+# or exactly one JSON error object, and every JSON document the CLI writes
+# is strict JSON (no NaN or Infinity)
+
+DRIVES = [
+    PLUS_N1,
+    '{"family":"plus","omega":1.0,"A":[1.2,0.7],"delta":[0.0,0.9]}',
+    '{"family":"minus","omega":2,"A":[0.5],"delta":[0]}',
+    '{"family":"plus","omega":1e300,"A":[1],"delta":[0]}',
+    '{"family":"plus","omega":1e-300,"A":[1],"delta":[0]}',
+    '{"family":"plus","omega":1e-320,"A":[1],"delta":[0]}',
+    '{"family":"plus","omega":0,"A":[1],"delta":[0]}',
+    '{"family":"plus","omega":-1,"A":[1],"delta":[0]}',
+    '{"family":"plus","omega":1,"A":[1e308,1e308],"delta":[0,0]}',
+    '{"family":"custom","omega":1,"harmonics":[]}',
+    '{"family":"custom","omega":1,"harmonics":[{"m":1,"ax":[1,0],"ay":[1,1.5]}]}',
+    '{"family":"plus","omega":1,"A":[1]}',
+    '{"family":',
+    '[]',
+]
+NUMBERS = ["0", "1", "-1", "0.25", "0.5", "2", "1e10", "1e300", "-1e300", "1e-300", "1e-320",
+           "1e308", "nan", "inf", "abc"]
+RANGES = ["0:1:1", "1:1:1", "0:0.5:0.25", "-1:1:1", "0:1e308:1e307", "-1e300:1e300:1e300",
+          "0:1:0", "1:0:1", "nan:1:1", "0:1", "0:3.5:1.75"]
+
+
+def _flags(**options):
+    """argv fragments: each flag present with one of its values, or absent."""
+    parts = [st.one_of(st.just([]), st.sampled_from(values).map(lambda v, f=flag: [f"{f}={v}"]))
+             for flag, values in options.items()]
+    return st.tuples(*parts).map(lambda groups: [a for g in groups for a in g])
+
+
+def _command(name, required=(), switches=(), **options):
+    """argv of one command: every `required` flag with one of its values,
+    each switch present or absent, then `_flags(**options)`."""
+    switch = st.tuples(*[st.sampled_from([[], [s]]) for s in switches]).map(
+        lambda groups: [a for g in groups for a in g])
+    return st.tuples(st.tuples(*[st.sampled_from(v).map(lambda x, f=f: f"{f}={x}")
+                                 for f, v in required]),
+                     _flags(**options), switch).map(
+        lambda t: [name, *t[0], *t[1], *t[2]])
+
+
+POOL = {"--N": ["1", "2", "0", "17"], "--amp-bound": ["0", "-1", "0.5", "3", "1e308", "nan"],
+        "--seed": ["0", "42"], "--threads": ["0", "1", "100000"]}
+
+ARGV = st.one_of(
+    _command("rates", required=[("--drive", DRIVES)],
+             **{"--j0": NUMBERS, "--delta": NUMBERS}),
+    _command("phase-map", switches=["--svg"], required=[("--A1", RANGES), ("--A2", RANGES)],
+             **{"--delta2": NUMBERS, "--family": ["plus", "minus", "other"]}),
+    _command("chern-diagram", switches=["--svg"],
+             required=[("--phi", RANGES), ("--ratio", RANGES), ("--kgrid", ["12", "13", "2", "abc"])],
+             **{"--model": ["both", "driven", "haldane", "x"]}),
+    _command("optimize", required=[("--phi-target", ["1", "-1.5707963", "nan"]),
+                                   ("--r-th", ["0", "0.25", "1", "2"]),
+                                   ("--starts", ["1", "2", "0"])],
+             **POOL, **{"--family": ["plus", "minus"]}),
+    _command("sweep", required=[("--phi-list", ["0.5", "0.5,-1", "nan", "x"]),
+                                ("--r-th", ["0.25", "2", "0.25,nan"]),
+                                ("--starts", ["1", "2", "0"])],
+             **POOL),
+    _command("validate", switches=["--ladder", "--richardson"],
+             required=[("--drive", DRIVES), ("--kgrid", ["1", "2", "2", "0"]),
+                       ("--steps", ["256"])],
+             **{"--j0-over-omega": ["0.02", "0.5", "1e-300", "1e300", "0", "nan"],
+                "--delta": NUMBERS}),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(argv=ARGV)
+@example(argv=["optimize", "--phi-target=1", "--r-th=0.25", "--starts=2", "--amp-bound=0"])
+@example(argv=["optimize", "--phi-target=1", "--r-th=0.25", "--starts=2", "--amp-bound=-1"])
+@example(argv=["sweep", "--phi-list=1", "--r-th=0.25", "--starts=2", "--amp-bound=0"])
+@example(argv=["validate", f"--drive={PLUS_N1}", "--j0-over-omega=1e300", "--kgrid=2",
+               "--steps=256"])
+@example(argv=["validate", "--drive=" + DRIVES[3], "--kgrid=2", "--steps=256"])
+@example(argv=["chern-diagram", "--phi=0:1:1", "--ratio=0:1e308:1e307", "--kgrid=12"])
+@example(argv=["rates", "--drive=" + DRIVES[5]])
+@example(argv=["rates", "--drive=" + DRIVES[4], "--j0=1e10"])
+@example(argv=["validate", "--drive=" + DRIVES[9], "--kgrid=2", "--steps=256", "--ladder"])
+def test_cli_boundary(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ, {"FCF_THREADS": "1"}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--out", tmp])
+        written = [read(os.path.join(tmp, name)).decode() for name in os.listdir(tmp)
+                   if name.endswith(".json")]
+    assert code in (0, 2, 3), argv
+    if code == 0:
+        assert err.getvalue() == "", argv
+        if argv[0] in ("rates", "validate"):
+            _strict_json(out.getvalue())
+        for text in written:
+            _strict_json(text)
+    else:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, (argv, err.getvalue())
+        assert _strict_json(lines[0])["error"]["code"] == code

@@ -246,6 +246,14 @@ def test_truncation_flag():
         fourier_components(spec, GEOM, 1.0, n_max=1)
 
 
+def test_truncation_error_refuses_nan_and_survives_huge_j0():
+    from floqchern.drive import _truncation_error
+    assert isinstance(_truncation_error(np.nan, 5, 1.0), SpectrumTruncationError)
+    assert _truncation_error(0.0, 5, 1.0) is None
+    # j0^2 overflows to inf rather than raising OverflowError
+    assert _truncation_error(1.0, 5, 1e300) is None
+
+
 def test_spectrum_input_validation():
     spec = build_family_drive("plus", 1.0, [1.0], [0.0])
     with pytest.raises(ValueError):

@@ -85,6 +85,10 @@ def test_problem_validation():
         OptimizationProblem(phi_target=0.0, r_threshold=0.5, family="custom")
     with pytest.raises(ValueError, match="n_starts"):
         OptimizationProblem(phi_target=0.0, r_threshold=0.5, n_starts=0)
+    # a zero box fixes every amplitude, a negative one is empty
+    for bound in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="amp_bound"):
+            OptimizationProblem(phi_target=0.0, r_threshold=0.5, amp_bound=bound)
 
 
 def test_sobol_starts_deterministic_and_in_box():
@@ -421,6 +425,16 @@ def _threads(monkeypatch, threads, inline=None):
     assert threading.active_count() == alive
     # one thread runs the blocks inline; more run them off the calling thread
     assert (threading.get_ident() in ran) == (threads == 1 if inline is None else inline)
+
+
+def test_worker_threads_keep_the_callers_error_state(monkeypatch):
+    # np.errstate is a context variable, which threads do not inherit; the
+    # blocks run in a copy of the caller's context
+    monkeypatch.setattr(optimizer, "_candidate_block", lambda *args: np.geterr()["over"])
+    with np.errstate(over="raise"):
+        states = optimizer._candidate_blocks("plus", None, np.zeros((4, 3, 2)),
+                                             [([i], 1, 4) for i in range(4)], 2)
+    assert states == ["raise"] * 4
 
 
 def _bits(arrays):

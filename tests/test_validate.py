@@ -21,7 +21,7 @@ from floqchern import (
     period_propagator,
     torus_grid,
 )
-from floqchern.validate import _propagators
+from floqchern.validate import _effective_h, _propagators
 
 GEOM = default_geometry()
 K_POINT = (GEOM.G1 + GEOM.G2) / 3
@@ -47,6 +47,18 @@ def test_hamiltonian_hermitian_bitwise():
     for _ in range(5):
         H = bloch_hamiltonian_t(spec, GEOM, 1.0, 0.3, rng.normal(size=2), rng.uniform(0, 6))
         assert np.array_equal(H, H.conj().T)
+
+
+def test_hamiltonian_one_k_matches_its_row():
+    # H(k_i, t_i) from one k and from row i of a k-array: the same bytes
+    # (the times go in whole both ways, so that only k.b could differ)
+    spec = build_family_drive("plus", 1.0, [1.5, 0.5], [0.0, 0.7])
+    rng = np.random.default_rng(13)
+    ks, ts = rng.uniform(-4, 4, size=(200, 2)), rng.uniform(0, 6, size=200)
+    rows = bloch_hamiltonian_t(spec, GEOM, 1.0, 0.3, ks, ts)
+    single = np.stack([bloch_hamiltonian_t(spec, GEOM, 1.0, 0.3, k, ts)[i]
+                       for i, k in enumerate(ks)])
+    assert single.tobytes() == rows.tobytes()
 
 
 def test_hamiltonian_undriven_limits():
@@ -154,6 +166,25 @@ def test_period_propagator_batch_matches_single_k():
                           PropagatorSettings(steps_per_period=256, richardson_check=True))
 
 
+def test_richardson_check_refuses_nan(monkeypatch):
+    U = np.full((1, 2, 2), np.nan + 0j)
+    monkeypatch.setattr("floqchern.validate._propagators", lambda *args: U)
+    with pytest.raises(StepCountError):
+        period_propagator(ZERO, GEOM, 1.0, 0.0, np.zeros((1, 2)),
+                          PropagatorSettings(steps_per_period=256, richardson_check=True))
+
+
+def test_ladder_of_an_exact_model_is_undefined():
+    # no drive: the effective model is exact, and its deviations are
+    # rounding or exactly 0; no log or division of a 0 runs (warnings
+    # are errors here)
+    lad = omega_ladder(ZERO, GEOM, 0.05, 0.0, 2, PropagatorSettings(steps_per_period=256))
+    zero = lad.deviations == 0
+    assert zero.any()
+    assert np.isnan(lad.exponent)
+    assert np.array_equal(np.isnan(lad.shrink_factors), zero[1:])
+
+
 def test_step_blocks_match_one_block(monkeypatch):
     # 7 k-points in one block of all 256 steps, then in blocks of 142 steps
     # (1,000 samples), whose last block is short
@@ -193,6 +224,15 @@ def test_zero_force_effective_is_exact():
     rep = compare_effective(ZERO, GEOM, 0.05, 0.01, 6, settings)
     assert rep.max_abs_deviation < 1e-10
     assert rep.unitarity_defect < 1e-10
+
+
+def test_effective_h_one_k_matches_its_row():
+    rates = derive_rates(fourier_components(
+        build_family_drive("plus", 1.0, [1.5, 0.5], [0.0, 0.7]), GEOM, 0.05))
+    ks = np.random.default_rng(14).uniform(-4, 4, size=(200, 2))
+    rows = _effective_h(rates, 0.01, GEOM, ks)
+    single = np.concatenate([_effective_h(rates, 0.01, GEOM, ks[i:i + 1]) for i in range(200)])
+    assert single.tobytes() == rows.tobytes()
 
 
 def test_compare_rejects_empty_kgrid():
