@@ -15,6 +15,19 @@ i.e. amp * omega along the unit drive axes.
 
 All functions here are pure and all containers immutable after
 construction; values can be shared freely across parallel workers.
+
+This module is the one home of the drive-layer rules that `optimizer`
+and `validate` build on:
+- the angle fold to (-P/2, P/2], `_fold` (`wrap_angle` is P = 2 pi,
+  `validate.fold_quasienergy` is P = omega)
+- the family layout: harmonic integers 1, 2, 4, 5, ..., equal axis
+  amplitudes, delta_1 = 0 and axis lags +-(-1)^n pi/2
+  (`_family_harmonics`, used by `build_family_drive`, the family check
+  and `_family_bond_amplitudes`)
+- the rate phasor j0 e^{i chi} as cos chi + i sin chi, `_phasor`
+- the grid rule `_grid_size` and the key it reads a drive by, `_grid_key`
+- the truncation limit: the weight outside the retained orders stays
+  within 1e-8 j0^2, `_tail_fits`
 """
 
 from __future__ import annotations
@@ -104,9 +117,15 @@ def default_geometry() -> LatticeGeometry:
     return _DEFAULT_GEOM
 
 
+def _fold(x, period):
+    """Fold to (-period/2, period/2]: the one angle-fold rule."""
+    half = period / 2
+    return half - np.mod(half - np.asarray(x), period)
+
+
 def wrap_angle(x):
     """Wrap to (-pi, pi]."""
-    return np.pi - np.mod(np.pi - np.asarray(x), 2 * np.pi)
+    return _fold(x, 2 * np.pi)
 
 
 def family_harmonic_integer(n: int) -> int:
@@ -164,7 +183,7 @@ class DriveSpec:
             self._check_family_structure()
 
     def _check_family_structure(self):
-        offsets = _family_axis_offsets(self.family, len(self.harmonics))
+        offsets = _family_harmonics(self.family, len(self.harmonics))[1].tolist()
         for idx, (h, off) in enumerate(zip(self.harmonics, offsets), start=1):
             if h.m != family_harmonic_integer(idx):
                 raise ValueError(
@@ -198,7 +217,7 @@ def build_family_drive(sign: str, omega: float, amps, phases) -> DriveSpec:
         raise ValueError("at least one harmonic is required")
     if abs(phases[0]) > 1e-12:
         raise ValueError(f"first phase must be 0, got {phases[0]}")
-    offsets = _family_axis_offsets(sign, len(amps))
+    offsets = _family_harmonics(sign, len(amps))[1].tolist()
     harms = []
     for idx, (A, d, off) in enumerate(zip(amps, phases, offsets), start=1):
         harms.append(Harmonic(m=family_harmonic_integer(idx),
@@ -206,11 +225,17 @@ def build_family_drive(sign: str, omega: float, amps, phases) -> DriveSpec:
     return DriveSpec(family=sign, omega=float(omega), harmonics=tuple(harms))
 
 
-def _family_axis_offsets(sign: str, N: int) -> list:
-    """Per-harmonic lag phase_y - phase_x = +-(-1)^n pi/2 of the first N
-    harmonics of the plus/minus family."""
-    sgn = 1.0 if sign == "plus" else -1.0
-    return [sgn * (-1) ** idx * np.pi / 2 for idx in range(1, N + 1)]
+@functools.lru_cache(maxsize=16)
+def _family_harmonics(family: str, N: int):
+    """Harmonic integers m_n and axis lags phase_y - phase_x =
+    +-(-1)^n pi/2 of the first N harmonics of the plus/minus family, as
+    read-only arrays (N,)."""
+    sgn = 1.0 if family == "plus" else -1.0
+    ms = np.array([family_harmonic_integer(n) for n in range(1, N + 1)], dtype=float)
+    offsets = np.array([sgn * (-1) ** n * np.pi / 2 for n in range(1, N + 1)])
+    ms.setflags(write=False)
+    offsets.setflags(write=False)
+    return ms, offsets
 
 
 def build_custom_drive(omega: float, harmonics) -> DriveSpec:
@@ -269,6 +294,21 @@ def _bond_amplitudes(spec: DriveSpec, geom: LatticeGeometry):
     amp_y = np.array([h.amp_y for h in hs], dtype=float)
     phase_y = np.array([h.phase_y for h in hs], dtype=float)
     return ms, _axis_bond_amplitudes(_bond_projections(geom), amp_x, phase_x, amp_y, phase_y)
+
+
+#: drive-axis projections on the bonds of the a = 1 geometry
+_DEFAULT_PROJ = _bond_projections(default_geometry())
+
+
+def _family_bond_amplitudes(family: str, N: int, P):
+    """Harmonic integers (N,) and bond amplitudes Z (..., 3, N) on the
+    a = 1 geometry of the family drives with parameter vectors
+    P (..., 2N - 1) = (A_1 .. A_N, delta_2 .. delta_N): delta_1 = 0 and
+    the deltas wrapped."""
+    ms, offsets = _family_harmonics(family, N)
+    amps = P[..., :N]
+    deltas = np.concatenate((np.zeros(P.shape[:-1] + (1,)), wrap_angle(P[..., N:])), axis=-1)
+    return ms, _axis_bond_amplitudes(_DEFAULT_PROJ, amps, deltas, amps, deltas + offsets)
 
 
 def _peierls_phases(spec: DriveSpec, geom: LatticeGeometry, t) -> np.ndarray:
@@ -404,6 +444,16 @@ def fourier_components(spec: DriveSpec, geom: LatticeGeometry, j0: float,
     return TunnelingSpectrum(j0=float(j0), omega=spec.omega, n_max=int(n_max), g=g)
 
 
+def _grid_key(zmax, bandwidth):
+    """ceil(zmax) + i ceil(bandwidth), elementwise: `_grid_size` reads a
+    drive's modulation index and bandwidth through these two integers
+    only, so drives with equal keys share a grid.  As complex numbers the
+    keys sort by ceil(zmax), then by ceil(bandwidth)."""
+    keys = np.ceil(zmax).astype(complex)
+    keys.imag = np.ceil(bandwidth)
+    return keys
+
+
 def _grid_size(mmax: int, zmax: float, bandwidth: float, n_max: int | None = None,
                samples: int | None = None):
     """(n_max, M) of one drive from its `_quadrature_sizes`: the retained
@@ -440,23 +490,31 @@ def _window(n_max: int, M: int) -> np.ndarray:
     return bins
 
 
+def _phasor(chi, j0: float) -> np.ndarray:
+    """j0 e^{i chi} elementwise, as a new complex array of chi's shape.
+
+    Built in place as cos chi + i sin chi: the complex exp of i chi
+    computes the same sin and cos, and exp(0) = 1 exactly; chi + 0.0
+    turns -0.0 into the +0.0 that the product i chi carries.  Bit for bit
+    j0 * np.exp(1j * chi).
+    """
+    z = np.empty(chi.shape, dtype=complex)
+    np.add(chi, 0.0, out=z.imag)
+    np.cos(z.imag, out=z.real)
+    np.sin(z.imag, out=z.imag)
+    if j0 != 1.0:
+        np.multiply(j0, z, out=z)
+    return z
+
+
 def _peierls_components(ms, Z, j0: float, n_max: int, M: int):
     """(g, tail) for harmonic integers `ms` and bond amplitudes Z (..., 3, H)
     (see `_bond_amplitudes`) on one grid: g[..., k-1, n_max + n] = g_k^n
     and the largest weight of a bond outside |n| <= n_max, over the leading
     axes of Z.  Each drive's values do not depend on the others'."""
-    # in place where the arithmetic allows, to hold fewer block-sized arrays.
-    # e^{i chi} as cos chi + i sin chi: the complex exp of i chi computes
-    # the same sin and cos, and exp(0) = 1 exactly; chi + 0.0 turns -0.0
-    # into the +0.0 that the product i chi carries.
-    chi = _chi_samples(ms, Z, M)
-    z = np.empty(chi.shape, dtype=complex)
-    np.add(chi, 0.0, out=z.imag)
-    del chi
-    np.cos(z.imag, out=z.real)
-    np.sin(z.imag, out=z.imag)
-    if j0 != 1.0:
-        np.multiply(j0, z, out=z)
+    # in place where the arithmetic allows, to hold fewer block-sized
+    # arrays: the samples of chi are released when `_phasor` returns
+    z = _phasor(_chi_samples(ms, Z, M), j0)
     # the forward norm scales by 1/M inside the transform: M is a power of
     # two, so that is the exact division F / M
     F = np.fft.fft(z, axis=-1, norm="forward")
@@ -470,16 +528,25 @@ def _peierls_components(ms, Z, j0: float, n_max: int, M: int):
     return g, tail
 
 
+#: largest spectral weight a bond may keep outside the retained orders,
+#: in units of j0^2
+_TAIL_TOL = 1e-8
+
+
+def _tail_fits(tail, j0: float):
+    """tail <= _TAIL_TOL * j0^2, elementwise: the truncation limit.  A NaN
+    tail does not fit, and j0^2 overflows to inf, not OverflowError."""
+    return tail <= _TAIL_TOL * (j0 * j0)
+
+
 def _truncation_error(tail: float, n_max: int, j0: float):
     """The SpectrumTruncationError of a drive whose weight outside
-    |n| <= n_max is `tail`, or None when it stays within 1e-8 * j0^2.  A
-    NaN tail is refused, and j0^2 overflows to inf, not OverflowError."""
-    limit = 1e-8 * (j0 * j0)
-    if not tail <= limit:
-        return SpectrumTruncationError(
-            f"spectral weight {tail:.3e} outside |n| <= {n_max} "
-            f"(exceeds 1e-8 * j0^2 = {limit:.3e})")
-    return None
+    |n| <= n_max is `tail`, or None when `_tail_fits`."""
+    if _tail_fits(tail, j0):
+        return None
+    return SpectrumTruncationError(
+        f"spectral weight {tail:.3e} outside |n| <= {n_max} "
+        f"(exceeds 1e-8 * j0^2 = {_TAIL_TOL * (j0 * j0):.3e})")
 
 
 # ---------------------------------------------------------------------------

@@ -43,22 +43,26 @@ search the blocks run on `worker_count()` threads (FCF_THREADS
 overrides the default of every usable core); each block depends on its
 own rows only, and its values are scattered in submission order, so the
 results are bit for bit those of the one-drive kernel `_candidate_rates`
-that SLSQP's line search calls, whatever the thread count.
+that SLSQP's line search calls, whatever the thread count.  Both kernels
+take their drive-layer rules from `drive`: the bond amplitudes of the
+family layout (`_family_bond_amplitudes`), the grid key that groups
+drives (`_grid_key`) and the truncation limit (`_tail_fits`).  A worker
+count, from FCF_THREADS or passed as `workers`, above MAX_WORKERS is
+refused before any thread or process starts.
 """
 
 from __future__ import annotations
 
 import contextvars
-import functools
 import math
 import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .drive import (_axis_bond_amplitudes, _bond_projections, _family_axis_offsets,
-                    _grid_size, _peierls_components, _quadrature_sizes, _truncation_error,
-                    default_geometry, family_harmonic_integer, wrap_angle)
+from .drive import (_family_bond_amplitudes, _grid_key, _grid_size, _peierls_components,
+                    _quadrature_sizes, _tail_fits, _truncation_error, family_harmonic_integer,
+                    wrap_angle)
 from .effective import _rate_arrays
 
 #: sweep targets closer than this (mod 2 pi) share one optimization
@@ -69,9 +73,6 @@ SAME_ANGLE = 1e-12
 PHI_TOL = 1e-3
 FEAS_TOL = 1e-9
 MAX_ITER = 600
-
-#: drive-axis projections on the bonds of the a = 1 geometry
-_PROJ = _bond_projections(default_geometry())
 
 #: complex samples (drives x 3 bonds x grid size) one batched evaluation
 #: holds at a time, so that memory does not grow with the batch
@@ -102,6 +103,17 @@ def worker_count(hint: int = 0) -> int:
     if hint:
         return max(1, hint)
     return len(os.sched_getaffinity(0))
+
+
+def _resolve_workers(workers: int | None) -> int:
+    """The worker count of a library call: `worker_count()` for None, else
+    `workers`, at least 1.  A count above MAX_WORKERS raises ValueError,
+    before any thread or process starts."""
+    if workers is None:
+        return worker_count()
+    if workers > MAX_WORKERS:
+        raise ValueError(f"workers must be at most {MAX_WORKERS}, got {workers}")
+    return max(1, workers)
 
 
 @dataclass(frozen=True)
@@ -149,26 +161,6 @@ class OptimizationResult:
     r_residual: float = 0.0
 
 
-@functools.lru_cache(maxsize=16)
-def _family_harmonics(family, N):
-    """Harmonic integers m_n and axis lags phase_y - phase_x of the first N
-    harmonics of a family, as read-only arrays (N,)."""
-    ms = np.array([family_harmonic_integer(n) for n in range(1, N + 1)], dtype=float)
-    offsets = np.array(_family_axis_offsets(family, N))
-    ms.setflags(write=False)
-    offsets.setflags(write=False)
-    return ms, offsets
-
-
-def _family_bond_amplitudes(family, N, P):
-    """Harmonic integers (N,) and bond amplitudes Z (..., 3, N) of the
-    parameter vectors P (..., 2N - 1), with delta_1 = 0 and deltas wrapped."""
-    ms, offsets = _family_harmonics(family, N)
-    amps = P[..., :N]
-    deltas = np.concatenate((np.zeros(P.shape[:-1] + (1,)), wrap_angle(P[..., N:])), axis=-1)
-    return ms, _axis_bond_amplitudes(_PROJ, amps, deltas, amps, deltas + offsets)
-
-
 def _candidate_block(family, ms, Z, n_max: int, M: int):
     """(values, index, error) for bond amplitudes Z (..., 3, N) on one grid
     (n_max, M): values are (j1/j0, phi, phi_defined, j2) at omega = j0 = 1,
@@ -177,7 +169,7 @@ def _candidate_block(family, ms, Z, n_max: int, M: int):
     g, tail = _peierls_components(ms, Z, 1.0, n_max, M)
     r = _rate_arrays(g, n_max, 1.0, 1.0)
     values = (r.j1, r.phi, r.phi_defined, r.j2)
-    failed = ~((tail <= 1e-8) & r.isotropic_nn & r.isotropic_nnn)
+    failed = ~(_tail_fits(tail, 1.0) & r.isotropic_nn & r.isotropic_nnn)
     if not failed.any():
         return values, None, None
     i = np.unravel_index(np.argmax(failed), failed.shape)
@@ -232,15 +224,12 @@ def _candidate_batch(family, N, P, workers=None):
     rows, it raises the error of the first row that fails."""
     P = np.asarray(P, dtype=float)
     K = len(P)
-    workers = worker_count() if workers is None else workers
+    workers = _resolve_workers(workers)
     j1, phi, defined, j2 = np.empty(K), np.empty(K), np.empty(K, dtype=bool), np.empty(K)
     for start in range(0, K, _BATCH_ROWS):
         ms, Z = _family_bond_amplitudes(family, N, P[start:start + _BATCH_ROWS])
         zmax, bandwidth, mmax = _quadrature_sizes(ms, Z)
-        # the grid depends on a drive through ceil(zmax) and ceil(bandwidth)
-        # only; as one complex key they sort by ceil(zmax), then ceil(bandwidth)
-        keys = np.ceil(zmax).astype(complex)
-        keys.imag = np.ceil(bandwidth)
+        keys = _grid_key(zmax, bandwidth)
         sizes = np.unique(keys)
         grids = [_grid_size(mmax, k.real, k.imag) for k in sizes.tolist()]
         order = list(dict.fromkeys(grids))
@@ -466,8 +455,8 @@ def _best(records, family: str) -> OptimizationResult:
 def _maximize_all(problems, workers: int | None = None) -> list:
     """`maximize` for each problem, with every start of every problem
     mapped over one worker pool."""
+    workers = _resolve_workers(workers)
     tasks = [(problem, x0) for problem in problems for x0 in sobol_starts(problem)]
-    workers = worker_count() if workers is None else max(1, workers)
     if workers > 1 and len(tasks) >= 2 * workers:
         import multiprocessing as mp
         with mp.get_context("fork").Pool(workers) as pool:

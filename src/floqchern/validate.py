@@ -11,7 +11,10 @@ Fourier sign are fixed by requiring the undriven limit to reproduce the
 effective model's NN h-vector exactly (h1 + i h2 in the lower-left
 entry); the same convention then makes the first-order NNN and on-site
 terms land on the bonds used by the effective module.  Both sides take
-k.b from `bloch._kb`, the one k.b product, and G from `_bond_sum`.
+k.b from `bloch._kb`, the one k.b product, and G from `_bond_sum`.  The
+rates g_k(t) = j0 e^{i chi_k(t)} come from `drive._phasor`, the phasor
+of the Fourier components, and quasienergies fold by `drive._fold`, the
+rule of `wrap_angle`.
 
 One-period propagators are ordered products of midpoint exponentials
 (second-order Magnus), evaluated with the closed-form 2x2 matrix
@@ -35,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bloch as _bloch
-from .drive import DriveSpec, LatticeGeometry, _peierls_phases, fourier_components
+from .drive import (DriveSpec, LatticeGeometry, _fold, _peierls_phases, _phasor,
+                    fourier_components)
 from .effective import derive_rates
 
 RICHARDSON_TOL = 1e-8
@@ -61,9 +65,10 @@ class PropagatorSettings:
 
 
 def _bond_rates_at(spec, geom, j0, t):
-    """g_k(t) = j0 exp(i chi_k(t)) for the three bonds; shape (3, len(t))."""
+    """g_k(t) = j0 exp(i chi_k(t)) for the three bonds at the times t (T,);
+    shape (3, T)."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    return j0 * np.exp(1j * _peierls_phases(spec, geom, t))
+    return _phasor(_peierls_phases(spec, geom, t), j0)
 
 
 def _bond_phases(k, geom):
@@ -80,16 +85,22 @@ def _bond_sum(g, ph1, ph2):
 
 def bloch_hamiltonian_t(spec: DriveSpec, geom: LatticeGeometry, j0: float,
                         delta: float, k, t) -> np.ndarray:
-    """Instantaneous Bloch Hamiltonian H(k, t); shape (..., 2, 2) over t."""
+    """Instantaneous Bloch Hamiltonian H(k, t).
+
+    t broadcasts against the leading shape of k (..., 2): H has the shape
+    np.broadcast_shapes(t.shape, k.shape[:-1]) + (2, 2).  A scalar t with
+    an (Nk, 2) k-array gives (Nk, 2, 2); one k with times (T,) gives
+    (T, 2, 2); (Nk,) times with an (Nk, 2) k-array pair up row by row.
+    """
     t = np.asarray(t, dtype=float)
-    g = _bond_rates_at(spec, geom, j0, np.atleast_1d(t))
+    g = _bond_rates_at(spec, geom, j0, t.ravel()).reshape((3,) + t.shape)
     G = _bond_sum(g, *_bond_phases(k, geom))
     H = np.empty(G.shape + (2, 2), dtype=complex)
     H[..., 0, 0] = delta
     H[..., 0, 1] = np.conj(G)
     H[..., 1, 0] = G
     H[..., 1, 1] = -delta
-    return H if t.ndim else H[0]
+    return H
 
 
 def _propagators(spec, geom, j0, delta, ks, steps):
@@ -155,7 +166,7 @@ def period_propagator(spec: DriveSpec, geom: LatticeGeometry, j0: float,
 
 def fold_quasienergy(eps, omega: float):
     """Fold to (-omega/2, omega/2]."""
-    return omega / 2 - np.mod(omega / 2 - np.asarray(eps), omega)
+    return _fold(eps, omega)
 
 
 def _floquet_branches(U, spec: DriveSpec):
@@ -221,17 +232,17 @@ def compare_effective(spec: DriveSpec, geom: LatticeGeometry, j0: float,
     kgrid: integer N (an N x N torus grid) or an explicit (Nk, 2) array.
     """
     rates = derive_rates(fourier_components(spec, geom, j0))
-    if not (rates.isotropic_nn and rates.isotropic_nnn):
-        raise ValueError("effective comparison requires an isotropic drive")
     ks = torus_grid(geom, kgrid, kgrid) if np.isscalar(kgrid) else np.asarray(kgrid, dtype=float)
     if ks.ndim != 2 or ks.shape[1] != 2 or not len(ks):
         raise ValueError(f"k-grid must be a nonempty (Nk, 2) array, got shape {ks.shape}")
+    # the effective side first: its two-band model refuses an anisotropic
+    # drive before anything is propagated
+    He = _effective_h(rates, delta, geom, ks)
 
     U = period_propagator(spec, geom, j0, delta, ks, settings)
     defect = float(np.abs(np.einsum("kij,kil->kjl", U.conj(), U) - np.eye(2)).max())
     eps_x, vx = _floquet_branches(U, spec)
 
-    He = _effective_h(rates, delta, geom, ks)
     eps_e, ve = np.linalg.eigh(He)
     eps_e = fold_quasienergy(eps_e, spec.omega)
     # same sublattice gauge as the exact Hamiltonian

@@ -254,6 +254,40 @@ def test_truncation_error_refuses_nan_and_survives_huge_j0():
     assert _truncation_error(1.0, 5, 1e300) is None
 
 
+def test_tail_limit_shared_by_both_callers(monkeypatch):
+    # fourier_components and the optimizer's kernel block accept the same
+    # tails: up to 1e-8 j0^2 inclusive, not the next float, and not NaN
+    from floqchern import optimizer
+    from floqchern.drive import (_family_bond_amplitudes, _peierls_components,
+                                 _truncation_error)
+    limit = 1e-8
+    tails = [0.0, limit, np.nextafter(limit, 1.0), 2 * limit, np.nan]
+    accepted = [True, True, False, False, False]
+    assert [_truncation_error(t, 5, 1.0) is None for t in tails] == accepted
+    assert [_truncation_error(t * 9.0, 5, 3.0) is None for t in tails[:2]] == [True, True]
+    ms, Z = _family_bond_amplitudes("plus", 2, np.array([[0.5, 0.2, 0.3]]))
+    g, _ = _peierls_components(ms, Z, 1.0, 40, 256)
+    for tail, ok in zip(tails, accepted):
+        monkeypatch.setattr(optimizer, "_peierls_components",
+                            lambda *args, tail=tail: (g, np.array([tail])))
+        _, _, error = optimizer._candidate_block("plus", ms, Z, 40, 256)
+        assert (error is None) == ok
+        assert ok or isinstance(error, SpectrumTruncationError)
+
+
+def test_grid_key_determines_the_grid():
+    from floqchern.drive import _grid_key, _grid_size
+    rng = np.random.default_rng(18)
+    zmax = np.concatenate((rng.uniform(0, 12, 500), np.arange(13.0)))
+    bandwidth = np.concatenate((rng.uniform(0, 40, 500), np.arange(0.0, 39.0, 3.0)))
+    keys = _grid_key(zmax, bandwidth)
+    for mmax in (1, 2, 4):
+        for z, b, k in zip(zmax.tolist(), bandwidth.tolist(), keys.tolist()):
+            assert _grid_size(mmax, k.real, k.imag) == _grid_size(mmax, z, b)
+    assert np.array_equal(np.argsort(keys, kind="stable"),
+                          np.lexsort((np.ceil(bandwidth), np.ceil(zmax))))
+
+
 def test_spectrum_input_validation():
     spec = build_family_drive("plus", 1.0, [1.0], [0.0])
     with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from floqchern import (
     maximize,
     phase_map,
     random_search_best,
+    sweep_targets,
     wrap_angle,
 )
 from floqchern.cli import main as cli_main
@@ -506,6 +507,32 @@ def test_worker_env_cap_refused_before_any_worker(value, monkeypatch):
     assert threading.active_count() == alive
     monkeypatch.setenv("FCF_THREADS", str(optimizer.MAX_WORKERS))
     assert optimizer.worker_count() == optimizer.MAX_WORKERS
+
+
+def test_library_worker_cap_refused_before_any_worker(monkeypatch):
+    # an explicit worker count above MAX_WORKERS is refused like the
+    # FCF_THREADS cap, before an executor or a pool exists
+    def no_workers(*args, **kwargs):
+        raise AssertionError("a worker was started")
+    import concurrent.futures
+    import multiprocessing
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_workers)
+    monkeypatch.setattr(multiprocessing, "get_context", no_workers)
+    monkeypatch.delenv("FCF_THREADS", raising=False)
+    alive = threading.active_count()
+    prob = OptimizationProblem(phi_target=np.pi / 2, r_threshold=0.25, n_starts=4)
+    P = np.array([[0.5, 0.2, 0.3], [1.0, 0.1, 0.3]])
+    too_many = optimizer.MAX_WORKERS + 1
+    for call in (lambda: maximize(prob, workers=too_many),
+                 lambda: sweep_targets([1.0], [0.25], prob, workers=too_many),
+                 lambda: _candidate_batch("plus", 2, P, workers=too_many)):
+        with pytest.raises(ValueError, match=f"workers must be at most "
+                                             f"{optimizer.MAX_WORKERS}, got {too_many}"):
+            call()
+    assert threading.active_count() == alive
+    # the cap itself is allowed; one grid block runs in the calling thread
+    batch = _candidate_batch("plus", 2, P[:1], workers=optimizer.MAX_WORKERS)
+    assert _bits(batch) == _bits(_candidate_batch("plus", 2, P[:1], workers=1))
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,11 @@ from floqchern import (
     omega_ladder,
     period_propagator,
     torus_grid,
+    wrap_angle,
 )
-from floqchern.validate import _effective_h, _propagators
+from floqchern import validate
+from floqchern.drive import _peierls_phases
+from floqchern.validate import _bond_rates_at, _effective_h, _propagators
 
 GEOM = default_geometry()
 K_POINT = (GEOM.G1 + GEOM.G2) / 3
@@ -59,6 +62,35 @@ def test_hamiltonian_one_k_matches_its_row():
     single = np.stack([bloch_hamiltonian_t(spec, GEOM, 1.0, 0.3, k, ts)[i]
                        for i, k in enumerate(ks)])
     assert single.tobytes() == rows.tobytes()
+
+
+def test_hamiltonian_scalar_t_keeps_k_axis():
+    # a scalar t broadcasts against the k axis like a one-element t
+    spec = build_family_drive("minus", 1.3, [1.2, 0.8], [0.0, -0.4])
+    ks = np.random.default_rng(15).uniform(-4, 4, size=(3, 2))
+    for t in (0.0, 0.5, 2.7):
+        H = bloch_hamiltonian_t(spec, GEOM, 0.7, 0.2, ks, t)
+        assert H.shape == (3, 2, 2)
+        assert H.tobytes() == bloch_hamiltonian_t(spec, GEOM, 0.7, 0.2, ks, [t]).tobytes()
+    assert bloch_hamiltonian_t(spec, GEOM, 0.7, 0.2, ks[0], 0.5).shape == (2, 2)
+    assert bloch_hamiltonian_t(spec, GEOM, 0.7, 0.2, ks[0], [0.5, 1.0]).shape == (2, 2, 2)
+
+
+def test_bond_rates_match_complex_exp():
+    # the in-place phasor of `drive` gives the bytes of j0 exp(i chi)
+    rng = np.random.default_rng(16)
+    specs = [ZERO]
+    for family in ("plus", "minus"):
+        for N in (1, 2, 3):
+            for omega in (1.0, 1.3, 8.0):
+                specs.append(build_family_drive(family, omega, rng.uniform(-4, 4, N),
+                                                [0.0, *rng.uniform(-np.pi, np.pi, N - 1)]))
+    for spec in specs:
+        for steps in (256, 1024, 8192):
+            t = (np.arange(steps) + 0.5) * (spec.period / steps)
+            for j0 in (1.0, 0.02, 0.7):
+                want = j0 * np.exp(1j * _peierls_phases(spec, GEOM, t))
+                assert _bond_rates_at(spec, GEOM, j0, t).tobytes() == want.tobytes()
 
 
 def test_hamiltonian_undriven_limits():
@@ -216,6 +248,16 @@ def test_fold_quasienergy_window():
     assert fold_quasienergy(0.0, w) == pytest.approx(0.0)
 
 
+def test_wrap_angle_is_the_quasienergy_fold_at_two_pi():
+    x = np.concatenate((np.random.default_rng(17).uniform(-50, 50, 10000),
+                        [np.pi, -np.pi, 0.0, -0.0, 2 * np.pi, -2 * np.pi, 3 * np.pi,
+                         np.nextafter(np.pi, 4), np.nextafter(-np.pi, -4), 1e-300, 1e300, -1e300]))
+    assert wrap_angle(x).tobytes() == fold_quasienergy(x, 2 * np.pi).tobytes()
+    for v in (np.pi, -np.pi, -0.0, 1e300):
+        assert np.asarray(wrap_angle(v)).tobytes() == np.asarray(
+            fold_quasienergy(v, 2 * np.pi)).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # exact vs effective
 
@@ -233,6 +275,15 @@ def test_effective_h_one_k_matches_its_row():
     rows = _effective_h(rates, 0.01, GEOM, ks)
     single = np.concatenate([_effective_h(rates, 0.01, GEOM, ks[i:i + 1]) for i in range(200)])
     assert single.tobytes() == rows.tobytes()
+
+
+def test_compare_refuses_anisotropic_drive_before_propagating(monkeypatch):
+    def no_propagation(*args, **kwargs):
+        raise AssertionError("an anisotropic drive was propagated")
+    monkeypatch.setattr(validate, "_propagators", no_propagation)
+    single_axis = build_custom_drive(1.0, [(1, 1.5, 0.0, 0.0, 0.0)])
+    with pytest.raises(ValueError, match="isotropic"):
+        compare_effective(single_axis, GEOM, 0.02, 0.0, 4, PropagatorSettings(256))
 
 
 def test_compare_rejects_empty_kgrid():
