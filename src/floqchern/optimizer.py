@@ -20,11 +20,16 @@ no point is evaluated twice.  Every start record counts its evaluations,
 iterations and SLSQP exit status (`n_eval`, `n_iter`, `status`).  Starts
 come from a seeded scrambled Sobol sequence over the box (amplitudes in
 [0, bound], phases in (-pi, pi]), so identical problem + seed reproduce
-identical results bit for bit.  Starts are independent tasks.  One
-ranking rule, `_rank`, orders optima everywhere: feasible points first,
-by larger R, then infeasible points by smaller constraint residual.  The
-reduction over starts breaks its ties on the lexicographically smallest
-p, independent of execution order.
+identical results bit for bit.  The package draws them itself
+(`_sobol_points`: Joe-Kuo direction numbers, linear matrix scramble and
+digital shift), byte for byte the points of scipy 1.17's
+`qmc.Sobol(scramble=True)`, without importing `scipy.stats`; problems
+that share dimension, start count and seed share one draw.  Starts are
+independent tasks.  One ranking rule, `_rank`, orders optima
+everywhere: feasible points first, by larger R, then infeasible points
+by smaller constraint residual.  The reduction over starts breaks its
+ties on the lexicographically smallest p, independent of execution
+order.
 
 Two exact symmetries leave R and j1/j0 unchanged: the minus family at
 (A, -delta) is the mirror image (phi -> -phi) of the plus family at
@@ -54,6 +59,7 @@ refused before any thread or process starts.
 from __future__ import annotations
 
 import contextvars
+import functools
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -85,6 +91,34 @@ _BATCH_ROWS = 4096
 #: most workers FCF_THREADS or --threads may ask for, threads or pool
 #: processes; each thread holds a kernel block and a malloc arena
 MAX_WORKERS = 64
+
+#: most drive harmonics N a problem may have; each evaluation is a drive
+#: of N harmonics, SLSQP has 2N - 1 variables, and the Sobol table below
+#: covers 2 * MAX_HARMONICS - 1 dimensions
+MAX_HARMONICS = 16
+
+#: bits of a Sobol coordinate; a sequence has at most 2**_SOBOL_BITS points
+_SOBOL_BITS = 30
+
+#: Joe-Kuo direction numbers of the first 2 * MAX_HARMONICS - 1 Sobol
+#: dimensions, one row each: (primitive polynomial, initial direction
+#: numbers m_1 ... m_s), s the polynomial's degree.  Row 0 is that of
+#: scipy's table; its dimension's direction numbers are all ones.
+_SOBOL_TABLE = (
+    (1, (1,)), (3, (1,)), (7, (1, 3)), (11, (1, 3, 1)), (13, (1, 1, 1)),
+    (19, (1, 1, 3, 3)), (25, (1, 3, 5, 13)), (37, (1, 1, 5, 5, 17)),
+    (41, (1, 1, 5, 5, 5)), (47, (1, 1, 7, 11, 19)), (55, (1, 1, 5, 1, 1)),
+    (59, (1, 1, 1, 3, 11)), (61, (1, 3, 5, 5, 31)), (67, (1, 3, 3, 9, 7, 49)),
+    (91, (1, 1, 1, 15, 21, 21)), (97, (1, 3, 1, 13, 27, 49)),
+    (103, (1, 1, 1, 15, 7, 5)), (109, (1, 3, 1, 15, 13, 25)),
+    (115, (1, 1, 5, 5, 19, 61)), (131, (1, 3, 7, 11, 23, 15, 103)),
+    (137, (1, 3, 7, 13, 13, 15, 69)), (143, (1, 1, 3, 13, 7, 35, 63)),
+    (145, (1, 3, 5, 9, 1, 25, 53)), (157, (1, 3, 1, 13, 9, 35, 107)),
+    (167, (1, 3, 1, 5, 27, 61, 31)), (171, (1, 1, 5, 11, 19, 41, 61)),
+    (185, (1, 3, 5, 3, 3, 13, 69)), (191, (1, 1, 7, 13, 1, 19, 1)),
+    (193, (1, 3, 7, 5, 13, 19, 59)), (203, (1, 1, 3, 9, 25, 29, 41)),
+    (211, (1, 3, 5, 13, 23, 1, 55)),
+)
 
 
 def worker_count(hint: int = 0) -> int:
@@ -133,12 +167,19 @@ class OptimizationProblem:
             raise ValueError("r_threshold must lie in [0, 1]")
         if self.N < 1:
             raise ValueError("N must be >= 1")
+        if self.N > MAX_HARMONICS:
+            raise ValueError(f"N must be at most {MAX_HARMONICS}, got {self.N}")
         if not 0 < self.amp_bound < math.inf:
             # a zero box fixes every amplitude, which SLSQP's difference
             # stencil leaves out; a negative one has no points at all
             raise ValueError(f"amp_bound must be positive and finite, got {self.amp_bound}")
         if self.n_starts < 1:
             raise ValueError(f"n_starts must be >= 1, got {self.n_starts}")
+        if self.n_starts > 1 << _SOBOL_BITS:
+            raise ValueError(f"n_starts must be at most 2**{_SOBOL_BITS} (the distinct "
+                             f"points of a Sobol sequence), got {self.n_starts}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.family not in ("plus", "minus"):
             raise ValueError("optimization families are 'plus' and 'minus'")
 
@@ -415,20 +456,60 @@ def _search_box(problem: OptimizationProblem):
     return lo, hi
 
 
-def sobol_starts(problem: OptimizationProblem) -> np.ndarray:
-    """Seeded low-discrepancy start points over the search box.  Its scipy
-    import runs in the parent before `_maximize_all` forks, so pool
-    workers inherit it."""
-    import warnings
+@functools.cache
+def _direction_numbers() -> np.ndarray:
+    """(31, 30) uint32 direction numbers of `_SOBOL_TABLE`, scaled to 30
+    bits: column j holds v_j * 2**(29 - j), by the Joe-Kuo recurrence."""
+    v = np.ones((len(_SOBOL_TABLE), _SOBOL_BITS), dtype=np.uint32)
+    for d, (poly, m) in enumerate(_SOBOL_TABLE[1:], 1):
+        s, row = len(m), list(m)
+        for j in range(s, _SOBOL_BITS):
+            new = row[j - s]
+            for k in range(s):
+                if poly >> (s - 1 - k) & 1:
+                    new ^= row[j - k - 1] << (k + 1)
+            row.append(new)
+        v[d] = row
+    v <<= np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
+    v.setflags(write=False)     # one array serves every caller
+    return v
 
-    from scipy.stats import qmc
-    sampler = qmc.Sobol(d=problem.dim, scramble=True, seed=problem.seed)
-    with warnings.catch_warnings():
-        # Sobol balance only matters for integration, not for start spreading
-        warnings.simplefilter("ignore", UserWarning)
-        u = sampler.random(problem.n_starts)
+
+def _sobol_points(dim: int, n: int, seed: int) -> np.ndarray:
+    """(n, dim) scrambled Sobol points in [0, 1), byte for byte scipy's
+    `qmc.Sobol(dim, scramble=True, seed=seed).random(n)`: a digital shift
+    and a lower-triangular GF(2) matrix per dimension, drawn in that
+    order from `default_rng(seed)`, scramble the direction numbers, and
+    the points follow in Gray-code order from the shift."""
+    rng = np.random.default_rng(seed)
+    bit = np.arange(_SOBOL_BITS, dtype=np.uint32)
+    shift = rng.integers(2, size=(dim, _SOBOL_BITS), dtype=np.uint32) @ (1 << bit)
+    ltm = np.tril(rng.integers(2, size=(dim, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
+    ltm[:, bit, bit] = 1
+    msb = bit[::-1]     # bits of a coordinate, most significant first
+    digits = _direction_numbers()[:dim, :, None] >> msb & 1
+    # one GF(2) matrix product per dimension: row r of its matrix makes digit r
+    digits = (digits @ ltm.transpose(0, 2, 1)) & 1
+    v = (digits << msb).sum(axis=2, dtype=np.uint32)
+    # the lowest zero bit of i is one below the bit length of i ^ (i + 1)
+    i = np.arange(n - 1, dtype=np.uint32)
+    lowest_zero = np.frexp(i ^ (i + 1))[1] - 1
+    x = np.bitwise_xor.accumulate(np.concatenate((shift[None], v.T[lowest_zero])), axis=0)
+    return x * 2.0 ** -_SOBOL_BITS
+
+
+def sobol_starts(problem: OptimizationProblem, draws: dict | None = None) -> np.ndarray:
+    """Seeded low-discrepancy start points over the search box.  `draws`,
+    if given, keeps the unit-cube points by (dim, n_starts, seed), so
+    that calls for problems that differ only in target, threshold, family
+    or box share one draw."""
+    key = (problem.dim, problem.n_starts, problem.seed)
+    if draws is None:
+        draws = {}
+    if key not in draws:
+        draws[key] = _sobol_points(*key)
     lo, hi = _search_box(problem)
-    return lo + u * (hi - lo)
+    return lo + draws[key] * (hi - lo)
 
 
 def _rank(feasible: bool, R: float, residual: float) -> tuple:
@@ -456,7 +537,8 @@ def _maximize_all(problems, workers: int | None = None) -> list:
     """`maximize` for each problem, with every start of every problem
     mapped over one worker pool."""
     workers = _resolve_workers(workers)
-    tasks = [(problem, x0) for problem in problems for x0 in sobol_starts(problem)]
+    draws = {}
+    tasks = [(problem, x0) for problem in problems for x0 in sobol_starts(problem, draws)]
     if workers > 1 and len(tasks) >= 2 * workers:
         import multiprocessing as mp
         with mp.get_context("fork").Pool(workers) as pool:

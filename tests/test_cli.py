@@ -206,6 +206,49 @@ def test_commands_without_optimizer_do_not_import_scipy(tmp_path):
             if line.startswith("scipy:")] == ["scipy: []", "scipy: [] 0"]
 
 
+def test_optimizer_commands_do_not_import_scipy_stats(tmp_path):
+    # the starts come from the package's own Sobol generator: optimize and
+    # sweep load scipy.optimize for SLSQP, and nothing of scipy.stats
+    code = ("import sys\n"
+            "from floqchern import cli\n"
+            "out = sys.argv[1]\n"
+            "codes = [cli.main(['optimize', '--phi-target', '1.0', '--r-th', '0.25', '--N', '1',\n"
+            "                   '--starts', '2', '--threads', '1', '--out', out]),\n"
+            "         cli.main(['sweep', '--targets', '2', '--starts', '2', '--threads', '1',\n"
+            "                   '--out', out])]\n"
+            "print('codes:', codes)\n"
+            "print('scipy.stats:', 'scipy.stats' in sys.modules)\n"
+            "print('scipy.optimize:', 'scipy.optimize' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                          text=True, env=_child_env(), timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-3:] == ["codes: [0, 0]", "scipy.stats: False",
+                                             "scipy.optimize: True"]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["optimize", "--phi-target", "1", "--r-th", "0.25", "--seed", "-1"], "seed"),
+    (["sweep", "--targets", "2", "--seed", "-1"], "seed"),
+    (["optimize", "--phi-target", "1", "--r-th", "0.25", "--N", "17"], "--N"),
+    (["sweep", "--targets", "2", "--N", "17"], "--N"),
+    (["optimize", "--phi-target", "1", "--r-th", "0.25", "--starts", str(2**30 + 1)], "--starts"),
+    (["sweep", "--targets", "2", "--starts", str(2**30 + 1)], "--starts"),
+])
+def test_optimizer_inputs_refused_before_any_draw(argv, name, tmp_path, capsys, monkeypatch):
+    # a negative seed, too many harmonics or more starts than a Sobol
+    # sequence has: exit 2 with one JSON error naming the input, and no
+    # start array drawn
+    def no_draw(*args):
+        raise AssertionError("a start array was drawn")
+    monkeypatch.setattr(optimizer, "_sobol_points", no_draw)
+    code, out, err = run(argv + ["--out", str(tmp_path)], capsys)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    error = _strict_json(err)["error"]
+    assert error["type"] == "config" and name in error["message"]
+    assert not os.listdir(tmp_path)
+
+
 def test_overflowing_drive_stderr_is_json(tmp_path):
     # amplitudes whose modulation index overflows to inf: the grid cap
     # refuses the drive, and no numpy warning precedes the JSON error

@@ -102,6 +102,91 @@ def test_sobol_starts_deterministic_and_in_box():
     assert (np.abs(s1[:, 3:]) <= np.pi).all()
 
 
+def _scipy_sobol(d, n, seed):
+    """scipy's scrambled Sobol points, the reference of `_sobol_points`."""
+    import warnings
+
+    from scipy.stats import qmc
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "The balance properties", UserWarning)
+        return qmc.Sobol(d=d, scramble=True, seed=seed).random(n)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**32 - 1, 2**63])
+def test_sobol_points_are_scipys_bytes(seed):
+    for d in range(1, 2 * optimizer.MAX_HARMONICS):
+        for n in (1, 2, 3, 4, 5, 16, 64, 1000):
+            ref = _scipy_sobol(d, n, seed)
+            got = optimizer._sobol_points(d, n, seed)
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes(), (d, n, seed)
+            if d % 2:
+                prob = OptimizationProblem(phi_target=0.0, r_threshold=0.25, N=(d + 1) // 2,
+                                           amp_bound=3.5, n_starts=n, seed=seed)
+                lo, hi = optimizer._search_box(prob)
+                assert sobol_starts(prob).tobytes() == (lo + ref * (hi - lo)).tobytes()
+
+
+def test_sobol_table_is_scipys():
+    import os
+
+    import scipy.stats
+    table = np.load(os.path.join(os.path.dirname(scipy.stats.__file__),
+                                 "_sobol_direction_numbers.npz"))
+    rows = 2 * optimizer.MAX_HARMONICS - 1
+    assert len(optimizer._SOBOL_TABLE) == rows
+    assert [poly for poly, _ in optimizer._SOBOL_TABLE] == table["poly"][:rows].tolist()
+    width = table["vinit"].shape[1]
+    assert ([list(m) + [0] * (width - len(m)) for _, m in optimizer._SOBOL_TABLE]
+            == table["vinit"][:rows].tolist())
+
+
+def test_problem_refuses_seed_harmonics_and_starts_by_name(monkeypatch):
+    # each is refused when the problem is made, before any start is drawn
+    def no_draw(*args):
+        raise AssertionError("a start array was drawn")
+    monkeypatch.setattr(optimizer, "_sobol_points", no_draw)
+    base = dict(phi_target=0.0, r_threshold=0.5)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        OptimizationProblem(**base, seed=-1)
+    with pytest.raises(ValueError, match=f"N must be at most {optimizer.MAX_HARMONICS}, got 17"):
+        OptimizationProblem(**base, N=optimizer.MAX_HARMONICS + 1)
+    with pytest.raises(ValueError, match=r"n_starts must be at most 2\*\*30"):
+        OptimizationProblem(**base, n_starts=2**30 + 1)
+    # the limits themselves are allowed
+    OptimizationProblem(**base, seed=0, N=optimizer.MAX_HARMONICS, n_starts=2**30)
+
+
+def test_one_draw_per_start_set(monkeypatch):
+    # the sweep's ten plus-family problems (5 angles x 2 floors) share one
+    # template, so one draw serves all; each gets the same starts, in the
+    # same order, as its own `sobol_starts`
+    template = OptimizationProblem(phi_target=0.0, r_threshold=0.25, n_starts=4, seed=42)
+    draws, tasks = [], []
+    draw = optimizer._sobol_points
+
+    def counted(*key):
+        draws.append(key)
+        return draw(*key)
+
+    def run_start(task):
+        tasks.append(task)
+        problem, x0 = task
+        record = optimizer._start_record(problem, x0, 0.0, 1.0, 0.0, True, True)
+        record.update(n_eval=0, n_iter=0, status=0)
+        return record
+
+    monkeypatch.setattr(optimizer, "_sobol_points", counted)
+    monkeypatch.setattr(optimizer, "_run_start", run_start)
+    targets = list(np.linspace(-np.pi, np.pi, 9)[1:])
+    sweep_targets(targets, [0.25, 0.5], template, workers=1)
+    assert draws == [(3, 4, 42)]
+    problems = list(dict.fromkeys(problem for problem, _ in tasks))
+    assert len(problems) == 10 and len(tasks) == 40
+    expected = np.concatenate([sobol_starts(problem) for problem in problems])
+    assert np.array([x0 for _, x0 in tasks]).tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # maximization (small start counts here; full-size runs live in acceptance)
 
