@@ -8,17 +8,17 @@ A malformed or missing flag is a configuration error like any other,
 and so is a count above MAX_POINTS, MAX_KSTEPS or
 optimizer.MAX_HARMONICS, and a negative --seed.  Grid flags use
 start:stop:step with the stop included when it lands on the grid within
-epsilon.  Only optimize and sweep run a worker pool, so only
-they take --threads; FCF_THREADS overrides it.  phase-map runs its
-kernel blocks on worker threads, FCF_THREADS of them, by default one per
-usable core.  A FCF_THREADS or --threads above optimizer.MAX_WORKERS is
-a configuration error.
+epsilon.  phase-map, optimize and sweep run large kernel batches on
+threads, FCF_THREADS of them, by default one per usable core; optimize
+and sweep also take --threads, which FCF_THREADS overrides.  Every
+command runs in one process.  A FCF_THREADS or --threads above
+optimizer.MAX_WORKERS is a configuration error.
 
 Commands run with numpy's overflow, division-by-zero and invalid-operation
-errors raised (underflow stays silent), in phase-map's worker threads and
-the optimizer's worker processes too.  Such an error, like any other
-ArithmeticError (a Python float that overflows), is a numerical failure,
-exit 3, so no command prints a numpy warning or a traceback.  Every JSON
+errors raised (underflow stays silent), in the kernel threads too.  Such
+an error, like any other ArithmeticError (a Python float that
+overflows), is a numerical failure, exit 3, so no command prints a numpy
+warning or a traceback.  Every JSON
 document (rates.json, the stdout documents of rates and validate, the
 error object) is strict JSON: a NaN or infinity in one is a numerical
 failure too, and the ladder fields that a zero deviation leaves
@@ -318,15 +318,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Shaken hexagonal lattice: effective rates, Chern diagrams, drive optimization")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, pool=False):
+    def common(p, optimizer_flags=False):
         p.add_argument("--out", default=".", help="output directory")
-        if pool:
+        if optimizer_flags:
             p.add_argument("--N", type=int, default=2)
             p.add_argument("--starts", type=int, default=64)
             p.add_argument("--seed", type=int, default=42)
             p.add_argument("--amp-bound", type=float, default=5.0, dest="amp_bound")
             p.add_argument("--threads", type=int, default=0,
-                           help="worker hint (FCF_THREADS overrides)")
+                           help="kernel threads (FCF_THREADS overrides)")
 
     p = sub.add_parser("rates", help="effective rates of a drive")
     p.add_argument("--drive", required=True, help="drive JSON path or inline JSON")
@@ -357,14 +357,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi-target", type=float, required=True, dest="phi_target")
     p.add_argument("--r-th", type=float, required=True, dest="r_th")
     p.add_argument("--family", choices=("plus", "minus"), default="plus")
-    common(p, pool=True)
+    common(p, optimizer_flags=True)
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("sweep", help="sweep targets, polar R e^{i phi} table")
     p.add_argument("--targets", type=int, default=8, help="evenly spaced targets in (-pi, pi]")
     p.add_argument("--phi-list", default="", dest="phi_list", help="comma list overriding --targets")
     p.add_argument("--r-th", default="0.25,0.5", dest="r_th")
-    common(p, pool=True)
+    common(p, optimizer_flags=True)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("validate", help="exact Floquet vs effective quasienergies")

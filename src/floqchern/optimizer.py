@@ -10,22 +10,25 @@ Method: multistart SLSQP (sequential least squares programming, Kraft
 1988) with the constraints written as constraints: -R is minimized under
 the equality wrap(phi - phi_target) = 0 and the inequality
 j1/j0 - r_threshold >= 0, with the amplitudes bounded by +-amp_bound and
-the phases free.  Gradients are forward differences on the points and
-steps SLSQP chooses for the objective: the 2N - 1 points of one gradient
-reach `_run_start` together, through SLSQP's `workers` map, and are
-evaluated as one batch in the calling thread; the constraint gradients
-are the same quotients on the same points.  Each start memoizes its
-evaluations, so that the objective and both constraints share them and
-no point is evaluated twice.  Every start record counts its evaluations,
-iterations and SLSQP exit status (`n_eval`, `n_iter`, `status`).  Starts
-come from a seeded scrambled Sobol sequence over the box (amplitudes in
-[0, bound], phases in (-pi, pi]), so identical problem + seed reproduce
-identical results bit for bit.  The package draws them itself
-(`_sobol_points`: Joe-Kuo direction numbers, linear matrix scramble and
-digital shift), byte for byte the points of scipy 1.17's
-`qmc.Sobol(scramble=True)`, without importing `scipy.stats`; problems
-that share dimension, start count and seed share one draw.  Starts are
-independent tasks.  One ranking rule, `_rank`, orders optima
+the phases free.  Each start is stepped by reverse communication through
+scipy's SLSQP routine (`_slsqp_start`, as `scipy.optimize.minimize` steps
+it), and all starts of a call advance in lockstep in the calling process
+(`_run_starts`): each round evaluates the points every live start asks
+for next, values or the 2N - 1 points of a forward-difference gradient,
+in one kernel call.  The constraint gradients are the objective's
+quotients on the same points.  Each start memoizes its evaluations, so
+that the objective and both constraints share them and no point is
+evaluated twice for one start.  Every start record counts its
+evaluations, iterations and SLSQP exit status (`n_eval`, `n_iter`,
+`status`).  Starts come from a seeded scrambled Sobol sequence over the
+box (amplitudes in [0, bound], phases in (-pi, pi]), so identical
+problem + seed reproduce identical results bit for bit.  The package
+draws them itself (`_sobol_points`: Joe-Kuo direction numbers, linear
+matrix scramble and digital shift), byte for byte the points of scipy
+1.17's `qmc.Sobol(scramble=True)`, without importing `scipy.stats`;
+problems that share dimension, start count and seed share one draw.
+Starts are independent: a start's record does not depend on the others
+that share its rounds.  One ranking rule, `_rank`, orders optima
 everywhere: feasible points first, by larger R, then infeasible points
 by smaller constraint residual.  The reduction over starts breaks its
 ties on the lexicographically smallest p, independent of execution
@@ -38,28 +41,30 @@ phi -> pi - phi.  `maximize` searches the problem's family only.
 `sweep_targets` reports at each target the better of the two families'
 optima, the plus family winning exact ties.  Through the two symmetries
 it runs one plus-family maximization per class of equivalent targets,
-all starts mapped over one worker pool.
+all starts stepped together.
 
-Phase maps, random search and SLSQP's gradients evaluate arrays of
+Phase maps, random search and the optimizer's rounds evaluate arrays of
 parameter vectors at once (`_candidate_batch`): drives are grouped by
 their Fourier grid and run through the spectrum and rate code along a
-leading axis, in blocks of bounded size.  For phase maps and random
-search the blocks run on `worker_count()` threads (FCF_THREADS
-overrides the default of every usable core); each block depends on its
-own rows only, and its values are scattered in submission order, so the
-results are bit for bit those of the one-drive kernel `_candidate_rates`
-that SLSQP's line search calls, whatever the thread count.  Both kernels
-take their drive-layer rules from `drive`: the bond amplitudes of the
-family layout (`_family_bond_amplitudes`), the grid key that groups
-drives (`_grid_key`) and the truncation limit (`_tail_fits`).  A worker
-count, from FCF_THREADS or passed as `workers`, above MAX_WORKERS is
-refused before any thread or process starts.
+leading axis, in blocks of bounded size.  A batch of at least two full
+blocks runs its blocks on `worker_count()` threads (FCF_THREADS
+overrides the default of every usable core, `workers` passes a count);
+each block depends on its own rows only, and its values are scattered in
+submission order, so the results are bit for bit those of the one-drive
+kernel `_candidate_rates`, which a round of a single row calls, whatever
+the thread count.  Both kernels take their drive-layer rules from
+`drive`: the bond amplitudes of the family layout
+(`_family_bond_amplitudes`), the grid key that groups drives
+(`_grid_key`) and the truncation limit (`_tail_fits`).  A thread count,
+from FCF_THREADS or passed as `workers`, above MAX_WORKERS is refused
+before any thread starts.
 """
 
 from __future__ import annotations
 
 import contextvars
 import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -88,9 +93,16 @@ _BLOCK_SAMPLES = 1 << 15
 #: vectors `random_search_best` draws at a time
 _BATCH_ROWS = 4096
 
-#: most workers FCF_THREADS or --threads may ask for, threads or pool
-#: processes; each thread holds a kernel block and a malloc arena
+#: most kernel threads FCF_THREADS, --threads or `workers` may ask for;
+#: each thread holds a kernel block and a malloc arena
 MAX_WORKERS = 64
+
+#: most SLSQP starts `_run_starts` keeps live at once
+_WINDOW = 64
+
+#: SLSQP's forward-difference step: scipy's default eps, the square root
+#: of the float64 machine epsilon
+_FD_STEP = 1.4901161193847656e-08
 
 #: most drive harmonics N a problem may have; each evaluation is a drive
 #: of N harmonics, SLSQP has 2N - 1 variables, and the Sobol table below
@@ -122,9 +134,9 @@ _SOBOL_TABLE = (
 
 
 def worker_count(hint: int = 0) -> int:
-    """Worker count: the FCF_THREADS env var, else a positive `hint`, else
-    the cores this process may run on.  A FCF_THREADS that is not an
-    integer, or is above MAX_WORKERS, raises ValueError."""
+    """Kernel thread count: the FCF_THREADS env var, else a positive
+    `hint`, else the cores this process may run on.  A FCF_THREADS that is
+    not an integer, or is above MAX_WORKERS, raises ValueError."""
     env = os.environ.get("FCF_THREADS")
     if env:
         try:
@@ -140,9 +152,9 @@ def worker_count(hint: int = 0) -> int:
 
 
 def _resolve_workers(workers: int | None) -> int:
-    """The worker count of a library call: `worker_count()` for None, else
-    `workers`, at least 1.  A count above MAX_WORKERS raises ValueError,
-    before any thread or process starts."""
+    """The kernel thread count of a library call: `worker_count()` for
+    None, else `workers`, at least 1.  A count above MAX_WORKERS raises
+    ValueError, before any thread starts."""
     if workers is None:
         return worker_count()
     if workers > MAX_WORKERS:
@@ -241,8 +253,13 @@ def _candidate_rates(family, N, p):
 
 def _candidate_blocks(family, ms, Z, blocks, workers):
     """`_candidate_block` of Z[rows] on its grid for each (rows, n_max, M)
-    of `blocks`, in order, on up to `workers` threads.  The threads run
-    private helpers only, and no thread outlives the call."""
+    of `blocks`, in order.  When the blocks hold two full blocks' worth of
+    samples (2 * _BLOCK_SAMPLES) or more, they run on up to `workers`
+    threads; fewer run in the calling thread, where they cost less than a
+    hand-off.  The threads run private helpers only, and no thread
+    outlives the call."""
+    if sum(3 * M * len(rows) for rows, _, M in blocks) < 2 * _BLOCK_SAMPLES:
+        workers = 1
     workers = min(workers, len(blocks))
     if workers <= 1:
         return [_candidate_block(family, ms, Z[rows], n_max, M) for rows, n_max, M in blocks]
@@ -260,7 +277,7 @@ def _candidate_batch(family, N, P, workers=None):
     """(R, j1/j0, phi, phi_defined, j2) arrays (K,) over the K parameter
     vectors P (K, 2N - 1), bit for bit K calls of `_candidate_rates`.  Each run of
     _BATCH_ROWS rows is grouped by grid (n_max, M) and evaluated in blocks
-    of at most _BLOCK_SAMPLES complex samples, on `workers` threads
+    of at most _BLOCK_SAMPLES complex samples, on up to `workers` threads
     (`_candidate_blocks`; default `worker_count()`); like a loop over the
     rows, it raises the error of the first row that fails."""
     P = np.asarray(P, dtype=float)
@@ -357,79 +374,148 @@ def _start_record(problem: OptimizationProblem, p, R, j1, phi, defined, converge
             "phi_residual": phi_res, "r_residual": r_res}
 
 
-def _run_start(args):
-    """SLSQP from one start point.  The phase gap is pi where phi is
-    undefined; the objective and both constraints share each evaluation
-    through a memo keyed on the point.
+def _stencil(x, lower, upper):
+    """(points, dx) of scipy's 2-point forward differences at x in the box
+    [lower, upper], as `approx_derivative` with abs_step _FD_STEP builds
+    them: point i is x with x[i] + h[i] in place of x[i], and dx[i] is
+    (x[i] + h[i]) - x[i].  A step that vanishes in x + h falls back to
+    _FD_STEP * sign(x) * max(1, |x|); a step that leaves the box is
+    flipped, or shortened to the far bound where neither side has room
+    (`_adjust_scheme_to_bounds(x, h, 1, '1-sided', lower, upper)`)."""
+    sign = (x >= 0).astype(float) * 2 - 1
+    h = np.where((x + _FD_STEP) - x == 0, _FD_STEP * sign * np.maximum(1.0, np.abs(x)),
+                 _FD_STEP)
+    below, above = x - lower, upper - x
+    fitting = np.abs(h) <= np.maximum(below, above)
+    h[((x + h < lower) | (x + h > upper)) & fitting] *= -1
+    forward = (above >= below) & ~fitting
+    h[forward] = above[forward]
+    backward = (above < below) & ~fitting
+    h[backward] = -below[backward]
+    points = np.repeat(x[None], len(x), axis=0)
+    np.fill_diagonal(points, x + h)
+    return points, (x + h) - x
 
-    Gradients are forward differences on the points and steps that SLSQP
-    chooses for the objective (scipy's 2-point rule, bound flips
-    included).  SLSQP hands those points to its `workers` map at once, and
-    the map evaluates the ones not yet in the memo as one
-    `_candidate_batch` in the calling thread.  The constraint Jacobians,
-    which SLSQP asks for next at the same point, are the same quotients on
-    the same points, read from the memo.
+
+def _slsqp_start(problem: OptimizationProblem, x0):
+    """SLSQP from one start, stepped by reverse communication as scipy
+    1.17's `_minimize_slsqp` steps it through `_slsqplib.slsqp` (mode 1
+    asks for values at x, mode -1 for gradients): -R is minimized under the
+    equality wrap(phi - phi_target) = 0, pi where phi is undefined, and the
+    inequality j1/j0 - r_threshold >= 0, with ftol 1e-12 and MAX_ITER
+    iterations.  Gradients are the quotients of scipy's 2-point rule on
+    `_stencil`'s points, the same points for the objective and both
+    constraints.
+
+    A generator: each value it yields is a list of points it has not yet
+    evaluated, and it is sent their (R, j1/j0, phi, phi_defined, j2)
+    tuples in that order.  A memo keyed on the points' bytes keeps them,
+    so that no point is evaluated twice and `n_eval` counts them.  It
+    returns the start record: the optimum in canonical form
+    (`_canonical`), `n_eval`, `n_iter` and SLSQP's exit `status`.
     """
-    from scipy.optimize import minimize
-    problem, x0 = args
-    family, N = problem.family, problem.N
+    from scipy.optimize._slsqplib import slsqp
+    N, n = problem.N, problem.dim
+    upper = np.concatenate((np.full(N, problem.amp_bound), np.full(N - 1, np.inf)))
+    lower = -upper
     memo = {}
-    stencil = []    # the objective's latest forward-difference points
 
-    def rates(x):
-        key = x.tobytes()
-        if key not in memo:
-            memo[key] = _candidate_rates(family, N, x)
-        return memo[key]
-
-    def forward_points(fun, points):
-        points = list(points)
-        stencil[:] = points
-        new = {key: x for x in points if (key := x.tobytes()) not in memo}
+    def evaluate(points):
+        new = {key: p for p in points if (key := p.tobytes()) not in memo}
         if new:
-            batch = _candidate_batch(family, N, list(new.values()), workers=1)
-            # as Python scalars, the tuples `_candidate_rates` returns
-            memo.update(zip(new, zip(*(a.tolist() for a in batch))))
-        return map(fun, points)
+            memo.update(zip(new, (yield list(new.values()))))
 
-    def gradient(con):
-        """x -> the forward-difference gradient of `con` at x on the
-        objective's points x_i at x: (con(x_i) - con(x)) / (x_i[i] - x[i]),
-        the quotient of scipy's 2-point rule."""
-        def jac(x):
-            c = con(x)
-            row = []
-            for i, point in enumerate(stencil):
-                base = point.copy()
-                base[i] = x[i]
-                if base.tobytes() != x.tobytes():
-                    break
-                row.append((con(point) - c) / (point[i] - x[i]))
-            if len(row) != len(x):
-                raise AssertionError("SLSQP asked for a constraint Jacobian away from "
-                                     "the objective's difference points")
-            return row
-        return jac
+    def merit(point):
+        """(-R, phase gap, j1/j0 - r_threshold) at an evaluated point."""
+        R, j1, phi, defined, _ = memo[point.tobytes()]
+        gap = wrap_angle(phi - problem.phi_target) if defined else np.pi
+        return -R, gap, j1 - problem.r_threshold
 
-    def phase_gap(x):
-        _, _, phi, defined, _ = rates(x)
-        return wrap_angle(phi - problem.phi_target) if defined else np.pi
+    def gradients(x):
+        """(n, 3) forward-difference quotients of `merit` at x."""
+        points, dx = _stencil(x, lower, upper)
+        yield from evaluate([x, *points])
+        return (np.array([merit(p) for p in points]) - merit(x)) / dx[:, None]
 
-    def nn_floor(x):
-        return rates(x)[1] - problem.r_threshold
-
-    bounds = [(-problem.amp_bound, problem.amp_bound)] * N + [(None, None)] * (N - 1)
-    res = minimize(
-        lambda x: -rates(x)[0], np.asarray(x0, dtype=float), method="SLSQP", bounds=bounds,
-        constraints=({"type": "eq", "fun": phase_gap, "jac": gradient(phase_gap)},
-                     {"type": "ineq", "fun": nn_floor, "jac": gradient(nn_floor)}),
-        options={"ftol": 1e-12, "maxiter": MAX_ITER, "workers": forward_points})
+    x = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    # SLSQP takes a missing bound as NaN
+    xl, xu = (np.where(np.isinf(b), np.nan, b) for b in (lower, upper))
+    m, meq = 2, 1       # two constraints, the first an equality
+    state = {"acc": 1e-12, "alpha": 0.0, "f0": 0.0, "gs": 0.0, "h1": 0.0, "h2": 0.0,
+             "h3": 0.0, "h4": 0.0, "t": 0.0, "t0": 0.0, "tol": 10 * 1e-12, "exact": 0,
+             "inconsistent": 0, "reset": 0, "iter": 0, "itermax": MAX_ITER, "line": 0,
+             "m": m, "meq": meq, "mode": 0, "n": n}
+    indices = np.zeros(m + 2 * n + 2, dtype=np.int32)
+    buffer = np.zeros(n * (n + 1) // 2 + 3 * m * n - (m + 5 * n + 7) * meq + 9 * m
+                      + 8 * n * n + 35 * n + meq * meq + 28)
+    mult = np.zeros(m + 2 * n + 2)
+    C = np.zeros((m, n), order="F")
+    d = np.zeros(m)
+    jac = yield from gradients(x)
+    fx, d[0], d[1] = merit(x)
+    g, C[:] = jac[:, 0].copy(), jac[:, 1:].T
+    while True:
+        slsqp(state, fx, g, C, d, x, mult, xl, xu, buffer, indices)
+        if state["mode"] == 1:
+            yield from evaluate([x])
+            fx, d[0], d[1] = merit(x)
+        elif state["mode"] == -1:
+            jac = yield from gradients(x)
+            g, C[:] = jac[:, 0].copy(), jac[:, 1:].T
+        else:
+            break
     n_eval = len(memo)
-    p = _canonical(res.x, N)
-    R, j1, phi, defined, _ = rates(p)
-    record = _start_record(problem, p, R, j1, phi, defined, bool(res.success))
-    record.update(n_eval=n_eval, n_iter=int(res.nit), status=int(res.status))
+    p = _canonical(x, N)
+    yield from evaluate([p])
+    R, j1, phi, defined, _ = memo[p.tobytes()]
+    record = _start_record(problem, p, R, j1, phi, defined, state["mode"] == 0)
+    record.update(n_eval=n_eval, n_iter=state["iter"], status=state["mode"])
     return record
+
+
+def _run_starts(tasks, workers: int) -> list:
+    """The records of `_slsqp_start` from each (problem, x0) of `tasks`, in
+    task order.  The starts advance in lockstep: each round gathers the
+    points every live start asks for next and evaluates them in one kernel
+    call per (family, N), `_candidate_rates` for a single row and
+    `_candidate_batch` on up to `workers` threads for more.  At most
+    _WINDOW starts are live; finished ones are replaced in task order, so
+    memory does not grow with the number of tasks."""
+    records = [None] * len(tasks)
+    queue = iter(enumerate(tasks))
+
+    def advance(entries):
+        """Each (task index, problem, start, values) sent its values: the
+        (index, problem, start, points asked for) of the starts that go on."""
+        going = []
+        for i, problem, start, values in entries:
+            try:
+                going.append((i, problem, start, start.send(values)))
+            except StopIteration as done:
+                records[i] = done.value
+        return going
+
+    live = []
+    while True:
+        # a new start always asks for points (x0 and its stencil) first
+        live += advance((i, problem, _slsqp_start(problem, x0), None)
+                        for i, (problem, x0) in itertools.islice(queue, _WINDOW - len(live)))
+        if not live:
+            return records
+        rows = {}
+        for _, problem, _, points in live:
+            rows.setdefault((problem.family, problem.N), []).extend(points)
+        values = {}
+        for (family, N), P in rows.items():
+            if len(P) == 1:
+                values[family, N] = iter([_candidate_rates(family, N, P[0])])
+            else:
+                # as Python scalars, the tuples `_candidate_rates` returns
+                values[family, N] = zip(*(a.tolist() for a in
+                                          _candidate_batch(family, N, P, workers)))
+        live = advance((i, problem, start,
+                        list(itertools.islice(values[problem.family, problem.N], len(points))))
+                       for i, problem, start, points in live)
 
 
 def _image_record(record, problem: OptimizationProblem, mirror: bool, negate_even: bool):
@@ -535,17 +621,11 @@ def _best(records, family: str) -> OptimizationResult:
 
 def _maximize_all(problems, workers: int | None = None) -> list:
     """`maximize` for each problem, with every start of every problem
-    mapped over one worker pool."""
+    stepped in lockstep by one `_run_starts`."""
     workers = _resolve_workers(workers)
     draws = {}
-    tasks = [(problem, x0) for problem in problems for x0 in sobol_starts(problem, draws)]
-    if workers > 1 and len(tasks) >= 2 * workers:
-        import multiprocessing as mp
-        with mp.get_context("fork").Pool(workers) as pool:
-            # fine-grained chunks: starts vary widely in iteration count
-            records = pool.map(_run_start, tasks, chunksize=1)
-    else:
-        records = [_run_start(t) for t in tasks]
+    records = _run_starts([(problem, x0) for problem in problems
+                           for x0 in sobol_starts(problem, draws)], workers)
     results, i = [], 0
     for problem in problems:
         results.append(_best(records[i:i + problem.n_starts], problem.family))
@@ -685,6 +765,40 @@ def sweep_targets(phi_targets, r_thresholds, template: OptimizationProblem,
 # ---------------------------------------------------------------------------
 # Phase map over (A1, A2) at fixed delta_2
 
+def _components(mask) -> int:
+    """Number of 4-connected components of the True cells of a 2-D boolean
+    array, by a two-pass scanline labelling.  The first pass labels each
+    row's runs of True cells and finds the pairs of runs in adjacent rows
+    that share a column, one per span of shared columns; the second joins
+    each pair by union-find, and each join of two distinct roots leaves one
+    component fewer.  The work grows with the cells and runs, not with a
+    component's diameter."""
+    mask = np.asarray(mask, dtype=bool)
+
+    def span_starts(a):
+        first = a.copy()
+        first[:, 1:] &= ~a[:, :-1]
+        return first
+    starts = span_starts(mask)
+    # the run of each True cell, numbered in row-major order
+    run = np.cumsum(starts.ravel()).reshape(mask.shape) - 1
+    shared = span_starts(mask[:-1] & mask[1:])
+    pairs = zip(run[:-1][shared].tolist(), run[1:][shared].tolist())
+    parent = list(range(int(starts.sum())))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+    count = len(parent)
+    for a, b in pairs:
+        a, b = root(a), root(b)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+            count -= 1
+    return count
+
+
 @dataclass(frozen=True)
 class PhaseMap:
     """Achieved NNN phase and NN ratio over an amplitude grid (N = 2,
@@ -705,9 +819,7 @@ class PhaseMap:
 
     def superlevel_components(self, level: float) -> int:
         """Number of connected components (4-neighbor) of j1/j0 >= level."""
-        from scipy import ndimage
-        _, n = ndimage.label(self.j1_over_j0 >= level)
-        return int(n)
+        return _components(self.j1_over_j0 >= level)
 
     def rows(self):
         """(A1, A2, phi, j1/j0, phi_defined) per cell, row-major in A1, as

@@ -44,8 +44,9 @@ from .effective import derive_rates
 
 RICHARDSON_TOL = 1e-8
 
-#: most k-point steps whose step matrices are held at once; 2^15 keeps a
-#: block in cache (56 steps at the 24^2 grid)
+#: most k-point steps whose step matrices are held at once (56 steps at
+#: the 24^2 grid); it bounds memory, not cache use: a 2^15 block makes
+#: about 20 temporaries of 256-512 KB
 STEP_BLOCK_SAMPLES = 1 << 15
 
 

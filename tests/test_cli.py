@@ -125,9 +125,8 @@ def test_amp_bound_box_refused_before_workers(command, bound, tmp_path, capsys, 
     def no_workers(*args, **kwargs):
         raise AssertionError("a worker was started")
     import concurrent.futures
-    import multiprocessing
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_workers)
-    monkeypatch.setattr(multiprocessing, "get_context", no_workers)
+    monkeypatch.setattr(os, "fork", no_workers)
     code, _, err = run(command + ["--r-th", "0.25", "--starts", "2", "--amp-bound", bound,
                                   "--out", str(tmp_path)], capsys)
     assert code == 2
@@ -204,6 +203,50 @@ def test_commands_without_optimizer_do_not_import_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     assert [line for line in done.stdout.splitlines()
             if line.startswith("scipy:")] == ["scipy: []", "scipy: [] 0"]
+
+
+def test_phase_map_does_not_import_scipy(tmp_path):
+    # the components count of its summary line is the package's own
+    code = ("import sys\n"
+            "from floqchern import cli\n"
+            "code = cli.main(['phase-map', '--A1', '0:3.5:0.5', '--A2=-3.5:3.5:0.5',\n"
+            "                 '--out', sys.argv[1]])\n"
+            "print('scipy:', sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), code)\n")
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                          text=True, env=_child_env(), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "components 2 ->" in done.stdout
+    assert done.stdout.splitlines()[-1] == "scipy: [] 0"
+
+
+def test_optimizer_commands_start_no_process(tmp_path):
+    # optimize and sweep run every start in this process: with os.fork
+    # refused they still succeed, and multiprocessing is never imported;
+    # a thread count above MAX_WORKERS is refused before any thread exists
+    code = ("import os, sys, threading\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise AssertionError('a process or thread was started')\n"
+            "os.fork = refuse\n"
+            "from floqchern import cli\n"
+            "out = sys.argv[1]\n"
+            "start, threading.Thread.start = threading.Thread.start, refuse\n"
+            "optimize = ['optimize', '--phi-target', '1.0', '--r-th', '0.25', '--N', '1',\n"
+            "            '--starts', '2', '--out', out]\n"
+            "refused = [cli.main(optimize + ['--threads', '65'])]\n"
+            "os.environ['FCF_THREADS'] = '65'\n"
+            "refused += [cli.main(optimize), cli.main(['sweep', '--targets', '2', '--out', out])]\n"
+            "del os.environ['FCF_THREADS']\n"
+            "threading.Thread.start = start\n"
+            "codes = [cli.main(optimize + ['--threads', '2']),\n"
+            "         cli.main(['sweep', '--targets', '2', '--starts', '2', '--threads', '2',\n"
+            "                   '--out', out])]\n"
+            "print('codes:', refused, codes, sorted(os.listdir(out)))\n"
+            "print('multiprocessing:', 'multiprocessing' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                          text=True, env=_child_env(), timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-2:] == [
+        "codes: [2, 2, 2] [0, 0] ['optimize.csv', 'sweep.csv']", "multiprocessing: False"]
 
 
 def test_optimizer_commands_do_not_import_scipy_stats(tmp_path):
@@ -473,9 +516,8 @@ def test_worker_cap_exit_2(argv, env, flag, tmp_path, capsys, monkeypatch):
     def no_workers(*args, **kwargs):
         raise AssertionError("a worker was started")
     import concurrent.futures
-    import multiprocessing
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_workers)
-    monkeypatch.setattr(multiprocessing, "get_context", no_workers)
+    monkeypatch.setattr(os, "fork", no_workers)
     if env:
         monkeypatch.setenv("FCF_THREADS", env)
     code, _, err = run(argv + ["--out", str(tmp_path)], capsys)

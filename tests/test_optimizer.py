@@ -1,9 +1,13 @@
+import collections
 import contextlib
+import os
 import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import jv
 
@@ -169,15 +173,16 @@ def test_one_draw_per_start_set(monkeypatch):
         draws.append(key)
         return draw(*key)
 
-    def run_start(task):
-        tasks.append(task)
-        problem, x0 = task
-        record = optimizer._start_record(problem, x0, 0.0, 1.0, 0.0, True, True)
-        record.update(n_eval=0, n_iter=0, status=0)
-        return record
+    def run_starts(starts, workers):
+        tasks.extend(starts)
+        records = [optimizer._start_record(problem, x0, 0.0, 1.0, 0.0, True, True)
+                   for problem, x0 in starts]
+        for record in records:
+            record.update(n_eval=0, n_iter=0, status=0)
+        return records
 
     monkeypatch.setattr(optimizer, "_sobol_points", counted)
-    monkeypatch.setattr(optimizer, "_run_start", run_start)
+    monkeypatch.setattr(optimizer, "_run_starts", run_starts)
     targets = list(np.linspace(-np.pi, np.pi, 9)[1:])
     sweep_targets(targets, [0.25, 0.5], template, workers=1)
     assert draws == [(3, 4, 42)]
@@ -376,6 +381,51 @@ def test_phase_map_coverage_and_disconnection(coarse_map):
     assert coarse_map.superlevel_components(0.25) >= 2
 
 
+def _snake(rows, cols):
+    """One path through every other row, joined at alternating ends."""
+    mask = np.zeros((rows, cols), dtype=bool)
+    mask[::2] = True
+    mask[1::4, -1:] = True
+    mask[3::4, :1] = True
+    return mask
+
+
+@st.composite
+def _masks(draw):
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    kind = draw(st.sampled_from(["cells", "snake", "checkerboard", "full", "empty"]))
+    if kind == "cells":
+        cells = draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols))
+        mask = np.array(cells, dtype=bool).reshape(rows, cols)
+    elif kind == "snake":
+        mask = _snake(rows, cols)
+    elif kind == "checkerboard":
+        mask = np.indices((rows, cols)).sum(axis=0) % 2 == 0
+    else:
+        mask = np.full((rows, cols), kind == "full")
+    return mask.T if draw(st.booleans()) else mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(_masks())
+@example(np.ones((1, 9), dtype=bool))
+@example(np.ones((9, 1), dtype=bool))
+@example(np.array([[True, False, True, False, True]]))
+@example(np.array([[True], [False], [True]]))
+def test_components_match_ndimage_label(mask):
+    from scipy import ndimage
+    assert optimizer._components(mask) == ndimage.label(mask)[1]
+
+
+def test_components_do_not_walk_a_component():
+    # MAX_POINTS cells: a snake whose one component is some 5e5 cells long,
+    # and 512 stripes of 1024 rows each
+    n = 1024
+    assert optimizer._components(_snake(n, n)) == 1
+    assert optimizer._components(np.tile(np.arange(n) % 2 == 0, (n, 1))) == n // 2
+    assert optimizer._components(np.indices((n, n)).sum(axis=0) % 2 == 0) == n * n // 2
+
+
 def test_phase_map_zero_relative_phase_pins_half_pi():
     A = np.arange(0.2, 3.0, 0.4)
     pm = phase_map(A, A, 0.0)
@@ -516,11 +566,28 @@ def _threads(monkeypatch, threads, inline=None):
 def test_worker_threads_keep_the_callers_error_state(monkeypatch):
     # np.errstate is a context variable, which threads do not inherit; the
     # blocks run in a copy of the caller's context
-    monkeypatch.setattr(optimizer, "_candidate_block", lambda *args: np.geterr()["over"])
+    def state(*args):
+        return threading.get_ident(), np.geterr()["over"]
+    monkeypatch.setattr(optimizer, "_candidate_block", state)
+    # four blocks of nearly _BLOCK_SAMPLES samples each: enough for threads
+    M = optimizer._BLOCK_SAMPLES // 3
     with np.errstate(over="raise"):
         states = optimizer._candidate_blocks("plus", None, np.zeros((4, 3, 2)),
-                                             [([i], 1, 4) for i in range(4)], 2)
-    assert states == ["raise"] * 4
+                                             [([i], 1, M) for i in range(4)], 2)
+    assert [over for _, over in states] == ["raise"] * 4
+    assert threading.get_ident() not in {ident for ident, _ in states}
+
+
+def test_small_batches_stay_in_the_calling_thread(monkeypatch):
+    # below two full blocks of samples, a batch runs inline whatever the
+    # worker count; at two, it goes to threads
+    monkeypatch.setattr(optimizer, "_candidate_block", lambda *args: threading.get_ident())
+    # one row of 3 bonds x M samples per block: 3 * (M1 + M2) samples in all
+    grids = -(-2 * optimizer._BLOCK_SAMPLES // 3)
+    for total, inline in ((grids - 1, True), (grids, False)):
+        blocks = [([0], 1, total - total // 2), ([1], 1, total // 2)]
+        ran = optimizer._candidate_blocks("plus", None, np.zeros((2, 3, 2)), blocks, 2)
+        assert (threading.get_ident() in ran) == inline
 
 
 def _bits(arrays):
@@ -572,13 +639,12 @@ def test_thread_blocks_raise_first_failing_row(monkeypatch):
 
 @pytest.mark.parametrize("value", ["65", "100000"])
 def test_worker_env_cap_refused_before_any_worker(value, monkeypatch):
-    # the cap fires in worker_count, before an executor or a pool exists
+    # the cap fires in worker_count, before an executor or a process exists
     def no_workers(*args, **kwargs):
         raise AssertionError("a worker was started")
     import concurrent.futures
-    import multiprocessing
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_workers)
-    monkeypatch.setattr(multiprocessing, "get_context", no_workers)
+    monkeypatch.setattr(os, "fork", no_workers)
     monkeypatch.setenv("FCF_THREADS", value)
     alive = threading.active_count()
     prob = OptimizationProblem(phi_target=np.pi / 2, r_threshold=0.25, n_starts=4)
@@ -596,13 +662,12 @@ def test_worker_env_cap_refused_before_any_worker(value, monkeypatch):
 
 def test_library_worker_cap_refused_before_any_worker(monkeypatch):
     # an explicit worker count above MAX_WORKERS is refused like the
-    # FCF_THREADS cap, before an executor or a pool exists
+    # FCF_THREADS cap, before an executor or a process exists
     def no_workers(*args, **kwargs):
         raise AssertionError("a worker was started")
     import concurrent.futures
-    import multiprocessing
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_workers)
-    monkeypatch.setattr(multiprocessing, "get_context", no_workers)
+    monkeypatch.setattr(os, "fork", no_workers)
     monkeypatch.delenv("FCF_THREADS", raising=False)
     alive = threading.active_count()
     prob = OptimizationProblem(phi_target=np.pi / 2, r_threshold=0.25, n_starts=4)
@@ -621,13 +686,14 @@ def test_library_worker_cap_refused_before_any_worker(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# SLSQP's difference stencils: one batch each, bit for bit plain SLSQP
+# the lockstep SLSQP driver: bit for bit plain SLSQP, start by start
 
 def _plain_start(problem, x0):
     """The start as plain SLSQP, written out: scipy's own finite
     differences for the objective and both constraints, every point
     evaluated once through a memo of `_candidate_rates`.  Returns the
-    record fields `_run_start` must match and the points evaluated."""
+    record fields `_slsqp_start` must match and the points evaluated, in
+    the order SLSQP first asked for them."""
     from scipy.optimize import minimize
     memo = {}
 
@@ -652,7 +718,7 @@ def _plain_start(problem, x0):
     R, j1, phi, _, _ = _candidate_rates(problem.family, N, p)
     record = {"p": p.tobytes(), "R": R, "j1": j1, "phi": phi, "status": int(res.status),
               "n_iter": int(res.nit), "n_eval": len(memo), "converged": bool(res.success)}
-    return record, set(memo)
+    return record, list(memo)
 
 
 def _kernel_rows(monkeypatch):
@@ -696,49 +762,92 @@ def _grid_edge_start():
 
 
 def _stencil_cases():
+    """(name, problem, start points, window) of driver runs to check."""
     cases = []
     for family, phi in (("plus", 1.0), ("minus", -2.0)):
         for N in (1, 2, 3):
             prob = OptimizationProblem(phi_target=phi, r_threshold=0.3, family=family, N=N,
                                        amp_bound=3.0, n_starts=1, seed=7)
-            cases.append((f"{family}-N{N}", prob, sobol_starts(prob)[0]))
+            cases.append((f"{family}-N{N}", prob, sobol_starts(prob), 1))
     # iterates on the amplitude bounds: the step at +amp_bound is flipped
     prob = OptimizationProblem(phi_target=-np.pi / 2, r_threshold=0.5, N=2)
-    cases.append(("upper-bound", prob, np.array([2.0, prob.amp_bound, -1.5])))
-    cases.append(("lower-bound", prob, np.array([-prob.amp_bound, 1.0, 0.5])))
-    cases.append(("two-grids", *_grid_edge_start()))
+    cases.append(("upper-bound", prob, [np.array([2.0, prob.amp_bound, -1.5])], 1))
+    cases.append(("lower-bound", prob, [np.array([-prob.amp_bound, 1.0, 0.5])], 1))
+    prob, x0 = _grid_edge_start()
+    cases.append(("two-grids", prob, [x0], 1))
+    # several starts in one lockstep window, and the same starts one by one
+    prob = OptimizationProblem(phi_target=1.0, r_threshold=0.3, amp_bound=3.0, n_starts=8,
+                               seed=7)
+    cases.append(("lockstep-8", prob, sobol_starts(prob), 8))
+    cases.append(("window-1", prob, sobol_starts(prob), 1))
     return cases
+
+
+def _record_fields(record):
+    """The fields of a start record `_plain_start` returns, p as bytes."""
+    return {"p": record["p"].tobytes(), "R": record["R"], "j1": record["j1"],
+            "phi": record["phi"], "status": record["status"], "n_iter": record["n_iter"],
+            "n_eval": record["n_eval"], "converged": record["converged"]}
 
 
 @pytest.mark.parametrize("case", _stencil_cases(), ids=lambda c: c[0])
 def test_run_start_matches_plain_slsqp(case, monkeypatch):
-    name, prob, x0 = case
-    ref, ref_points = _plain_start(prob, x0)
+    name, prob, starts, window = case
+    refs = [_plain_start(prob, x0) for x0 in starts]
     rows = _kernel_rows(monkeypatch)
-    record = optimizer._run_start((prob, x0))
-    got = {key: record[key] for key in ref}
-    got["p"] = record["p"].tobytes()
-    assert got == ref
-    # every point once: the points plain SLSQP evaluated, and the
-    # canonical optimum when SLSQP did not evaluate it itself
-    points = [point for _, point in rows]
-    assert len(points) == len(set(points))
-    assert set(points) == ref_points | {ref["p"]}
-    assert len(points) == record["n_eval"] + (ref["p"] not in ref_points)
-    # the first call evaluates x0, the second the first stencil around it,
-    # in one batch of dim points
-    first = [point for call, point in rows if call == 2]
-    assert len(first) == prob.dim
+    monkeypatch.setattr(optimizer, "_WINDOW", window)
+    records = optimizer._run_starts([(prob, x0) for x0 in starts], 1)
+    assert [_record_fields(r) for r in records] == [ref for ref, _ in refs]
+    # each start evaluates every point once: the points plain SLSQP
+    # evaluated, and the canonical optimum when SLSQP did not evaluate it
+    points = collections.Counter(point for _, point in rows)
+    assert points == collections.Counter(
+        point for ref, ref_points in refs for point in {*ref_points, ref["p"]})
+    # the first call evaluates each start of the first window at x0 and
+    # on the first stencil around it, in plain SLSQP's order, in one batch
+    first = [point for call, point in rows if call == 1]
+    assert first == [point for _, ref_points in refs[:window]
+                     for point in ref_points[:prob.dim + 1]]
+    stencil = first[1:prob.dim + 1]
     if name == "upper-bound":
-        assert np.frombuffer(first[1])[1] < prob.amp_bound
+        assert np.frombuffer(stencil[1])[1] < prob.amp_bound
     if name == "two-grids":
-        assert len({_grid_of(prob.family, prob.N, point) for point in first}) == 2
+        assert len({_grid_of(prob.family, prob.N, point) for point in stencil}) == 2
+
+
+def test_window_bounds_the_live_starts(monkeypatch):
+    # 3 x 64 starts, cut short at 8 iterations: at most _WINDOW live at
+    # once, and the records in task order, those of the starts run one by one
+    monkeypatch.setattr(optimizer, "MAX_ITER", 8)
+    problems = [OptimizationProblem(phi_target=phi, r_threshold=0.25, N=1, n_starts=64,
+                                    seed=42) for phi in (np.pi / 2, 1.0, -2.0)]
+    tasks = [(problem, x0) for problem in problems for x0 in sobol_starts(problem)]
+    window = optimizer._WINDOW
+    monkeypatch.setattr(optimizer, "_WINDOW", 1)
+    one_by_one = optimizer._run_starts(tasks, 1)
+    monkeypatch.setattr(optimizer, "_WINDOW", window)
+    live, most = set(), [0]
+    start = optimizer._slsqp_start
+
+    def counted(problem, x0):
+        token = object()
+        live.add(token)
+        most[0] = max(most[0], len(live))
+        try:
+            return (yield from start(problem, x0))
+        finally:
+            live.discard(token)
+    monkeypatch.setattr(optimizer, "_slsqp_start", counted)
+    records = optimizer._run_starts(tasks, 1)
+    assert most[0] == window == 64 and not live
+    assert [_record_fields(r) for r in records] == [_record_fields(r) for r in one_by_one]
 
 
 def test_stencil_batches_run_in_the_calling_thread(monkeypatch):
-    # a stencil that spans two grids, and one of 11 points at M = 1024,
-    # more than _BLOCK_SAMPLES: both are split into blocks, which
-    # FCF_THREADS = 3 would otherwise hand to worker threads
+    # one start's stencils stay inline on FCF_THREADS = 3: one that spans
+    # two grids, and one of 11 points at M = 1024, more than _BLOCK_SAMPLES
+    # and so split into blocks, but less than the two full blocks that
+    # go to threads
     monkeypatch.setattr(optimizer, "MAX_ITER", 3)
     six = OptimizationProblem(phi_target=0.5, r_threshold=0.2, N=6, amp_bound=1.0)
     x0 = np.concatenate((np.full(6, 0.3), np.linspace(-1.0, 1.0, 5)))
@@ -746,5 +855,5 @@ def test_stencil_batches_run_in_the_calling_thread(monkeypatch):
     assert six.dim * 3 * 1024 > optimizer._BLOCK_SAMPLES
     for prob, start in (_grid_edge_start(), (six, x0)):
         with _threads(monkeypatch, 3, inline=True) as ran:
-            optimizer._run_start((prob, start))
+            optimizer._run_starts([(prob, start)], optimizer.worker_count())
         assert ran == {threading.get_ident()}

@@ -227,6 +227,19 @@ def test_step_blocks_match_one_block(monkeypatch):
     assert np.array_equal(_propagators(spec, GEOM, 0.4, 0.2, ks, 256), whole)
 
 
+@pytest.mark.parametrize("delta", [0.0, 0.3])
+def test_step_block_size_moves_no_bit(delta, monkeypatch):
+    # the 24^2 grid in blocks of 1, 7 and 56 steps (2^10, 2^12 and 2^15
+    # samples): the same bytes, at delta = 0 and away from it
+    spec = build_family_drive("plus", 1.0, [2.0, 1.0], [0.0, 0.4])
+    ks = torus_grid(GEOM, 24, 24)
+    runs = []
+    for samples in (1 << 10, 1 << 12, 1 << 15):
+        monkeypatch.setattr(validate, "STEP_BLOCK_SAMPLES", samples)
+        runs.append(_propagators(spec, GEOM, 0.02, delta, ks, 256).tobytes())
+    assert runs[0] == runs[1] == runs[2]
+
+
 def test_propagator_memory_does_not_grow_with_steps():
     # 12^2 k-points x 2,048 steps: whole (Nk, steps) arrays would take ~30 MiB
     spec = build_family_drive("plus", 1.0, [2.0, 1.0], [0.0, 0.4])
