@@ -8,14 +8,15 @@ A malformed or missing flag is a configuration error like any other,
 and so is a count above MAX_POINTS, MAX_KSTEPS or
 optimizer.MAX_HARMONICS, and a negative --seed.  Grid flags use
 start:stop:step with the stop included when it lands on the grid within
-epsilon.  phase-map, optimize and sweep run large kernel batches on
-threads, FCF_THREADS of them, by default one per usable core; optimize
-and sweep also take --threads, which FCF_THREADS overrides.  Every
+epsilon.  phase-map runs its kernel blocks, and optimize and sweep step
+their SLSQP starts, on threads, FCF_THREADS of them, by default one per
+usable core; optimize and sweep also take --threads, which FCF_THREADS
+overrides.  Every
 command runs in one process.  A FCF_THREADS or --threads above
 optimizer.MAX_WORKERS is a configuration error.
 
 Commands run with numpy's overflow, division-by-zero and invalid-operation
-errors raised (underflow stays silent), in the kernel threads too.  Such
+errors raised (underflow stays silent), in their threads too.  Such
 an error, like any other ArithmeticError (a Python float that
 overflows), is a numerical failure, exit 3, so no command prints a numpy
 warning or a traceback.  Every JSON
@@ -326,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=42)
             p.add_argument("--amp-bound", type=float, default=5.0, dest="amp_bound")
             p.add_argument("--threads", type=int, default=0,
-                           help="kernel threads (FCF_THREADS overrides)")
+                           help="threads that step the SLSQP starts (FCF_THREADS overrides)")
 
     p = sub.add_parser("rates", help="effective rates of a drive")
     p.add_argument("--drive", required=True, help="drive JSON path or inline JSON")

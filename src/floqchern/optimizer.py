@@ -12,10 +12,11 @@ the equality wrap(phi - phi_target) = 0 and the inequality
 j1/j0 - r_threshold >= 0, with the amplitudes bounded by +-amp_bound and
 the phases free.  Each start is stepped by reverse communication through
 scipy's SLSQP routine (`_slsqp_start`, as `scipy.optimize.minimize` steps
-it), and all starts of a call advance in lockstep in the calling process
-(`_run_starts`): each round evaluates the points every live start asks
-for next, values or the 2N - 1 points of a forward-difference gradient,
-in one kernel call.  The constraint gradients are the objective's
+it), and the starts of a call run in the calling process on up to
+`workers` threads (`_run_starts`).  Each thread steps its share of the
+starts in lockstep: a round evaluates the points its live starts ask for
+next, values or the 2N - 1 points of a forward-difference gradient, in
+one kernel call.  The constraint gradients are the objective's
 quotients on the same points.  Each start memoizes its evaluations, so
 that the objective and both constraints share them and no point is
 evaluated twice for one start.  Every start record counts its
@@ -46,13 +47,14 @@ all starts stepped together.
 Phase maps, random search and the optimizer's rounds evaluate arrays of
 parameter vectors at once (`_candidate_batch`): drives are grouped by
 their Fourier grid and run through the spectrum and rate code along a
-leading axis, in blocks of bounded size.  A batch of at least two full
-blocks runs its blocks on `worker_count()` threads (FCF_THREADS
+leading axis, in blocks of bounded size.  For phase maps and random
+search the blocks run on `worker_count()` threads (FCF_THREADS
 overrides the default of every usable core, `workers` passes a count);
-each block depends on its own rows only, and its values are scattered in
-submission order, so the results are bit for bit those of the one-drive
-kernel `_candidate_rates`, which a round of a single row calls, whatever
-the thread count.  Both kernels take their drive-layer rules from
+an optimizer thread evaluates its rounds itself.  Each block depends on
+its own rows only, and its values are scattered in submission order, so
+the results are bit for bit those of the one-drive kernel
+`_candidate_rates`, which a round of a single row calls, whatever the
+thread count.  Both kernels take their drive-layer rules from
 `drive`: the bond amplitudes of the family layout
 (`_family_bond_amplitudes`), the grid key that groups drives
 (`_grid_key`) and the truncation limit (`_tail_fits`).  A thread count,
@@ -67,6 +69,8 @@ import functools
 import itertools
 import math
 import os
+import re
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -93,12 +97,17 @@ _BLOCK_SAMPLES = 1 << 15
 #: vectors `random_search_best` draws at a time
 _BATCH_ROWS = 4096
 
-#: most kernel threads FCF_THREADS, --threads or `workers` may ask for;
-#: each thread holds a kernel block and a malloc arena
+#: most threads FCF_THREADS, --threads or `workers` may ask for; each
+#: thread holds a kernel block and a malloc arena
 MAX_WORKERS = 64
 
-#: most SLSQP starts `_run_starts` keeps live at once
+#: most SLSQP starts `_run_starts` keeps live at once, over all its threads
 _WINDOW = 64
+
+#: scipy releases [first, last) whose private SLSQP routine
+#: `_slsqplib.slsqp` (state dict, buffer size, mode protocol) the driver
+#: was checked against
+_SCIPY_CHECKED = ((1, 17, 1), (1, 18))
 
 #: SLSQP's forward-difference step: scipy's default eps, the square root
 #: of the float64 machine epsilon
@@ -134,7 +143,7 @@ _SOBOL_TABLE = (
 
 
 def worker_count(hint: int = 0) -> int:
-    """Kernel thread count: the FCF_THREADS env var, else a positive
+    """Thread count: the FCF_THREADS env var, else a positive
     `hint`, else the cores this process may run on.  A FCF_THREADS that is
     not an integer, or is above MAX_WORKERS, raises ValueError."""
     env = os.environ.get("FCF_THREADS")
@@ -152,7 +161,7 @@ def worker_count(hint: int = 0) -> int:
 
 
 def _resolve_workers(workers: int | None) -> int:
-    """The kernel thread count of a library call: `worker_count()` for
+    """The thread count of a library call: `worker_count()` for
     None, else `workers`, at least 1.  A count above MAX_WORKERS raises
     ValueError, before any thread starts."""
     if workers is None:
@@ -253,13 +262,8 @@ def _candidate_rates(family, N, p):
 
 def _candidate_blocks(family, ms, Z, blocks, workers):
     """`_candidate_block` of Z[rows] on its grid for each (rows, n_max, M)
-    of `blocks`, in order.  When the blocks hold two full blocks' worth of
-    samples (2 * _BLOCK_SAMPLES) or more, they run on up to `workers`
-    threads; fewer run in the calling thread, where they cost less than a
-    hand-off.  The threads run private helpers only, and no thread
-    outlives the call."""
-    if sum(3 * M * len(rows) for rows, _, M in blocks) < 2 * _BLOCK_SAMPLES:
-        workers = 1
+    of `blocks`, in order, on up to `workers` threads.  The threads run
+    private helpers only, and no thread outlives the call."""
     workers = min(workers, len(blocks))
     if workers <= 1:
         return [_candidate_block(family, ms, Z[rows], n_max, M) for rows, n_max, M in blocks]
@@ -382,19 +386,39 @@ def _stencil(x, lower, upper):
     _FD_STEP * sign(x) * max(1, |x|); a step that leaves the box is
     flipped, or shortened to the far bound where neither side has room
     (`_adjust_scheme_to_bounds(x, h, 1, '1-sided', lower, upper)`)."""
-    sign = (x >= 0).astype(float) * 2 - 1
-    h = np.where((x + _FD_STEP) - x == 0, _FD_STEP * sign * np.maximum(1.0, np.abs(x)),
-                 _FD_STEP)
-    below, above = x - lower, upper - x
-    fitting = np.abs(h) <= np.maximum(below, above)
-    h[((x + h < lower) | (x + h > upper)) & fitting] *= -1
-    forward = (above >= below) & ~fitting
-    h[forward] = above[forward]
-    backward = (above < below) & ~fitting
-    h[backward] = -below[backward]
+    # element by element in Python floats, which round as numpy's do: a
+    # stencil has 2N - 1 steps, too few for array calls to pay
+    h = []
+    for xi, lo, hi in zip(x.tolist(), lower.tolist(), upper.tolist()):
+        step = _FD_STEP
+        if (xi + step) - xi == 0:
+            step = _FD_STEP * (1.0 if xi >= 0 else -1.0) * max(1.0, abs(xi))
+        below, above = xi - lo, hi - xi
+        if abs(step) <= max(below, above):
+            if xi + step < lo or xi + step > hi:
+                step = -step
+        else:
+            step = above if above >= below else -below
+        h.append(step)
+    h = np.array(h)
     points = np.repeat(x[None], len(x), axis=0)
     np.fill_diagonal(points, x + h)
     return points, (x + h) - x
+
+
+def _slsqp_routine():
+    """scipy's private SLSQP routine `_slsqplib.slsqp`, refused with a
+    RuntimeError outside the releases of _SCIPY_CHECKED: a release may
+    change its layout, which would give other optima without an error."""
+    import scipy
+    from scipy.optimize._slsqplib import slsqp
+    first, last = _SCIPY_CHECKED
+    if not first <= tuple(int(v) for v in re.findall(r"\d+", scipy.__version__)[:3]) < last:
+        raise RuntimeError(
+            f"scipy {scipy.__version__} is not a release the SLSQP driver was checked "
+            f"against ({'.'.join(map(str, first))} up to {'.'.join(map(str, last))}, "
+            f"exclusive); see README")
+    return slsqp
 
 
 def _slsqp_start(problem: OptimizationProblem, x0):
@@ -414,7 +438,7 @@ def _slsqp_start(problem: OptimizationProblem, x0):
     returns the start record: the optimum in canonical form
     (`_canonical`), `n_eval`, `n_iter` and SLSQP's exit `status`.
     """
-    from scipy.optimize._slsqplib import slsqp
+    slsqp = _slsqp_routine()
     N, n = problem.N, problem.dim
     upper = np.concatenate((np.full(N, problem.amp_bound), np.full(N - 1, np.inf)))
     lower = -upper
@@ -475,14 +499,19 @@ def _slsqp_start(problem: OptimizationProblem, x0):
 
 def _run_starts(tasks, workers: int) -> list:
     """The records of `_slsqp_start` from each (problem, x0) of `tasks`, in
-    task order.  The starts advance in lockstep: each round gathers the
-    points every live start asks for next and evaluates them in one kernel
-    call per (family, N), `_candidate_rates` for a single row and
-    `_candidate_batch` on up to `workers` threads for more.  At most
-    _WINDOW starts are live; finished ones are replaced in task order, so
-    memory does not grow with the number of tasks."""
+    task order, stepped on up to `workers` threads, one of them the
+    calling thread.  Each thread keeps an even share of the tasks live, at
+    most _WINDOW // threads, and advances them in lockstep: a round
+    gathers the points its live starts ask for next and evaluates them in
+    the thread, in one kernel call per (family, N), `_candidate_rates` for
+    a single row and `_candidate_batch` for more.  The threads draw tasks
+    in order from one queue, so finished starts are replaced in task order
+    and memory does not grow with the number of tasks.  No thread outlives
+    the call."""
     records = [None] * len(tasks)
     queue = iter(enumerate(tasks))
+    draw = threading.Lock()
+    threads = max(1, min(workers, len(tasks)))
 
     def advance(entries):
         """Each (task index, problem, start, values) sent its values: the
@@ -495,27 +524,46 @@ def _run_starts(tasks, workers: int) -> list:
                 records[i] = done.value
         return going
 
-    live = []
-    while True:
-        # a new start always asks for points (x0 and its stencil) first
-        live += advance((i, problem, _slsqp_start(problem, x0), None)
-                        for i, (problem, x0) in itertools.islice(queue, _WINDOW - len(live)))
-        if not live:
-            return records
-        rows = {}
-        for _, problem, _, points in live:
-            rows.setdefault((problem.family, problem.N), []).extend(points)
-        values = {}
-        for (family, N), P in rows.items():
-            if len(P) == 1:
-                values[family, N] = iter([_candidate_rates(family, N, P[0])])
-            else:
-                # as Python scalars, the tuples `_candidate_rates` returns
-                values[family, N] = zip(*(a.tolist() for a in
-                                          _candidate_batch(family, N, P, workers)))
-        live = advance((i, problem, start,
-                        list(itertools.islice(values[problem.family, problem.N], len(points))))
-                       for i, problem, start, points in live)
+    def step_starts(window):
+        live = []
+        while True:
+            with draw:
+                new = list(itertools.islice(queue, window - len(live)))
+            # a new start always asks for points (x0 and its stencil) first
+            live += advance((i, problem, _slsqp_start(problem, x0), None)
+                            for i, (problem, x0) in new)
+            if not live:
+                return
+            rows = {}
+            for _, problem, _, points in live:
+                rows.setdefault((problem.family, problem.N), []).extend(points)
+            values = {}
+            for (family, N), P in rows.items():
+                if len(P) == 1:
+                    values[family, N] = iter([_candidate_rates(family, N, P[0])])
+                else:
+                    # as Python scalars, the tuples `_candidate_rates` returns
+                    values[family, N] = zip(*(a.tolist() for a in
+                                              _candidate_batch(family, N, P, 1)))
+            live = advance((i, problem, start,
+                            list(itertools.islice(values[problem.family, problem.N], len(points))))
+                           for i, problem, start, points in live)
+
+    # an even share of the tasks, so that each thread starts with work
+    window = min(_WINDOW // threads, -(-len(tasks) // threads))
+    if threads == 1:
+        step_starts(window)
+        return records
+    from concurrent.futures import ThreadPoolExecutor
+    # the threads run in copies of the caller's context, so that they keep
+    # its numpy error state (np.errstate is a context variable)
+    with ThreadPoolExecutor(threads - 1) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, step_starts, window)
+                   for _ in range(threads - 1)]
+        step_starts(window)
+        for future in futures:
+            future.result()
+    return records
 
 
 def _image_record(record, problem: OptimizationProblem, mirror: bool, negate_even: bool):

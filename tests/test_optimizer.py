@@ -569,25 +569,11 @@ def test_worker_threads_keep_the_callers_error_state(monkeypatch):
     def state(*args):
         return threading.get_ident(), np.geterr()["over"]
     monkeypatch.setattr(optimizer, "_candidate_block", state)
-    # four blocks of nearly _BLOCK_SAMPLES samples each: enough for threads
-    M = optimizer._BLOCK_SAMPLES // 3
     with np.errstate(over="raise"):
         states = optimizer._candidate_blocks("plus", None, np.zeros((4, 3, 2)),
-                                             [([i], 1, M) for i in range(4)], 2)
+                                             [([i], 1, 4) for i in range(4)], 2)
     assert [over for _, over in states] == ["raise"] * 4
     assert threading.get_ident() not in {ident for ident, _ in states}
-
-
-def test_small_batches_stay_in_the_calling_thread(monkeypatch):
-    # below two full blocks of samples, a batch runs inline whatever the
-    # worker count; at two, it goes to threads
-    monkeypatch.setattr(optimizer, "_candidate_block", lambda *args: threading.get_ident())
-    # one row of 3 bonds x M samples per block: 3 * (M1 + M2) samples in all
-    grids = -(-2 * optimizer._BLOCK_SAMPLES // 3)
-    for total, inline in ((grids - 1, True), (grids, False)):
-        blocks = [([0], 1, total - total // 2), ([1], 1, total // 2)]
-        ran = optimizer._candidate_blocks("plus", None, np.zeros((2, 3, 2)), blocks, 2)
-        assert (threading.get_ident() in ran) == inline
 
 
 def _bits(arrays):
@@ -841,13 +827,53 @@ def test_window_bounds_the_live_starts(monkeypatch):
     records = optimizer._run_starts(tasks, 1)
     assert most[0] == window == 64 and not live
     assert [_record_fields(r) for r in records] == [_record_fields(r) for r in one_by_one]
+    # three threads share the window, 21 starts each
+    most[0] = 0
+    records = optimizer._run_starts(tasks, 3)
+    assert most[0] == 63 and not live
+    assert [_record_fields(r) for r in records] == [_record_fields(r) for r in one_by_one]
+
+
+def test_start_threads_keep_the_callers_error_state(monkeypatch):
+    # the threads that step starts run in copies of the caller's context,
+    # so each round runs under the caller's np.errstate; the records are
+    # those of one thread
+    monkeypatch.setattr(optimizer, "MAX_ITER", 8)
+    prob = OptimizationProblem(phi_target=1.0, r_threshold=0.25, N=2, n_starts=8, seed=3)
+    tasks = [(prob, x0) for x0 in sobol_starts(prob)]
+    one = optimizer._run_starts(tasks, 1)
+    states, batch = set(), optimizer._candidate_batch
+
+    def recorded(family, N, P, workers=None):
+        states.add((threading.get_ident(), np.geterr()["over"], workers))
+        return batch(family, N, P, workers)
+    monkeypatch.setattr(optimizer, "_candidate_batch", recorded)
+    alive = threading.active_count()
+    with np.errstate(over="raise"):
+        two = optimizer._run_starts(tasks, 2)
+    assert threading.active_count() == alive
+    assert len({ident for ident, _, _ in states}) == 2
+    assert {(over, workers) for _, over, workers in states} == {("raise", 1)}
+    assert [_record_fields(r) for r in two] == [_record_fields(r) for r in one]
+
+
+def test_unchecked_scipy_release_is_refused(monkeypatch):
+    # the driver steps a private scipy routine, checked on one release line
+    import scipy
+    prob = OptimizationProblem(phi_target=1.0, r_threshold=0.25, N=1, n_starts=1)
+    for version in ("1.17.0", "1.18.0", "2.0.0"):
+        monkeypatch.setattr(scipy, "__version__", version)
+        with pytest.raises(RuntimeError, match=f"scipy {version} is not a release"):
+            maximize(prob, workers=1)
+    monkeypatch.setattr(scipy, "__version__", "1.17.1")
+    assert len(maximize(prob, workers=1).best_per_start) == 1
 
 
 def test_stencil_batches_run_in_the_calling_thread(monkeypatch):
     # one start's stencils stay inline on FCF_THREADS = 3: one that spans
     # two grids, and one of 11 points at M = 1024, more than _BLOCK_SAMPLES
-    # and so split into blocks, but less than the two full blocks that
-    # go to threads
+    # and so split into blocks; a single start runs in the calling thread,
+    # which evaluates its rounds itself
     monkeypatch.setattr(optimizer, "MAX_ITER", 3)
     six = OptimizationProblem(phi_target=0.5, r_threshold=0.2, N=6, amp_bound=1.0)
     x0 = np.concatenate((np.full(6, 0.3), np.linspace(-1.0, 1.0, 5)))
