@@ -9,11 +9,11 @@ and so is a count above MAX_POINTS, MAX_KSTEPS or
 optimizer.MAX_HARMONICS, and a negative --seed.  Grid flags use
 start:stop:step with the stop included when it lands on the grid within
 epsilon.  phase-map runs its kernel blocks, and optimize and sweep step
-their SLSQP starts, on threads, FCF_THREADS of them, by default one per
-usable core; optimize and sweep also take --threads, which FCF_THREADS
-overrides.  Every
-command runs in one process.  A FCF_THREADS or --threads above
-optimizer.MAX_WORKERS is a configuration error.
+their SLSQP starts, on threads: --threads of them where optimize and
+sweep are given it, else FCF_THREADS, else one per usable core, at most
+optimizer.MAX_WORKERS.  Every command runs in one process.  A
+FCF_THREADS or --threads below 1 or above optimizer.MAX_WORKERS is a
+configuration error.
 
 Commands run with numpy's overflow, division-by-zero and invalid-operation
 errors raised (underflow stays silent), in their threads too.  Such
@@ -241,7 +241,7 @@ def cmd_optimize(args) -> int:
     problem = optimizer.OptimizationProblem(
         phi_target=args.phi_target, r_threshold=args.r_th, family=args.family,
         N=args.N, amp_bound=args.amp_bound, n_starts=args.starts, seed=args.seed)
-    res = optimizer.maximize(problem, workers=optimizer.worker_count(args.threads))
+    res = optimizer.maximize(problem, workers=args.threads)
     out = _outdir(args)
     path = os.path.join(out, "optimize.csv")
     _write_csv(path, _opt_header(args.N), [_opt_row(args.phi_target, args.r_th, res, args.N)])
@@ -258,8 +258,7 @@ def cmd_sweep(args) -> int:
     template = optimizer.OptimizationProblem(
         phi_target=0.0, r_threshold=r_ths[0], N=args.N,
         amp_bound=args.amp_bound, n_starts=args.starts, seed=args.seed)
-    sw = optimizer.sweep_targets(targets, r_ths, template,
-                                 workers=optimizer.worker_count(args.threads))
+    sw = optimizer.sweep_targets(targets, r_ths, template, workers=args.threads)
     jump_rows = {(r_th, i + 1) for r_th, pairs in sw.jumps.items() for i, _ in pairs}
     rows = [_opt_row(phi_tg, r_th, res, args.N) + [int((r_th, idx % len(targets)) in jump_rows)]
             for idx, (phi_tg, r_th, res) in enumerate(sw.rows)]
@@ -326,8 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--starts", type=int, default=64)
             p.add_argument("--seed", type=int, default=42)
             p.add_argument("--amp-bound", type=float, default=5.0, dest="amp_bound")
-            p.add_argument("--threads", type=int, default=0,
-                           help="threads that step the SLSQP starts (FCF_THREADS overrides)")
+            p.add_argument("--threads", type=int,
+                           help="threads that step the SLSQP starts (default: FCF_THREADS, "
+                                "else the usable cores)")
 
     p = sub.add_parser("rates", help="effective rates of a drive")
     p.add_argument("--drive", required=True, help="drive JSON path or inline JSON")
@@ -387,7 +387,7 @@ def _emit_error(code: int, kind: str, message: str):
 
 def _check_args(args):
     """Refuse non-finite floats, --starts or --targets above MAX_POINTS,
-    --N above optimizer.MAX_HARMONICS and --threads above
+    --N above optimizer.MAX_HARMONICS and a --threads below 1 or above
     optimizer.MAX_WORKERS."""
     for name, value in vars(args).items():
         flag = "--" + name.replace("_", "-")
@@ -397,8 +397,11 @@ def _check_args(args):
             raise ConfigError(f"{flag} must be at most {MAX_POINTS}, got {value}")
         if name == "N" and value > optimizer.MAX_HARMONICS:
             raise ConfigError(f"{flag} must be at most {optimizer.MAX_HARMONICS}, got {value}")
-        if name == "threads" and value > optimizer.MAX_WORKERS:
-            raise ConfigError(f"{flag} must be at most {optimizer.MAX_WORKERS}, got {value}")
+        if name == "threads" and value is not None:
+            if value < 1:
+                raise ConfigError(f"{flag} must be at least 1, got {value}")
+            if value > optimizer.MAX_WORKERS:
+                raise ConfigError(f"{flag} must be at most {optimizer.MAX_WORKERS}, got {value}")
 
 
 def main(argv=None) -> int:

@@ -48,18 +48,17 @@ Phase maps, random search and the optimizer's rounds evaluate arrays of
 parameter vectors at once (`_candidate_batch`): drives are grouped by
 their Fourier grid and run through the spectrum and rate code along a
 leading axis, in blocks of bounded size.  For phase maps and random
-search the blocks run on `worker_count()` threads (FCF_THREADS
-overrides the default of every usable core, `workers` passes a count);
-an optimizer thread evaluates its rounds itself.  Each block depends on
-its own rows only, and its values are scattered in submission order, so
-the results are bit for bit those of the one-drive kernel
-`_candidate_rates`, which a round of a single row calls, whatever the
-thread count.  Both kernels take their drive-layer rules from
-`drive`: the bond amplitudes of the family layout
-(`_family_bond_amplitudes`), the grid key that groups drives
-(`_grid_key`) and the truncation limit (`_tail_fits`).  A thread count,
-from FCF_THREADS or passed as `workers`, above MAX_WORKERS is refused
-before any thread starts.
+search the blocks run on `worker_count()` threads; an optimizer thread
+evaluates its rounds itself.  Each block depends on its own rows only,
+and its values are scattered in submission order, so the results are
+bit for bit those of the one-drive kernel `_candidate_rates`, which a
+round of a single row calls, whatever the thread count.  Both kernels
+take their drive-layer rules from `drive`: the bond amplitudes of the
+family layout (`_family_bond_amplitudes`), the grid key that groups
+drives (`_grid_key`) and the truncation limit (`_tail_fits`).  Every
+thread count comes from `worker_count` and every thread is started by
+`_threaded`; a count below 1 or above MAX_WORKERS is refused before any
+thread starts.
 """
 
 from __future__ import annotations
@@ -97,8 +96,8 @@ _BLOCK_SAMPLES = 1 << 15
 #: vectors `random_search_best` draws at a time
 _BATCH_ROWS = 4096
 
-#: most threads FCF_THREADS, --threads or `workers` may ask for; each
-#: thread holds a kernel block and a malloc arena
+#: most threads FCF_THREADS, --threads or `workers` may ask for, and the
+#: cap of the default; each thread holds a kernel block and a malloc arena
 MAX_WORKERS = 64
 
 #: most SLSQP starts `_run_starts` keeps live at once, over all its threads
@@ -142,33 +141,59 @@ _SOBOL_TABLE = (
 )
 
 
-def worker_count(hint: int = 0) -> int:
-    """Thread count: the FCF_THREADS env var, else a positive
-    `hint`, else the cores this process may run on.  A FCF_THREADS that is
-    not an integer, or is above MAX_WORKERS, raises ValueError."""
-    env = os.environ.get("FCF_THREADS")
-    if env:
+def worker_count(workers: int | None = None) -> int:
+    """Thread count: an explicit `workers`, else the FCF_THREADS env var,
+    else the cores this process may run on, at most MAX_WORKERS.  A
+    FCF_THREADS that is not an integer, or a count below 1 or above
+    MAX_WORKERS, raises ValueError naming its source."""
+    source, n = "workers", workers
+    if workers is None:
+        env = os.environ.get("FCF_THREADS")
+        if not env:
+            return min(MAX_WORKERS, len(os.sched_getaffinity(0)))
         try:
-            n = int(env)
+            source, n = "FCF_THREADS", int(env)
         except ValueError:
             raise ValueError(f"FCF_THREADS must be an integer, got {env!r}") from None
-        if n > MAX_WORKERS:
-            raise ValueError(f"FCF_THREADS must be at most {MAX_WORKERS}, got {n}")
-        return max(1, n)
-    if hint:
-        return max(1, hint)
-    return len(os.sched_getaffinity(0))
+    if n < 1:
+        raise ValueError(f"{source} must be at least 1, got {n}")
+    if n > MAX_WORKERS:
+        raise ValueError(f"{source} must be at most {MAX_WORKERS}, got {n}")
+    return n
 
 
-def _resolve_workers(workers: int | None) -> int:
-    """The thread count of a library call: `worker_count()` for
-    None, else `workers`, at least 1.  A count above MAX_WORKERS raises
-    ValueError, before any thread starts."""
-    if workers is None:
-        return worker_count()
-    if workers > MAX_WORKERS:
-        raise ValueError(f"workers must be at most {MAX_WORKERS}, got {workers}")
-    return max(1, workers)
+def _threaded(calls: list, threads: int) -> list:
+    """[call() for call in calls], computed on up to `threads` threads, the
+    calling thread one of them, each taking the next call not yet taken.
+    Each call runs in a copy of the caller's context, and so under its
+    numpy error state (np.errstate is a context variable).  As the loop
+    would, it raises the error of the first call, in order, that raises;
+    no call is taken after one raised.  No thread outlives the call."""
+    threads = min(threads, len(calls))
+    if threads <= 1:
+        return [call() for call in calls]
+    results, errors = [None] * len(calls), {}
+    queue, take = iter(enumerate(calls)), threading.Lock()
+    context = contextvars.copy_context()
+
+    def work():
+        while True:
+            with take:
+                i, call = (None, None) if errors else next(queue, (None, None))
+            if call is None:
+                return
+            try:
+                results[i] = context.copy().run(call)
+            except BaseException as error:
+                errors[i] = error
+    import concurrent.futures
+    with concurrent.futures.ThreadPoolExecutor(threads - 1) as pool:
+        for _ in range(threads - 1):
+            pool.submit(work)
+        work()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 @dataclass(frozen=True)
@@ -260,33 +285,16 @@ def _candidate_rates(family, N, p):
     return j2 / j1 if j1 > 0 else math.inf, j1, float(phi), bool(defined), j2
 
 
-def _candidate_blocks(family, ms, Z, blocks, workers):
-    """`_candidate_block` of Z[rows] on its grid for each (rows, n_max, M)
-    of `blocks`, in order, on up to `workers` threads.  The threads run
-    private helpers only, and no thread outlives the call."""
-    workers = min(workers, len(blocks))
-    if workers <= 1:
-        return [_candidate_block(family, ms, Z[rows], n_max, M) for rows, n_max, M in blocks]
-    from concurrent.futures import ThreadPoolExecutor
-    # each block runs in a copy of the caller's context, so that it keeps
-    # the caller's numpy error state (np.errstate is a context variable)
-    with ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(contextvars.copy_context().run,
-                               _candidate_block, family, ms, Z[rows], n_max, M)
-                   for rows, n_max, M in blocks]
-        return [f.result() for f in futures]
-
-
 def _candidate_batch(family, N, P, workers=None):
     """(R, j1/j0, phi, phi_defined, j2) arrays (K,) over the K parameter
     vectors P (K, 2N - 1), bit for bit K calls of `_candidate_rates`.  Each run of
     _BATCH_ROWS rows is grouped by grid (n_max, M) and evaluated in blocks
-    of at most _BLOCK_SAMPLES complex samples, on up to `workers` threads
-    (`_candidate_blocks`; default `worker_count()`); like a loop over the
-    rows, it raises the error of the first row that fails."""
+    of at most _BLOCK_SAMPLES complex samples, on `worker_count(workers)`
+    threads; like a loop over the rows, it raises the error of the first
+    row that fails."""
     P = np.asarray(P, dtype=float)
     K = len(P)
-    workers = _resolve_workers(workers)
+    workers = worker_count(workers)
     j1, phi, defined, j2 = np.empty(K), np.empty(K), np.empty(K, dtype=bool), np.empty(K)
     for start in range(0, K, _BATCH_ROWS):
         ms, Z = _family_bond_amplitudes(family, N, P[start:start + _BATCH_ROWS])
@@ -302,8 +310,9 @@ def _candidate_batch(family, N, P, workers=None):
             step = max(1, _BLOCK_SAMPLES // (3 * M))
             blocks += [(rows[s:s + step], n_max, M) for s in range(0, len(rows), step)]
         first = (len(Z), None)
-        for (block, _, _), (values, i, error) in zip(
-                blocks, _candidate_blocks(family, ms, Z, blocks, workers)):
+        calls = [functools.partial(_candidate_block, family, ms, Z[rows], n_max, M)
+                 for rows, n_max, M in blocks]
+        for (block, _, _), (values, i, error) in zip(blocks, _threaded(calls, workers)):
             at = start + block
             for dest, v in zip((j1, phi, defined, j2), values):
                 dest[at] = v
@@ -499,15 +508,14 @@ def _slsqp_start(problem: OptimizationProblem, x0):
 
 def _run_starts(tasks, workers: int) -> list:
     """The records of `_slsqp_start` from each (problem, x0) of `tasks`, in
-    task order, stepped on up to `workers` threads, one of them the
-    calling thread.  Each thread keeps an even share of the tasks live, at
-    most _WINDOW // threads, and advances them in lockstep: a round
-    gathers the points its live starts ask for next and evaluates them in
-    the thread, in one kernel call per (family, N), `_candidate_rates` for
-    a single row and `_candidate_batch` for more.  The threads draw tasks
-    in order from one queue, so finished starts are replaced in task order
-    and memory does not grow with the number of tasks.  No thread outlives
-    the call."""
+    task order, stepped on up to `workers` threads (`_threaded`).  The
+    problems share one family and N.  Each thread keeps an even share of
+    the tasks live, at most _WINDOW // threads, and advances them in
+    lockstep: a round gathers the points its live starts ask for next and
+    evaluates them in the thread, in one kernel call, `_candidate_rates`
+    for a single row and `_candidate_batch` for more.  The threads draw
+    tasks in order from one queue, so finished starts are replaced in
+    task order and memory does not grow with the number of tasks."""
     records = [None] * len(tasks)
     queue = iter(enumerate(tasks))
     draw = threading.Lock()
@@ -534,35 +542,19 @@ def _run_starts(tasks, workers: int) -> list:
                             for i, (problem, x0) in new)
             if not live:
                 return
-            rows = {}
-            for _, problem, _, points in live:
-                rows.setdefault((problem.family, problem.N), []).extend(points)
-            values = {}
-            for (family, N), P in rows.items():
-                if len(P) == 1:
-                    values[family, N] = iter([_candidate_rates(family, N, P[0])])
-                else:
-                    # as Python scalars, the tuples `_candidate_rates` returns
-                    values[family, N] = zip(*(a.tolist() for a in
-                                              _candidate_batch(family, N, P, 1)))
-            live = advance((i, problem, start,
-                            list(itertools.islice(values[problem.family, problem.N], len(points))))
+            family, N = live[0][1].family, live[0][1].N
+            P = [point for *_, points in live for point in points]
+            if len(P) == 1:
+                values = iter([_candidate_rates(family, N, P[0])])
+            else:
+                # as Python scalars, the tuples `_candidate_rates` returns
+                values = zip(*(a.tolist() for a in _candidate_batch(family, N, P, 1)))
+            live = advance((i, problem, start, list(itertools.islice(values, len(points))))
                            for i, problem, start, points in live)
 
     # an even share of the tasks, so that each thread starts with work
     window = min(_WINDOW // threads, -(-len(tasks) // threads))
-    if threads == 1:
-        step_starts(window)
-        return records
-    from concurrent.futures import ThreadPoolExecutor
-    # the threads run in copies of the caller's context, so that they keep
-    # its numpy error state (np.errstate is a context variable)
-    with ThreadPoolExecutor(threads - 1) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, step_starts, window)
-                   for _ in range(threads - 1)]
-        step_starts(window)
-        for future in futures:
-            future.result()
+    _threaded([functools.partial(step_starts, window)] * threads, threads)
     return records
 
 
@@ -670,7 +662,7 @@ def _best(records, family: str) -> OptimizationResult:
 def _maximize_all(problems, workers: int | None = None) -> list:
     """`maximize` for each problem, with every start of every problem
     stepped in lockstep by one `_run_starts`."""
-    workers = _resolve_workers(workers)
+    workers = worker_count(workers)
     draws = {}
     records = _run_starts([(problem, x0) for problem in problems
                            for x0 in sobol_starts(problem, draws)], workers)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -124,8 +125,7 @@ def test_amp_bound_box_refused_before_workers(command, bound, tmp_path, capsys, 
     # leaves out; a negative one is empty: both are refused up front
     def no_workers(*args, **kwargs):
         raise AssertionError("a worker was started")
-    import concurrent.futures
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_workers)
+    monkeypatch.setattr(threading.Thread, "start", no_workers)
     monkeypatch.setattr(os, "fork", no_workers)
     code, _, err = run(command + ["--r-th", "0.25", "--starts", "2", "--amp-bound", bound,
                                   "--out", str(tmp_path)], capsys)
@@ -510,20 +510,26 @@ def test_rerun_byte_identical(argv, tmp_path, capsys):
      "FCF_THREADS"),
     (["optimize", "--phi-target", "1", "--r-th", "0.25", "--starts", "4",
       "--threads", "100000"], None, "--threads"),
+    (["optimize", "--phi-target", "1", "--r-th", "0.25", "--starts", "4",
+      "--threads", "-1"], None, "--threads"),
+    (["sweep", "--targets", "2", "--starts", "4", "--threads", "0"], None, "--threads"),
+    (["phase-map", "--A1", "0:1:0.5", "--A2", "0:1:0.5"], "0", "FCF_THREADS"),
+    (["sweep", "--targets", "2", "--starts", "4"], "-1", "FCF_THREADS"),
 ])
 def test_worker_cap_exit_2(argv, env, flag, tmp_path, capsys, monkeypatch):
     # refused before any thread or process starts (the values are never run)
     def no_workers(*args, **kwargs):
         raise AssertionError("a worker was started")
-    import concurrent.futures
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_workers)
+    monkeypatch.setattr(threading.Thread, "start", no_workers)
     monkeypatch.setattr(os, "fork", no_workers)
     if env:
         monkeypatch.setenv("FCF_THREADS", env)
+    value = int(env or argv[argv.index("--threads") + 1])
+    bound = "at least 1" if value < 1 else "at most 64"
     code, _, err = run(argv + ["--out", str(tmp_path)], capsys)
     assert code == 2
     error = json.loads(err)["error"]
-    assert error["type"] == "config" and f"{flag} must be at most 64" in error["message"]
+    assert error["type"] == "config" and f"{flag} must be {bound}, got {value}" in error["message"]
     assert not os.listdir(tmp_path)
 
 # ---------------------------------------------------------------------------
@@ -572,7 +578,7 @@ def _command(name, required=(), switches=(), **options):
 
 
 POOL = {"--N": ["1", "2", "0", "17"], "--amp-bound": ["0", "-1", "0.5", "3", "1e308", "nan"],
-        "--seed": ["0", "42"], "--threads": ["0", "1", "100000"]}
+        "--seed": ["0", "42"], "--threads": ["-1", "0", "1", "100000"]}
 
 ARGV = st.one_of(
     _command("rates", required=[("--drive", DRIVES)],

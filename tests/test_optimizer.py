@@ -339,13 +339,23 @@ def test_worker_env_override(monkeypatch):
     from floqchern.optimizer import worker_count
     monkeypatch.setenv("FCF_THREADS", "3")
     assert worker_count() == 3
-    assert worker_count(5) == 3          # the env var overrides the hint
+    assert worker_count(5) == 5          # an explicit count overrides the env var
     monkeypatch.setenv("FCF_THREADS", "junk")
     with pytest.raises(ValueError, match="FCF_THREADS"):
         worker_count()
+    assert worker_count(2) == 2
     monkeypatch.delenv("FCF_THREADS")
     assert worker_count() >= 1
     assert worker_count(2) == 2
+    # the default is one thread per usable core, but never more than
+    # MAX_WORKERS; asking starts no thread
+    def no_threads(*args, **kwargs):
+        raise AssertionError("a thread was started")
+    monkeypatch.setattr(threading.Thread, "start", no_threads)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(200)))
+    assert worker_count() == optimizer.MAX_WORKERS
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert worker_count() == 3
 
 
 def test_infeasible_target_reported():
@@ -541,8 +551,10 @@ def test_candidate_batch_raises_first_failing_row(monkeypatch):
 def _threads(monkeypatch, threads, inline=None):
     """FCF_THREADS = threads and a short GIL switch interval for the body,
     which gets the set of threads that ran `_candidate_block`; no thread
-    may outlive the body.  The calling thread must have run blocks exactly
-    when `inline` (default: threads == 1)."""
+    may outlive the body.  When `inline` (default: threads == 1) the
+    calling thread alone must have run blocks; otherwise blocks must have
+    run on more than one thread, at least one of them not the calling
+    thread."""
     ran = set()
     block = optimizer._candidate_block
 
@@ -559,21 +571,46 @@ def _threads(monkeypatch, threads, inline=None):
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == alive
-    # one thread runs the blocks inline; more run them off the calling thread
-    assert (threading.get_ident() in ran) == (threads == 1 if inline is None else inline)
+    caller = {threading.get_ident()}
+    if (threads == 1) if inline is None else inline:
+        assert ran == caller
+    else:
+        assert len(ran) > 1 and ran - caller
 
 
-def test_worker_threads_keep_the_callers_error_state(monkeypatch):
+def test_worker_threads_keep_the_callers_error_state():
     # np.errstate is a context variable, which threads do not inherit; the
-    # blocks run in a copy of the caller's context
-    def state(*args):
+    # calls run in copies of the caller's context.  The first call waits
+    # for the second, so two threads run calls whatever the scheduling.
+    second = threading.Event()
+
+    def state(wait):
+        if wait:
+            assert second.wait(30)
+        else:
+            second.set()
         return threading.get_ident(), np.geterr()["over"]
-    monkeypatch.setattr(optimizer, "_candidate_block", state)
+    alive = threading.active_count()
     with np.errstate(over="raise"):
-        states = optimizer._candidate_blocks("plus", None, np.zeros((4, 3, 2)),
-                                             [([i], 1, 4) for i in range(4)], 2)
+        states = optimizer._threaded([lambda i=i: state(i == 0) for i in range(4)], 2)
+    assert threading.active_count() == alive
     assert [over for _, over in states] == ["raise"] * 4
-    assert threading.get_ident() not in {ident for ident, _ in states}
+    assert states[0][0] != states[1][0]
+
+
+def test_threaded_raises_the_first_error_in_order():
+    # as the loop would: the error of the first call that raises, in call
+    # order, although a later call may fail first
+    first = threading.Event()
+
+    def fail(i):
+        if i == 1:
+            assert first.wait(30)
+        else:
+            first.set()
+        raise ValueError(i)
+    with pytest.raises(ValueError, match="^1$"):
+        optimizer._threaded([lambda: 0] + [lambda i=i: fail(i) for i in (1, 2)], 2)
 
 
 def _bits(arrays):
@@ -590,7 +627,7 @@ def test_kernel_blocks_thread_count_invariant(family, monkeypatch):
     assert {_grid_size(mmax, z, b)[1] for z, b in zip(zmax, bandwidth)} == {256, 512, 1024}
     prob = OptimizationProblem(phi_target=np.pi / 2, r_threshold=0.25, family=family)
     runs = {}
-    for threads in (1, 3):
+    for threads in (1, 2, 3):
         with _threads(monkeypatch, threads):
             batch = _candidate_batch(family, 2, P)
         with _threads(monkeypatch, threads):
@@ -598,7 +635,7 @@ def test_kernel_blocks_thread_count_invariant(family, monkeypatch):
         with _threads(monkeypatch, threads):
             best = random_search_best(prob, 5000, 9)
         runs[threads] = (_bits(batch), _bits([pm.phi, pm.j1_over_j0]), best)
-    assert runs[1] == runs[3]
+    assert runs[1] == runs[2] == runs[3]
     assert np.isfinite(runs[1][2])
 
 
@@ -623,13 +660,12 @@ def test_thread_blocks_raise_first_failing_row(monkeypatch):
             assert str(batch.value) == str(e.value)
 
 
-@pytest.mark.parametrize("value", ["65", "100000"])
+@pytest.mark.parametrize("value", ["65", "100000", "0", "-1"])
 def test_worker_env_cap_refused_before_any_worker(value, monkeypatch):
-    # the cap fires in worker_count, before an executor or a process exists
+    # the bounds fire in worker_count, before a thread or a process exists
     def no_workers(*args, **kwargs):
         raise AssertionError("a worker was started")
-    import concurrent.futures
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_workers)
+    monkeypatch.setattr(threading.Thread, "start", no_workers)
     monkeypatch.setattr(os, "fork", no_workers)
     monkeypatch.setenv("FCF_THREADS", value)
     alive = threading.active_count()
@@ -638,8 +674,8 @@ def test_worker_env_cap_refused_before_any_worker(value, monkeypatch):
                  lambda: phase_map([0.5, 1.0], [0.5, 1.0], np.pi / 2),
                  lambda: random_search_best(prob, 100),
                  lambda: maximize(prob)):
-        with pytest.raises(ValueError, match=f"FCF_THREADS must be at most "
-                                             f"{optimizer.MAX_WORKERS}, got {value}"):
+        bound = "at least 1" if int(value) < 1 else f"at most {optimizer.MAX_WORKERS}"
+        with pytest.raises(ValueError, match=f"FCF_THREADS must be {bound}, got {value}"):
             call()
     assert threading.active_count() == alive
     monkeypatch.setenv("FCF_THREADS", str(optimizer.MAX_WORKERS))
@@ -647,24 +683,23 @@ def test_worker_env_cap_refused_before_any_worker(value, monkeypatch):
 
 
 def test_library_worker_cap_refused_before_any_worker(monkeypatch):
-    # an explicit worker count above MAX_WORKERS is refused like the
-    # FCF_THREADS cap, before an executor or a process exists
+    # an explicit worker count below 1 or above MAX_WORKERS is refused like
+    # a FCF_THREADS out of bounds, before a thread or a process exists
     def no_workers(*args, **kwargs):
         raise AssertionError("a worker was started")
-    import concurrent.futures
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_workers)
+    monkeypatch.setattr(threading.Thread, "start", no_workers)
     monkeypatch.setattr(os, "fork", no_workers)
     monkeypatch.delenv("FCF_THREADS", raising=False)
     alive = threading.active_count()
     prob = OptimizationProblem(phi_target=np.pi / 2, r_threshold=0.25, n_starts=4)
     P = np.array([[0.5, 0.2, 0.3], [1.0, 0.1, 0.3]])
-    too_many = optimizer.MAX_WORKERS + 1
-    for call in (lambda: maximize(prob, workers=too_many),
-                 lambda: sweep_targets([1.0], [0.25], prob, workers=too_many),
-                 lambda: _candidate_batch("plus", 2, P, workers=too_many)):
-        with pytest.raises(ValueError, match=f"workers must be at most "
-                                             f"{optimizer.MAX_WORKERS}, got {too_many}"):
-            call()
+    for count, bound in ((optimizer.MAX_WORKERS + 1, f"at most {optimizer.MAX_WORKERS}"),
+                         (0, "at least 1"), (-1, "at least 1")):
+        for call in (lambda: maximize(prob, workers=count),
+                     lambda: sweep_targets([1.0], [0.25], prob, workers=count),
+                     lambda: _candidate_batch("plus", 2, P, workers=count)):
+            with pytest.raises(ValueError, match=f"workers must be {bound}, got {count}"):
+                call()
     assert threading.active_count() == alive
     # the cap itself is allowed; one grid block runs in the calling thread
     batch = _candidate_batch("plus", 2, P[:1], workers=optimizer.MAX_WORKERS)
