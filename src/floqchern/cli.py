@@ -6,7 +6,10 @@ byte-identical files.  Exit codes: 0 success, 2 configuration error,
 3 numerical failure; errors also go to stderr as one JSON object.
 A malformed or missing flag is a configuration error like any other,
 and so is a count above MAX_POINTS, MAX_KSTEPS or
-optimizer.MAX_HARMONICS, and a negative --seed.  Grid flags use
+optimizer.MAX_HARMONICS, a negative --seed, an --out that cannot be
+created or written, and a scipy release the SLSQP driver was not checked
+against.  --out is made and checked once, before any command starts its
+work, and the scipy release before any start is stepped.  Grid flags use
 start:stop:step with the stop included when it lands on the grid within
 epsilon.  phase-map runs its kernel blocks, and optimize and sweep step
 their SLSQP starts, on threads: --threads of them where optimize and
@@ -164,12 +167,11 @@ def _load_drive(arg: str):
     return drive_from_json(data)
 
 
-def _outdir(args) -> str:
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    if not os.access(out, os.W_OK):
-        raise ConfigError(f"output directory not writable: {out}")
-    return out
+def _outdir(args):
+    """Create --out, refused unless it is a writable directory."""
+    os.makedirs(args.out, exist_ok=True)
+    if not os.access(args.out, os.W_OK):
+        raise ConfigError(f"output directory not writable: {args.out}")
 
 
 # ---------------------------------------------------------------------------
@@ -183,22 +185,20 @@ def cmd_rates(args) -> int:
     doc["delta_eff"] = args.delta + rates.delta_shift
     text = _json(doc, indent=2)
     print(text)
-    out = _outdir(args)
-    _write(os.path.join(out, "rates.json"), text + "\n")
+    _write(os.path.join(args.out, "rates.json"), text + "\n")
     return 0
 
 
 def cmd_phase_map(args) -> int:
     A1, A2 = _grid(args, "A1", "A2")
     pm = optimizer.phase_map(A1, A2, args.delta2, family=args.family)
-    out = _outdir(args)
-    path = os.path.join(out, "phase_map.csv")
+    path = os.path.join(args.out, "phase_map.csv")
     _write_csv(path, ["A1", "A2", "phi", "j1_over_j0", "phi_defined"], pm.rows())
     print(f"phase map: {len(A1)}x{len(A2)} cells, phi bin coverage "
           f"{pm.phase_bin_coverage():.4f}, j1/j0>=0.25 components "
           f"{pm.superlevel_components(0.25)} -> {path}")
     if args.svg:
-        _write(os.path.join(out, "phase_map.svg"), svg.phase_map_svg(pm))
+        _write(os.path.join(args.out, "phase_map.svg"), svg.phase_map_svg(pm))
     return 0
 
 
@@ -210,14 +210,13 @@ def cmd_chern_diagram(args) -> int:
     kinds = {"both": bloch.KINDS, "driven": ("driven_hexagonal",),
              "haldane": ("haldane_reference",)}[args.model]
     diagrams = bloch.phase_diagram(phis, ratios, N1=args.kgrid, N2=args.kgrid, kinds=kinds)
-    out = _outdir(args)
     for kind, dg in diagrams.items():
-        path = os.path.join(out, f"chern_{kind}.csv")
+        path = os.path.join(args.out, f"chern_{kind}.csv")
         _write_csv(path, ["phi", "ratio", "chern", "min_gap", "indeterminate"], dg.rows())
         n_indet = int(dg.indeterminate.sum())
         print(f"{kind}: {len(phis)}x{len(ratios)} cells, {n_indet} indeterminate -> {path}")
         if args.svg:
-            _write(os.path.join(out, f"chern_{kind}.svg"), svg.chern_diagram_svg(dg))
+            _write(os.path.join(args.out, f"chern_{kind}.svg"), svg.chern_diagram_svg(dg))
     return 0
 
 
@@ -242,8 +241,7 @@ def cmd_optimize(args) -> int:
         phi_target=args.phi_target, r_threshold=args.r_th, family=args.family,
         N=args.N, amp_bound=args.amp_bound, n_starts=args.starts, seed=args.seed)
     res = optimizer.maximize(problem, workers=args.threads)
-    out = _outdir(args)
-    path = os.path.join(out, "optimize.csv")
+    path = os.path.join(args.out, "optimize.csv")
     _write_csv(path, _opt_header(args.N), [_opt_row(args.phi_target, args.r_th, res, args.N)])
     print(f"R = {res.R_value:.6f} at p* = {np.array2string(res.p_star, precision=6)}, "
           f"j1/j0 = {res.j1_over_j0:.6f}, phi = {res.phi_achieved:.6f}, "
@@ -262,8 +260,7 @@ def cmd_sweep(args) -> int:
     jump_rows = {(r_th, i + 1) for r_th, pairs in sw.jumps.items() for i, _ in pairs}
     rows = [_opt_row(phi_tg, r_th, res, args.N) + [int((r_th, idx % len(targets)) in jump_rows)]
             for idx, (phi_tg, r_th, res) in enumerate(sw.rows)]
-    out = _outdir(args)
-    path = os.path.join(out, "sweep.csv")
+    path = os.path.join(args.out, "sweep.csv")
     _write_csv(path, _opt_header(args.N) + ["p_jump_from_prev"], rows)
     njump = sum(len(v) for v in sw.jumps.values())
     print(f"sweep: {len(targets)} targets x {len(r_ths)} thresholds, "
@@ -302,11 +299,9 @@ def cmd_validate(args) -> int:
         summary["scaling_exponent"] = _nan_to_none(lad.exponent)
         summary["shrink_factors"] = [_nan_to_none(f) for f in lad.shrink_factors.tolist()]
     print(_json(summary, indent=2))
-    out = _outdir(args)
-    path = os.path.join(out, "validate.csv")
-    _write_csv(path, ["kx", "ky", "eps_exact_lo", "eps_exact_hi",
-                      "eps_eff_lo", "eps_eff_hi", "deviation", "pairing_flag"],
-               rep.rows())
+    _write_csv(os.path.join(args.out, "validate.csv"),
+               ["kx", "ky", "eps_exact_lo", "eps_exact_hi",
+                "eps_eff_lo", "eps_eff_hi", "deviation", "pairing_flag"], rep.rows())
     return 0
 
 
@@ -409,6 +404,7 @@ def main(argv=None) -> int:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             args = build_parser().parse_args(argv)
             _check_args(args)
+            _outdir(args)
             return args.func(args)
     except (ConfigError, OSError) as e:
         _emit_error(2, "config", str(e))
@@ -417,7 +413,9 @@ def main(argv=None) -> int:
             validate.StepCountError, AssertionError, ArithmeticError) as e:
         _emit_error(3, "numerical", str(e))
         return 3
-    except ValueError as e:
+    except (ValueError, RuntimeError) as e:
+        # past the numerical ones above, the package's one RuntimeError is
+        # an unchecked scipy release
         _emit_error(2, "config", str(e))
         return 2
 

@@ -13,10 +13,12 @@ j1/j0 - r_threshold >= 0, with the amplitudes bounded by +-amp_bound and
 the phases free.  Each start is stepped by reverse communication through
 scipy's SLSQP routine (`_slsqp_start`, as `scipy.optimize.minimize` steps
 it), and the starts of a call run in the calling process on up to
-`workers` threads (`_run_starts`).  Each thread steps its share of the
-starts in lockstep: a round evaluates the points its live starts ask for
-next, values or the 2N - 1 points of a forward-difference gradient, in
-one kernel call.  The constraint gradients are the objective's
+`workers` threads (`_run_starts`).  The routine is looked up, and its
+scipy release checked, once per call before any thread starts; the first
+error in any thread stops the others at their next round.  Each thread
+steps its share of the starts in lockstep: a round evaluates the points
+its live starts ask for next, values or the 2N - 1 points of a
+forward-difference gradient, in one kernel call.  The constraint gradients are the objective's
 quotients on the same points.  Each start memoizes its evaluations, so
 that the objective and both constraints share them and no point is
 evaluated twice for one start.  Every start record counts its
@@ -26,8 +28,7 @@ box (amplitudes in [0, bound], phases in (-pi, pi]), so identical
 problem + seed reproduce identical results bit for bit.  The package
 draws them itself (`_sobol_points`: Joe-Kuo direction numbers, linear
 matrix scramble and digital shift), byte for byte the points of scipy
-1.17's `qmc.Sobol(scramble=True)`, without importing `scipy.stats`;
-problems that share dimension, start count and seed share one draw.
+1.17's `qmc.Sobol(scramble=True)`, without importing `scipy.stats`.
 Starts are independent: a start's record does not depend on the others
 that share its rounds.  One ranking rule, `_rank`, orders optima
 everywhere: feasible points first, by larger R, then infeasible points
@@ -250,12 +251,14 @@ class OptimizationResult:
 
 def _candidate_block(family, ms, Z, n_max: int, M: int):
     """(values, index, error) for bond amplitudes Z (..., 3, N) on one grid
-    (n_max, M): values are (j1/j0, phi, phi_defined, j2) at omega = j0 = 1,
-    each of Z's leading shape; index and error are those of the first drive
-    that fails the truncation check or isotropy, or None and None."""
+    (n_max, M): values are (R, j1/j0, phi, phi_defined, j2) at
+    omega = j0 = 1, each of Z's leading shape, with R = j2/j1 and infinite
+    where j1 vanishes; index and error are those of the first drive that
+    fails the truncation check or isotropy, or None and None."""
     g, tail = _peierls_components(ms, Z, 1.0, n_max, M)
     r = _rate_arrays(g, n_max, 1.0, 1.0)
-    values = (r.j1, r.phi, r.phi_defined, r.j2)
+    R = np.divide(r.j2, r.j1, out=np.full(np.shape(r.j1), math.inf), where=r.j1 > 0)
+    values = (R, r.j1, r.phi, r.phi_defined, r.j2)
     failed = ~(_tail_fits(tail, 1.0) & r.isotropic_nn & r.isotropic_nnn)
     if not failed.any():
         return values, None, None
@@ -278,11 +281,10 @@ def _candidate_rates(family, N, p):
     ms, Z = _family_bond_amplitudes(family, N, np.asarray(p, dtype=float))
     zmax, bandwidth, mmax = _quadrature_sizes(ms, Z)
     n_max, M = _grid_size(mmax, zmax, bandwidth)
-    (j1, phi, defined, j2), _, error = _candidate_block(family, ms, Z, n_max, M)
+    values, _, error = _candidate_block(family, ms, Z, n_max, M)
     if error:
         raise error
-    j1, j2 = float(j1), float(j2)
-    return j2 / j1 if j1 > 0 else math.inf, j1, float(phi), bool(defined), j2
+    return tuple([v.tolist() for v in values])
 
 
 def _candidate_batch(family, N, P, workers=None):
@@ -295,33 +297,41 @@ def _candidate_batch(family, N, P, workers=None):
     P = np.asarray(P, dtype=float)
     K = len(P)
     workers = worker_count(workers)
-    j1, phi, defined, j2 = np.empty(K), np.empty(K), np.empty(K, dtype=bool), np.empty(K)
+    out = (np.empty(K), np.empty(K), np.empty(K), np.empty(K, dtype=bool), np.empty(K))
     for start in range(0, K, _BATCH_ROWS):
         ms, Z = _family_bond_amplitudes(family, N, P[start:start + _BATCH_ROWS])
         zmax, bandwidth, mmax = _quadrature_sizes(ms, Z)
-        keys = _grid_key(zmax, bandwidth)
-        sizes = np.unique(keys)
-        grids = [_grid_size(mmax, k.real, k.imag) for k in sizes.tolist()]
-        order = list(dict.fromkeys(grids))
-        label = np.array([order.index(grid) for grid in grids])[np.searchsorted(sizes, keys)]
+        keys = _grid_key(zmax, bandwidth).tolist()
+        firsts = {}
+        for i, key in enumerate(keys):
+            firsts.setdefault(key, i)
+        # each key's grid from its first row's own sizes, keys in order of
+        # first row: a refused grid ends the plan, and its row is the first
+        # failing one unless a row before it fails in a planned block
+        grids, first = {}, (len(Z), None)
+        for key, i in firsts.items():
+            try:
+                grids[key] = _grid_size(mmax, zmax[i], bandwidth[i])
+            except ValueError as error:
+                first = (i, error)
+                break
+        order = list(dict.fromkeys(grids.values()))
+        label = np.array([order.index(grids[key]) if key in grids else -1 for key in keys])
         blocks = []
         for i, (n_max, M) in enumerate(order):
             rows = np.flatnonzero(label == i)
             step = max(1, _BLOCK_SAMPLES // (3 * M))
             blocks += [(rows[s:s + step], n_max, M) for s in range(0, len(rows), step)]
-        first = (len(Z), None)
         calls = [functools.partial(_candidate_block, family, ms, Z[rows], n_max, M)
                  for rows, n_max, M in blocks]
         for (block, _, _), (values, i, error) in zip(blocks, _threaded(calls, workers)):
-            at = start + block
-            for dest, v in zip((j1, phi, defined, j2), values):
-                dest[at] = v
+            for dest, v in zip(out, values):
+                dest[start + block] = v
             if error and block[i] < first[0]:
                 first = (block[i], error)
         if first[1]:
             raise first[1]
-    R = np.divide(j2, j1, out=np.full(K, math.inf), where=j1 > 0)
-    return R, j1, phi, defined, j2
+    return out
 
 
 def evaluate_candidate(family: str, N: int, p):
@@ -430,11 +440,12 @@ def _slsqp_routine():
     return slsqp
 
 
-def _slsqp_start(problem: OptimizationProblem, x0):
+def _slsqp_start(problem: OptimizationProblem, x0, slsqp):
     """SLSQP from one start, stepped by reverse communication as scipy
-    1.17's `_minimize_slsqp` steps it through `_slsqplib.slsqp` (mode 1
-    asks for values at x, mode -1 for gradients): -R is minimized under the
-    equality wrap(phi - phi_target) = 0, pi where phi is undefined, and the
+    1.17's `_minimize_slsqp` steps it through `slsqp`, the routine
+    `_slsqp_routine` returns (mode 1 asks for values at x, mode -1 for
+    gradients): -R is minimized under the equality
+    wrap(phi - phi_target) = 0, pi where phi is undefined, and the
     inequality j1/j0 - r_threshold >= 0, with ftol 1e-12 and MAX_ITER
     iterations.  Gradients are the quotients of scipy's 2-point rule on
     `_stencil`'s points, the same points for the objective and both
@@ -447,7 +458,6 @@ def _slsqp_start(problem: OptimizationProblem, x0):
     returns the start record: the optimum in canonical form
     (`_canonical`), `n_eval`, `n_iter` and SLSQP's exit `status`.
     """
-    slsqp = _slsqp_routine()
     N, n = problem.N, problem.dim
     upper = np.concatenate((np.full(N, problem.amp_bound), np.full(N - 1, np.inf)))
     lower = -upper
@@ -509,48 +519,56 @@ def _slsqp_start(problem: OptimizationProblem, x0):
 def _run_starts(tasks, workers: int) -> list:
     """The records of `_slsqp_start` from each (problem, x0) of `tasks`, in
     task order, stepped on up to `workers` threads (`_threaded`).  The
-    problems share one family and N.  Each thread keeps an even share of
-    the tasks live, at most _WINDOW // threads, and advances them in
-    lockstep: a round gathers the points its live starts ask for next and
-    evaluates them in the thread, in one kernel call, `_candidate_rates`
-    for a single row and `_candidate_batch` for more.  The threads draw
-    tasks in order from one queue, so finished starts are replaced in
-    task order and memory does not grow with the number of tasks."""
+    tasks are not empty and their problems share one family and N, which,
+    like the SLSQP routine, are resolved once before any thread starts.
+    Each thread keeps an even share of the tasks live, at most
+    _WINDOW // threads, and advances them in lockstep: a round gathers the
+    points its live starts ask for next and evaluates them in the thread,
+    in one kernel call, `_candidate_rates` for a single row and
+    `_candidate_batch` for more.  The threads draw tasks in order from one
+    queue, so finished starts are replaced in task order and memory does
+    not grow with the number of tasks.  A thread that raises stops the
+    others before their next round."""
+    slsqp = _slsqp_routine()
+    family, N = tasks[0][0].family, tasks[0][0].N
     records = [None] * len(tasks)
     queue = iter(enumerate(tasks))
-    draw = threading.Lock()
-    threads = max(1, min(workers, len(tasks)))
+    draw, stop = threading.Lock(), threading.Event()
+    threads = min(workers, len(tasks))
 
     def advance(entries):
-        """Each (task index, problem, start, values) sent its values: the
-        (index, problem, start, points asked for) of the starts that go on."""
+        """Each (task index, start, values) sent its values: the
+        (index, start, points asked for) of the starts that go on."""
         going = []
-        for i, problem, start, values in entries:
+        for i, start, values in entries:
             try:
-                going.append((i, problem, start, start.send(values)))
+                going.append((i, start, start.send(values)))
             except StopIteration as done:
                 records[i] = done.value
         return going
 
     def step_starts(window):
         live = []
-        while True:
-            with draw:
-                new = list(itertools.islice(queue, window - len(live)))
-            # a new start always asks for points (x0 and its stencil) first
-            live += advance((i, problem, _slsqp_start(problem, x0), None)
-                            for i, (problem, x0) in new)
-            if not live:
-                return
-            family, N = live[0][1].family, live[0][1].N
-            P = [point for *_, points in live for point in points]
-            if len(P) == 1:
-                values = iter([_candidate_rates(family, N, P[0])])
-            else:
-                # as Python scalars, the tuples `_candidate_rates` returns
-                values = zip(*(a.tolist() for a in _candidate_batch(family, N, P, 1)))
-            live = advance((i, problem, start, list(itertools.islice(values, len(points))))
-                           for i, problem, start, points in live)
+        try:
+            while not stop.is_set():
+                with draw:
+                    new = list(itertools.islice(queue, window - len(live)))
+                # a new start always asks for points (x0 and its stencil) first
+                live += advance((i, _slsqp_start(problem, x0, slsqp), None)
+                                for i, (problem, x0) in new)
+                if not live:
+                    return
+                P = [point for *_, points in live for point in points]
+                if len(P) == 1:
+                    values = iter([_candidate_rates(family, N, P[0])])
+                else:
+                    # as Python scalars, the tuples `_candidate_rates` returns
+                    values = zip(*(a.tolist() for a in _candidate_batch(family, N, P, 1)))
+                live = advance((i, start, list(itertools.islice(values, len(points))))
+                               for i, start, points in live)
+        except BaseException:
+            stop.set()
+            raise
 
     # an even share of the tasks, so that each thread starts with work
     window = min(_WINDOW // threads, -(-len(tasks) // threads))
@@ -624,18 +642,10 @@ def _sobol_points(dim: int, n: int, seed: int) -> np.ndarray:
     return x * 2.0 ** -_SOBOL_BITS
 
 
-def sobol_starts(problem: OptimizationProblem, draws: dict | None = None) -> np.ndarray:
-    """Seeded low-discrepancy start points over the search box.  `draws`,
-    if given, keeps the unit-cube points by (dim, n_starts, seed), so
-    that calls for problems that differ only in target, threshold, family
-    or box share one draw."""
-    key = (problem.dim, problem.n_starts, problem.seed)
-    if draws is None:
-        draws = {}
-    if key not in draws:
-        draws[key] = _sobol_points(*key)
+def sobol_starts(problem: OptimizationProblem) -> np.ndarray:
+    """Seeded low-discrepancy start points over the search box."""
     lo, hi = _search_box(problem)
-    return lo + draws[key] * (hi - lo)
+    return lo + _sobol_points(problem.dim, problem.n_starts, problem.seed) * (hi - lo)
 
 
 def _rank(feasible: bool, R: float, residual: float) -> tuple:
@@ -663,9 +673,8 @@ def _maximize_all(problems, workers: int | None = None) -> list:
     """`maximize` for each problem, with every start of every problem
     stepped in lockstep by one `_run_starts`."""
     workers = worker_count(workers)
-    draws = {}
     records = _run_starts([(problem, x0) for problem in problems
-                           for x0 in sobol_starts(problem, draws)], workers)
+                           for x0 in sobol_starts(problem)], workers)
     results, i = [], 0
     for problem in problems:
         results.append(_best(records[i:i + problem.n_starts], problem.family))

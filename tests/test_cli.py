@@ -292,6 +292,48 @@ def test_optimizer_inputs_refused_before_any_draw(argv, name, tmp_path, capsys, 
     assert not os.listdir(tmp_path)
 
 
+@pytest.mark.parametrize("argv", [
+    ["rates", "--drive", PLUS_N1],
+    ["phase-map", "--A1", "0:1:0.5", "--A2", "0:1:0.5"],
+    ["chern-diagram", "--phi", "0:1:1", "--ratio", "0:1:1", "--kgrid", "12"],
+    ["optimize", "--phi-target", "1", "--r-th", "0.25", "--starts", "2"],
+    ["sweep", "--targets", "8", "--starts", "16"],
+    ["validate", "--drive", PLUS_N1, "--kgrid", "2", "--steps", "256"],
+])
+def test_unusable_out_refused_before_any_work(argv, tmp_path, capsys, monkeypatch):
+    # an --out below a regular file: exit 2 with one JSON error, before
+    # any command's work (which would exit 3 here) and with nothing printed
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+    for module, name in ((optimizer, "_sobol_points"), (optimizer, "phase_map"),
+                         (cli.bloch, "phase_diagram"), (cli, "derive_rates"),
+                         (validate, "compare_effective")):
+        monkeypatch.setattr(module, name, no_work)
+    (tmp_path / "file").write_text("")
+    code, out, err = run(argv + ["--out", str(tmp_path / "file" / "out")], capsys)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and _strict_json(err)["error"]["type"] == "config"
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--phi-target", "1", "--r-th", "0.25", "--starts", "4"],
+    ["sweep", "--targets", "2", "--starts", "4"],
+])
+def test_unchecked_scipy_release_exit_2(argv, tmp_path, capsys, monkeypatch):
+    # refused before any thread starts, as one JSON configuration error
+    import scipy
+    def no_workers(*args, **kwargs):
+        raise AssertionError("a worker was started")
+    monkeypatch.setattr(threading.Thread, "start", no_workers)
+    monkeypatch.setattr(scipy, "__version__", "1.18.0")
+    code, out, err = run(argv + ["--threads", "2", "--out", str(tmp_path)], capsys)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    error = _strict_json(err)["error"]
+    assert error["type"] == "config" and "scipy 1.18.0 is not a release" in error["message"]
+    assert not os.listdir(tmp_path)
+
+
 def test_overflowing_drive_stderr_is_json(tmp_path):
     # amplitudes whose modulation index overflows to inf: the grid cap
     # refuses the drive, and no numpy warning precedes the JSON error

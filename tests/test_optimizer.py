@@ -162,9 +162,9 @@ def test_problem_refuses_seed_harmonics_and_starts_by_name(monkeypatch):
 
 
 def test_one_draw_per_start_set(monkeypatch):
-    # the sweep's ten plus-family problems (5 angles x 2 floors) share one
-    # template, so one draw serves all; each gets the same starts, in the
-    # same order, as its own `sobol_starts`
+    # the sweep's ten plus-family problems (5 angles x 2 floors) draw their
+    # start sets once each, in task order; each gets the same starts, in
+    # the same order, as its own `sobol_starts`
     template = OptimizationProblem(phi_target=0.0, r_threshold=0.25, n_starts=4, seed=42)
     draws, tasks = [], []
     draw = optimizer._sobol_points
@@ -185,7 +185,7 @@ def test_one_draw_per_start_set(monkeypatch):
     monkeypatch.setattr(optimizer, "_run_starts", run_starts)
     targets = list(np.linspace(-np.pi, np.pi, 9)[1:])
     sweep_targets(targets, [0.25, 0.5], template, workers=1)
-    assert draws == [(3, 4, 42)]
+    assert draws == [(3, 4, 42)] * 10
     problems = list(dict.fromkeys(problem for problem, _ in tasks))
     assert len(problems) == 10 and len(tasks) == 40
     expected = np.concatenate([sobol_starts(problem) for problem in problems])
@@ -531,17 +531,26 @@ def test_candidate_batch_raises_first_failing_row(monkeypatch):
     assert [short_window(mmax, z, b) for z, b in zip(zmax, bandwidth)] == [(3, 256), (3, 512)]
 
     def scalar_error(p):
-        with pytest.raises(SpectrumTruncationError) as e:
+        with pytest.raises(ValueError) as e:
             _candidate_rates("plus", 2, p)
-        return str(e.value)
+        return type(e.value), str(e.value)
     for p in ok:
         _candidate_rates("plus", 2, p)
     assert scalar_error(large) != scalar_error(small)
-    for first, second in ((large, small), (small, large)):
-        for P in ([ok[0], first, ok[1], second], [ok[0], ok[1], first]):
-            with pytest.raises(SpectrumTruncationError) as batch:
-                _candidate_batch("plus", 2, np.array(P))
-            assert str(batch.value) == scalar_error(first)
+    cases = [([ok[0], first, ok[1], second], first) for first, second in
+             ((large, small), (small, large))]
+    cases += [([ok[0], ok[1], first], first) for first in (large, small)]
+    # grids above MAX_SAMPLES are refused as the first such row's, named
+    # by its own (unrounded) modulation index, and a row before it that
+    # fails in its block still comes first
+    huge, larger, odd = [20000.0, 0.0, 0.3], [30000.0, 0.0, 0.3], [30000.3, 0.0, 0.3]
+    cases += [([larger, huge], larger), ([ok[0], odd], odd), ([large, larger], large),
+              ([[20000.0, -30000.0, np.pi / 2], [20000.0, 0.0, np.pi / 2]], None)]
+    for P, first in cases:
+        with pytest.raises(ValueError) as batch:
+            _candidate_batch("plus", 2, np.array(P))
+        assert (type(batch.value), str(batch.value)) == scalar_error(first or P[0])
+    assert "index 30000.3 " in scalar_error(odd)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -850,12 +859,12 @@ def test_window_bounds_the_live_starts(monkeypatch):
     live, most = set(), [0]
     start = optimizer._slsqp_start
 
-    def counted(problem, x0):
+    def counted(problem, x0, slsqp):
         token = object()
         live.add(token)
         most[0] = max(most[0], len(live))
         try:
-            return (yield from start(problem, x0))
+            return (yield from start(problem, x0, slsqp))
         finally:
             live.discard(token)
     monkeypatch.setattr(optimizer, "_slsqp_start", counted)
@@ -890,6 +899,32 @@ def test_start_threads_keep_the_callers_error_state(monkeypatch):
     assert len({ident for ident, _, _ in states}) == 2
     assert {(over, workers) for _, over, workers in states} == {("raise", 1)}
     assert [_record_fields(r) for r in two] == [_record_fields(r) for r in one]
+
+
+def test_first_error_stops_every_start_thread(monkeypatch):
+    # a kernel error in one thread stops the other at its next round, where
+    # it would otherwise step every start left (about 780 kernel calls); no
+    # thread outlives the call
+    calls, failed_at, lock = [], [], threading.Lock()
+    one, batch = optimizer._candidate_rates, optimizer._candidate_batch
+
+    def counted(kernel):
+        def call(*args):
+            with lock:
+                calls.append(kernel)
+                if kernel is batch and calls.count(batch) == 3:
+                    failed_at.append(len(calls))
+                    raise FloatingPointError("injected")
+            return kernel(*args)
+        return call
+    monkeypatch.setattr(optimizer, "_candidate_rates", counted(one))
+    monkeypatch.setattr(optimizer, "_candidate_batch", counted(batch))
+    prob = OptimizationProblem(phi_target=1.0, r_threshold=0.25, N=2, n_starts=128, seed=42)
+    alive = threading.active_count()
+    with pytest.raises(FloatingPointError, match="injected"):
+        maximize(prob, workers=2)
+    assert threading.active_count() == alive
+    assert len(calls) - failed_at[0] <= 2
 
 
 def test_unchecked_scipy_release_is_refused(monkeypatch):
