@@ -15,6 +15,9 @@ i.e. amp * omega along the unit drive axes.
 
 All functions here are pure and all containers immutable after
 construction; values can be shared freely across parallel workers.
+`drive_from_json` refuses a malformed drive (a missing field, a short
+list, a value of the wrong type, a non-integral harmonic multiple) with
+a ValueError.
 
 This module is the one home of the drive-layer rules that `optimizer`
 and `validate` build on:
@@ -25,7 +28,8 @@ and `validate` build on:
   (`_family_harmonics`, used by `build_family_drive`, the family check
   and `_family_bond_amplitudes`)
 - the rate phasor j0 e^{i chi} as cos chi + i sin chi, `_phasor`
-- the grid rule `_grid_size` and the key it reads a drive by, `_grid_key`
+- the grid rule `_grid_size` and the key it reads a drive by, `_grid_key`:
+  the pair (ceil(zmax), ceil(bandwidth))
 - the truncation limit: the weight outside the retained orders stays
   within 1e-8 j0^2, `_tail_fits`
 """
@@ -140,7 +144,8 @@ def family_harmonic_integer(n: int) -> int:
 class Harmonic:
     """One frequency component of the drive.
 
-    m       : positive integer multiple of the base frequency
+    m       : positive integer multiple of the base frequency (an
+              integral float such as 2.0 is stored as the int 2)
     amp_x/y : amplitudes along e1/e2 in units of omega/a
     phase_x/y : phase lags (radians) of the cosine on each axis
     """
@@ -152,8 +157,10 @@ class Harmonic:
     phase_y: float
 
     def __post_init__(self):
-        if self.m < 1 or self.m != int(self.m):
+        # m % 1 is NaN for an infinite m, which int() would not take
+        if not (self.m >= 1 and self.m % 1 == 0):
             raise ValueError(f"harmonic multiple must be a positive integer, got {self.m}")
+        object.__setattr__(self, "m", int(self.m))
         for v in (self.amp_x, self.amp_y, self.phase_x, self.phase_y):
             if not math.isfinite(v):
                 raise ValueError("harmonic amplitudes and phases must be finite")
@@ -445,13 +452,10 @@ def fourier_components(spec: DriveSpec, geom: LatticeGeometry, j0: float,
 
 
 def _grid_key(zmax, bandwidth):
-    """ceil(zmax) + i ceil(bandwidth), elementwise: `_grid_size` reads a
-    drive's modulation index and bandwidth through these two integers
-    only, so drives with equal keys share a grid.  As complex numbers the
-    keys sort by ceil(zmax), then by ceil(bandwidth)."""
-    keys = np.ceil(zmax).astype(complex)
-    keys.imag = np.ceil(bandwidth)
-    return keys
+    """The (ceil(zmax), ceil(bandwidth)) pair of each drive, as a list:
+    `_grid_size` reads a drive's modulation index and bandwidth through
+    these two integers only, so drives with equal keys share a grid."""
+    return list(zip(np.ceil(zmax).tolist(), np.ceil(bandwidth).tolist()))
 
 
 def _grid_size(mmax: int, zmax: float, bandwidth: float, n_max: int | None = None,
@@ -569,30 +573,22 @@ def drive_from_json(data) -> DriveSpec:
     Full form: {"family": ..., "omega": w, "harmonics": [{"m": m,
     "ax": [amp, phase], "ay": [amp, phase]}, ...]}.  For plus/minus
     families the shorthand {"family": "plus", "omega": w, "A": [...],
-    "delta": [...]} is expanded via `build_family_drive`.
+    "delta": [...]} is expanded via `build_family_drive`.  A missing
+    field, a short list or a value of the wrong type raises ValueError.
     """
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
     if not isinstance(data, dict):
         raise ValueError("drive JSON must be an object")
     try:
-        family = data["family"]
-        omega = float(data["omega"])
-    except KeyError as e:
-        raise ValueError(f"drive JSON missing field {e.args[0]!r}") from None
-    if "harmonics" in data:
-        harms = []
-        for i, h in enumerate(data["harmonics"]):
-            try:
-                harms.append(Harmonic(m=int(h["m"]),
-                                      amp_x=float(h["ax"][0]), phase_x=float(h["ax"][1]),
-                                      amp_y=float(h["ay"][0]), phase_y=float(h["ay"][1])))
-            except (KeyError, IndexError, TypeError):
-                raise ValueError(f"malformed harmonic entry {i}: {h!r}") from None
-        return DriveSpec(family=family, omega=omega, harmonics=tuple(harms))
-    if family in ("plus", "minus"):
-        try:
+        family, omega = data["family"], float(data["omega"])
+        if "harmonics" in data:
+            harms = [Harmonic(m=h["m"], amp_x=float(h["ax"][0]), phase_x=float(h["ax"][1]),
+                              amp_y=float(h["ay"][0]), phase_y=float(h["ay"][1]))
+                     for h in data["harmonics"]]
+            return DriveSpec(family=family, omega=omega, harmonics=tuple(harms))
+        if family in ("plus", "minus"):
             return build_family_drive(family, omega, data["A"], data["delta"])
-        except KeyError as e:
-            raise ValueError(f"drive JSON missing field {e.args[0]!r}") from None
+    except (KeyError, IndexError, TypeError) as e:
+        raise ValueError(f"malformed drive JSON: {type(e).__name__} {e}") from None
     raise ValueError("custom drives require an explicit 'harmonics' list")

@@ -45,16 +45,18 @@ optima, the plus family winning exact ties.  Through the two symmetries
 it runs one plus-family maximization per class of equivalent targets,
 all starts stepped together.
 
-Phase maps, random search and the optimizer's rounds evaluate arrays of
-parameter vectors at once (`_candidate_batch`): drives are grouped by
-their Fourier grid and run through the spectrum and rate code along a
-leading axis, in blocks of bounded size.  For phase maps and random
-search the blocks run on `worker_count()` threads; an optimizer thread
-evaluates its rounds itself.  Each block depends on its own rows only,
-and its values are scattered in submission order, so the results are
-bit for bit those of the one-drive kernel `_candidate_rates`, which a
-round of a single row calls, whatever the thread count.  Both kernels
-take their drive-layer rules from `drive`: the bond amplitudes of the
+Every candidate evaluation, p -> (R, j1/j0, phi, phi_defined), goes
+through one kernel, `_candidate_batch`, which takes an array of
+parameter vectors: phase maps, random search, the optimizer's rounds and
+`evaluate_candidate` alike.  A single row runs on its own grid in the
+calling thread.  More rows are grouped by their Fourier grid in one pass
+and run through the spectrum and rate code along a leading axis, in
+blocks of bounded size.  For phase maps and random search the blocks run
+on `worker_count()` threads; an optimizer thread evaluates its rounds
+itself.  Each block depends on its own rows only, and its values are
+scattered in submission order, so a row's values are bit for bit those
+of the row alone, whatever the batch and the thread count.  The kernel
+takes its drive-layer rules from `drive`: the bond amplitudes of the
 family layout (`_family_bond_amplitudes`), the grid key that groups
 drives (`_grid_key`) and the truncation limit (`_tail_fits`).  Every
 thread count comes from `worker_count` and every thread is started by
@@ -251,14 +253,14 @@ class OptimizationResult:
 
 def _candidate_block(family, ms, Z, n_max: int, M: int):
     """(values, index, error) for bond amplitudes Z (..., 3, N) on one grid
-    (n_max, M): values are (R, j1/j0, phi, phi_defined, j2) at
-    omega = j0 = 1, each of Z's leading shape, with R = j2/j1 and infinite
-    where j1 vanishes; index and error are those of the first drive that
-    fails the truncation check or isotropy, or None and None."""
+    (n_max, M): values are (R, j1/j0, phi, phi_defined) at omega = j0 = 1,
+    each of Z's leading shape, with R = j2/j1 and infinite where j1
+    vanishes; index and error are those of the first drive that fails the
+    truncation check or isotropy, or None and None."""
     g, tail = _peierls_components(ms, Z, 1.0, n_max, M)
     r = _rate_arrays(g, n_max, 1.0, 1.0)
     R = np.divide(r.j2, r.j1, out=np.full(np.shape(r.j1), math.inf), where=r.j1 > 0)
-    values = (R, r.j1, r.phi, r.phi_defined, r.j2)
+    values = (R, r.j1, r.phi, r.phi_defined)
     failed = ~(_tail_fits(tail, 1.0) & r.isotropic_nn & r.isotropic_nnn)
     if not failed.any():
         return values, None, None
@@ -269,61 +271,53 @@ def _candidate_block(family, ms, Z, n_max: int, M: int):
     return values, i, error
 
 
-def _candidate_rates(family, N, p):
-    """(R, j1/j0, phi, phi_defined, j2) at omega = j0 = 1.
-
-    Bit for bit the chain build_family_drive -> fourier_components ->
-    derive_rates, including its grid-size rule and truncation check, but
-    with the bond amplitudes built straight from p instead of through a
-    validated DriveSpec.  `_candidate_batch` for one drive, without its
-    grouping step.
-    """
-    ms, Z = _family_bond_amplitudes(family, N, np.asarray(p, dtype=float))
-    zmax, bandwidth, mmax = _quadrature_sizes(ms, Z)
-    n_max, M = _grid_size(mmax, zmax, bandwidth)
-    values, _, error = _candidate_block(family, ms, Z, n_max, M)
-    if error:
-        raise error
-    return tuple([v.tolist() for v in values])
-
-
 def _candidate_batch(family, N, P, workers=None):
-    """(R, j1/j0, phi, phi_defined, j2) arrays (K,) over the K parameter
-    vectors P (K, 2N - 1), bit for bit K calls of `_candidate_rates`.  Each run of
-    _BATCH_ROWS rows is grouped by grid (n_max, M) and evaluated in blocks
-    of at most _BLOCK_SAMPLES complex samples, on `worker_count(workers)`
-    threads; like a loop over the rows, it raises the error of the first
+    """(R, j1/j0, phi, phi_defined) arrays (K,) at omega = j0 = 1 over the
+    K parameter vectors P (K, 2N - 1): the one candidate kernel.
+
+    Row by row, bit for bit the chain build_family_drive ->
+    fourier_components -> derive_rates, including its grid-size rule and
+    truncation check, but with the bond amplitudes built straight from p
+    instead of through a validated DriveSpec.  A single row is evaluated
+    on its own grid in the calling thread.  More rows are taken in runs of
+    _BATCH_ROWS, grouped by grid (n_max, M) and evaluated in blocks of at
+    most _BLOCK_SAMPLES complex samples, on `worker_count(workers)`
+    threads.  Like a loop over the rows, it raises the error of the first
     row that fails."""
     P = np.asarray(P, dtype=float)
     K = len(P)
     workers = worker_count(workers)
-    out = (np.empty(K), np.empty(K), np.empty(K), np.empty(K, dtype=bool), np.empty(K))
+    if K == 1:
+        # the row as a vector: a leading axis of one costs a few us per call
+        ms, Z = _family_bond_amplitudes(family, N, P[0])
+        zmax, bandwidth, mmax = _quadrature_sizes(ms, Z)
+        values, _, error = _candidate_block(family, ms, Z, *_grid_size(mmax, zmax, bandwidth))
+        if error:
+            raise error
+        return tuple(v.reshape(1) for v in values)
+    out = (np.empty(K), np.empty(K), np.empty(K), np.empty(K, dtype=bool))
     for start in range(0, K, _BATCH_ROWS):
         ms, Z = _family_bond_amplitudes(family, N, P[start:start + _BATCH_ROWS])
         zmax, bandwidth, mmax = _quadrature_sizes(ms, Z)
-        keys = _grid_key(zmax, bandwidth).tolist()
-        firsts = {}
-        for i, key in enumerate(keys):
-            firsts.setdefault(key, i)
-        # each key's grid from its first row's own sizes, keys in order of
-        # first row: a refused grid ends the plan, and its row is the first
-        # failing one unless a row before it fails in a planned block
-        grids, first = {}, (len(Z), None)
-        for key, i in firsts.items():
-            try:
-                grids[key] = _grid_size(mmax, zmax[i], bandwidth[i])
-            except ValueError as error:
-                first = (i, error)
-                break
-        order = list(dict.fromkeys(grids.values()))
-        label = np.array([order.index(grids[key]) if key in grids else -1 for key in keys])
+        # one pass in row order: each key's grid from its first row's own
+        # sizes, and each grid's rows, grids in order of first row.  A
+        # refused grid ends the plan; its row is the first failing one
+        # unless a row before it fails in a planned block
+        grids, rows, first = {}, {}, (len(Z), None)
+        for i, key in enumerate(_grid_key(zmax, bandwidth)):
+            if key not in grids:
+                try:
+                    grids[key] = _grid_size(mmax, zmax[i], bandwidth[i])
+                except ValueError as error:
+                    first = (i, error)
+                    break
+            rows.setdefault(grids[key], []).append(i)
         blocks = []
-        for i, (n_max, M) in enumerate(order):
-            rows = np.flatnonzero(label == i)
-            step = max(1, _BLOCK_SAMPLES // (3 * M))
-            blocks += [(rows[s:s + step], n_max, M) for s in range(0, len(rows), step)]
-        calls = [functools.partial(_candidate_block, family, ms, Z[rows], n_max, M)
-                 for rows, n_max, M in blocks]
+        for (n_max, M), grid_rows in rows.items():
+            grid_rows, step = np.array(grid_rows), max(1, _BLOCK_SAMPLES // (3 * M))
+            blocks += [(grid_rows[s:s + step], n_max, M) for s in range(0, len(grid_rows), step)]
+        calls = [functools.partial(_candidate_block, family, ms, Z[block], n_max, M)
+                 for block, n_max, M in blocks]
         for (block, _, _), (values, i, error) in zip(blocks, _threaded(calls, workers)):
             for dest, v in zip(out, values):
                 dest[start + block] = v
@@ -337,7 +331,7 @@ def _candidate_batch(family, N, P, workers=None):
 def evaluate_candidate(family: str, N: int, p):
     """(R, j1_over_j0, phi) for a parameter vector; phi is NaN when the
     NNN rate vanishes (no phase constraint can then be met)."""
-    R, j1, phi, defined, _ = _candidate_rates(family, N, p)
+    R, j1, phi, defined = (v.item() for v in _candidate_batch(family, N, [p], 1))
     return R, j1, (phi if defined else math.nan)
 
 
@@ -452,11 +446,11 @@ def _slsqp_start(problem: OptimizationProblem, x0, slsqp):
     constraints.
 
     A generator: each value it yields is a list of points it has not yet
-    evaluated, and it is sent their (R, j1/j0, phi, phi_defined, j2)
-    tuples in that order.  A memo keyed on the points' bytes keeps them,
-    so that no point is evaluated twice and `n_eval` counts them.  It
-    returns the start record: the optimum in canonical form
-    (`_canonical`), `n_eval`, `n_iter` and SLSQP's exit `status`.
+    evaluated, and it is sent their (R, j1/j0, phi, phi_defined) tuples
+    in that order.  A memo keyed on the points' bytes keeps them, so that
+    no point is evaluated twice and `n_eval` counts them.  It returns the
+    start record: the optimum in canonical form (`_canonical`), `n_eval`,
+    `n_iter` and SLSQP's exit `status`.
     """
     N, n = problem.N, problem.dim
     upper = np.concatenate((np.full(N, problem.amp_bound), np.full(N - 1, np.inf)))
@@ -470,7 +464,7 @@ def _slsqp_start(problem: OptimizationProblem, x0, slsqp):
 
     def merit(point):
         """(-R, phase gap, j1/j0 - r_threshold) at an evaluated point."""
-        R, j1, phi, defined, _ = memo[point.tobytes()]
+        R, j1, phi, defined = memo[point.tobytes()]
         gap = wrap_angle(phi - problem.phi_target) if defined else np.pi
         return -R, gap, j1 - problem.r_threshold
 
@@ -510,7 +504,7 @@ def _slsqp_start(problem: OptimizationProblem, x0, slsqp):
     n_eval = len(memo)
     p = _canonical(x, N)
     yield from evaluate([p])
-    R, j1, phi, defined, _ = memo[p.tobytes()]
+    R, j1, phi, defined = memo[p.tobytes()]
     record = _start_record(problem, p, R, j1, phi, defined, state["mode"] == 0)
     record.update(n_eval=n_eval, n_iter=state["iter"], status=state["mode"])
     return record
@@ -524,11 +518,10 @@ def _run_starts(tasks, workers: int) -> list:
     Each thread keeps an even share of the tasks live, at most
     _WINDOW // threads, and advances them in lockstep: a round gathers the
     points its live starts ask for next and evaluates them in the thread,
-    in one kernel call, `_candidate_rates` for a single row and
-    `_candidate_batch` for more.  The threads draw tasks in order from one
-    queue, so finished starts are replaced in task order and memory does
-    not grow with the number of tasks.  A thread that raises stops the
-    others before their next round."""
+    in one `_candidate_batch` call.  The threads draw tasks in order from
+    one queue, so finished starts are replaced in task order and memory
+    does not grow with the number of tasks.  A thread that raises stops
+    the others before their next round."""
     slsqp = _slsqp_routine()
     family, N = tasks[0][0].family, tasks[0][0].N
     records = [None] * len(tasks)
@@ -559,11 +552,8 @@ def _run_starts(tasks, workers: int) -> list:
                 if not live:
                     return
                 P = [point for *_, points in live for point in points]
-                if len(P) == 1:
-                    values = iter([_candidate_rates(family, N, P[0])])
-                else:
-                    # as Python scalars, the tuples `_candidate_rates` returns
-                    values = zip(*(a.tolist() for a in _candidate_batch(family, N, P, 1)))
+                # each point's (R, j1/j0, phi, phi_defined) as Python scalars
+                values = zip(*(a.tolist() for a in _candidate_batch(family, N, P, 1)))
                 live = advance((i, start, list(itertools.islice(values, len(points))))
                                for i, start, points in live)
         except BaseException:
@@ -702,7 +692,7 @@ def random_search_best(problem: OptimizationProblem, n_samples: int, seed: int =
     for start in range(0, n_samples, _BATCH_ROWS):
         # one draw of k x dim numbers is k draws of dim numbers, in order
         P = lo + rng.random((min(_BATCH_ROWS, n_samples - start), problem.dim)) * (hi - lo)
-        R, j1, phi, defined, _ = _candidate_batch(problem.family, problem.N, P)
+        R, j1, phi, defined = _candidate_batch(problem.family, problem.N, P)
         feasible = (defined & (np.abs(wrap_angle(phi - problem.phi_target)) <= PHI_TOL)
                     & (j1 >= problem.r_threshold))
         if feasible.any():
@@ -881,13 +871,14 @@ class PhaseMap:
 
 def phase_map(A1_values, A2_values, delta2: float, family: str = "plus") -> PhaseMap:
     """Evaluate phi and j1/j0 on an (A1, A2) grid for an N = 2 drive, in
-    one batched evaluation, bit for bit the per-point `_candidate_rates`."""
+    one batched evaluation, bit for bit one `_candidate_batch` call per
+    point."""
     A1_values = np.asarray(A1_values, dtype=float)
     A2_values = np.asarray(A2_values, dtype=float)
     shape = (len(A1_values), len(A2_values))
     P = np.stack(np.broadcast_arrays(A1_values[:, None], A2_values[None, :], float(delta2)),
                  axis=-1).reshape(-1, 3)
-    _, j1, phi, defined, _ = _candidate_batch(family, 2, P)
+    _, j1, phi, defined = _candidate_batch(family, 2, P)
     return PhaseMap(A1=A1_values.copy(), A2=A2_values.copy(), delta2=float(delta2),
                     family=family, phi=np.where(defined, phi, np.nan).reshape(shape),
                     j1_over_j0=j1.reshape(shape))

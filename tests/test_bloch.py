@@ -84,6 +84,8 @@ def test_model_validation():
         BlochModel("driven_hexagonal", 0.0, 1.0, -0.1, 0.0, GEOM)
     with pytest.raises(ValueError):
         BlochModel("squarelattice", 0.0, 1.0, 0.1, 0.0, GEOM)
+    with pytest.raises(ValueError, match="unknown model kind"):
+        phase_diagram([0.0], [0.0], N1=12, N2=12, kinds=("squarelattice",))
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +146,16 @@ def test_min_gap_gapped_graphene():
     kb = np.array([kloc @ GEOM.b1, kloc @ GEOM.b2]) % (2 * np.pi)
     assert np.allclose(kb, [2 * np.pi / 3, 2 * np.pi / 3], atol=1e-6) or \
         np.allclose(kb, [4 * np.pi / 3, 4 * np.pi / 3], atol=1e-6)
+
+
+def test_min_gap_refines_off_grid_minimum():
+    # K lies at kb = (2 pi/3, 2 pi/3), off a 47 x 47 grid: the coarse scan
+    # misses the gap minimum (0.81437) and the refinement moves to it
+    m = model(delta=0.4, j2=0.0)
+    coarse = band_scan(m, 47, 47).min_gap
+    gap, _ = min_gap(m, 47, 47)
+    assert gap < coarse
+    assert gap == pytest.approx(0.8, abs=1e-5)
 
 
 def test_dirac_limit_touching_points():
@@ -223,6 +235,9 @@ def test_chern_integer_refuses_nan():
         _chern_integer(np.nan, 1e-6, lambda: np.zeros((12, 12)))
     with pytest.raises(ChernIndeterminateError, match="plaquette"):
         _chern_integer(1.0, 1e-6, lambda: np.full((12, 12), np.nan))
+    # small phases whose sum is 1.44 rad, not a multiple of 2 pi
+    with pytest.raises(ChernIndeterminateError, match="not integral"):
+        _chern_integer(1.0, 1e-6, lambda: np.full((12, 12), 0.01))
 
 
 def test_chern_grid_validation():

@@ -82,6 +82,14 @@ def test_parse_range_rejects_nonfinite():
     ["rates", "--drive", PLUS_N1, "--threads", "2"],
     ["optimize", "--phi-target", "1.0", "--r-th", "0.25", "--starts", "0"],
     ["sweep", "--family", "minus", "--phi-list", "0.5", "--r-th", "0.25", "--starts", "1"],
+    ["rates", "--drive", '{"family":"plus","omega":1,"A":5,"delta":0}'],
+    ["validate", "--drive", '{"family":"plus","omega":null,"A":[1],"delta":[0]}',
+     "--kgrid", "2", "--steps", "256"],
+    ["rates", "--drive", '{"family":"custom","omega":1,"harmonics":5}'],
+    ["rates", "--drive", '{"family":"custom","omega":1,"harmonics":[{"m":1.5,"ax":[1,0],'
+     '"ay":[1,0]}]}'],
+    ["validate", "--drive", PLUS_N1, "--j0-over-omega", "0", "--kgrid", "2", "--steps", "256"],
+    ["phase-map", "--A1", "a:1:1", "--A2", "0:1:1"],
 ])
 def test_meaningless_input_exit_2(argv, tmp_path, capsys):
     code, out, err = run(argv + ["--out", str(tmp_path)], capsys)
@@ -98,6 +106,7 @@ def test_meaningless_input_exit_2(argv, tmp_path, capsys):
     (["chern-diagram", "--kgrid", "100000", "--phi=0:0:1", "--ratio=0:0:1"], "--kgrid"),
     (["optimize", "--phi-target", "1", "--r-th", "0.25", "--starts", "1", "--N", "17"], "--N"),
     (["sweep", "--targets", "2", "--starts", "1", "--N", "20000"], "--N"),
+    (["phase-map", "--A1", "0:1023:1", "--A2", "0:1024:1"], "--A1 x --A2 grid"),
 ])
 def test_count_caps_refuse_before_allocation(argv, flag, tmp_path, capsys):
     # each input asks for gigabytes; the caps refuse it with no large allocation
@@ -360,6 +369,11 @@ def test_rates_command(tmp_path, capsys):
     assert all(abs(re) < 1e-10 for re, _ in doc["tau"])
     assert doc["isotropic_nn"] and doc["isotropic_nnn"]
     assert (tmp_path / "rates.json").exists()
+    # a drive read from a file is the same drive given inline
+    (tmp_path / "drive.json").write_text(PLUS_N1)
+    code, from_file, _ = run(["rates", "--drive", str(tmp_path / "drive.json"),
+                              "--out", str(tmp_path)], capsys)
+    assert code == 0 and from_file == out
 
 
 def test_rates_zero_amplitude(tmp_path, capsys):
@@ -594,6 +608,10 @@ DRIVES = [
     '{"family":"plus","omega":1,"A":[1]}',
     '{"family":',
     '[]',
+    '{"family":"plus","omega":1,"A":5,"delta":0}',
+    '{"family":"plus","omega":null,"A":[1],"delta":[0]}',
+    '{"family":"custom","omega":1,"harmonics":5}',
+    '{"family":"custom","omega":1,"harmonics":[{"m":1.5,"ax":[1,0],"ay":[1,0]}]}',
 ]
 NUMBERS = ["0", "1", "-1", "0.25", "0.5", "2", "1e10", "1e300", "-1e300", "1e-300", "1e-320",
            "1e308", "nan", "inf", "abc"]

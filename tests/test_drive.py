@@ -93,6 +93,22 @@ def test_drivespec_validates_family_structure():
     h = Harmonic(m=3, amp_x=1.0, phase_x=0.0, amp_y=1.0, phase_y=0.0)
     with pytest.raises(ValueError):
         DriveSpec(family="plus", omega=1.0, harmonics=(h,))
+    # the plus layout of the first harmonic is phase_x = 0, equal axis
+    # amplitudes and phase_y = phase_x - pi/2
+    DriveSpec(family="plus", omega=1.0, harmonics=(Harmonic(1, 1.0, 0.0, 1.0, -np.pi / 2),))
+    for h, message in ((Harmonic(1, 1.0, 0.3, 1.0, 0.3 - np.pi / 2), "first harmonic phase"),
+                       (Harmonic(1, 1.0, 0.0, 0.5, -np.pi / 2), "equal amplitudes"),
+                       (Harmonic(1, 1.0, 0.0, 1.0, np.pi / 2), "phase_y")):
+        with pytest.raises(ValueError, match=message):
+            DriveSpec(family="plus", omega=1.0, harmonics=(h,))
+    # a harmonic refuses a non-finite amplitude and a non-integral or
+    # infinite multiple, and keeps an integral float multiple as an int
+    for args in ((1, np.inf, 0.0, 1.0, 0.0), (1.5, 1.0, 0.0, 1.0, 0.0),
+                 (np.inf, 1.0, 0.0, 1.0, 0.0), (np.nan, 1.0, 0.0, 1.0, 0.0)):
+        with pytest.raises(ValueError):
+            Harmonic(*args)
+    m = Harmonic(2.0, 1.0, 0.0, 1.0, 0.0).m
+    assert m == 2 and type(m) is int
     # custom accepts multiples of 3
     spec = build_custom_drive(1.0, [(3, 1.0, 0.0, 0.5, 0.2)])
     assert spec.harmonics[0].m == 3
@@ -281,11 +297,10 @@ def test_grid_key_determines_the_grid():
     zmax = np.concatenate((rng.uniform(0, 12, 500), np.arange(13.0)))
     bandwidth = np.concatenate((rng.uniform(0, 40, 500), np.arange(0.0, 39.0, 3.0)))
     keys = _grid_key(zmax, bandwidth)
+    assert len(keys) == len(zmax)
     for mmax in (1, 2, 4):
-        for z, b, k in zip(zmax.tolist(), bandwidth.tolist(), keys.tolist()):
-            assert _grid_size(mmax, k.real, k.imag) == _grid_size(mmax, z, b)
-    assert np.array_equal(np.argsort(keys, kind="stable"),
-                          np.lexsort((np.ceil(bandwidth), np.ceil(zmax))))
+        for z, b, (kz, kb) in zip(zmax.tolist(), bandwidth.tolist(), keys):
+            assert _grid_size(mmax, kz, kb) == _grid_size(mmax, z, b)
 
 
 def test_spectrum_input_validation():
@@ -342,6 +357,8 @@ def test_json_family_shorthand():
 
 
 def test_json_errors():
+    with pytest.raises(ValueError, match="must be an object"):
+        drive_from_json("[]")
     with pytest.raises(ValueError):
         drive_from_json({"omega": 1.0})
     with pytest.raises(ValueError):

@@ -27,8 +27,13 @@ from floqchern import (
 from floqchern.cli import main as cli_main
 from floqchern import optimizer
 from floqchern.drive import SpectrumTruncationError, _grid_size, _quadrature_sizes
-from floqchern.optimizer import (_candidate_batch, _candidate_rates, _family_bond_amplitudes,
-                                 sobol_starts)
+from floqchern.optimizer import _candidate_batch, _family_bond_amplitudes, sobol_starts
+
+
+def _one(family, N, p):
+    """(R, j1/j0, phi, phi_defined) of one parameter vector as Python
+    scalars: a one-row `_candidate_batch`."""
+    return tuple(v.item() for v in _candidate_batch(family, N, [p], 1))
 
 
 def test_wrap_angle_window():
@@ -58,7 +63,7 @@ def test_candidate_circular_phase_is_exactly_half_pi():
 @pytest.mark.parametrize("family", ["plus", "minus"])
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_candidate_rates_match_reference_chain(family, N):
-    # the optimizer's evaluator skips the DriveSpec but must reproduce
+    # the candidate kernel skips the DriveSpec but must reproduce
     # build_family_drive -> fourier_components -> derive_rates bit for bit
     rng = np.random.default_rng(100 + N)
     for _ in range(40):
@@ -66,8 +71,7 @@ def test_candidate_rates_match_reference_chain(family, N):
         deltas = np.concatenate(([0.0], wrap_angle(p[N:])))
         spec = build_family_drive(family, 1.0, p[:N], deltas)
         r = derive_rates(fourier_components(spec, default_geometry(), 1.0))
-        R, j1, phi, defined, j2 = _candidate_rates(family, N, p)
-        assert (R, j1, phi, defined, j2) == (r.j2 / r.j1, r.j1, r.phi, r.phi_defined, r.j2)
+        assert _one(family, N, p) == (r.j2 / r.j1, r.j1, r.phi, r.phi_defined)
 
 
 def test_candidate_ratio_invariant_under_j0():
@@ -452,10 +456,10 @@ def test_phase_map_rows_format(coarse_map):
 
 
 # ---------------------------------------------------------------------------
-# batched candidate kernel: bit for bit the per-point kernel
+# batched candidate kernel: bit for bit one row at a time
 
 def _per_point(family, N, P):
-    return [_candidate_rates(family, N, p) for p in P]
+    return [_one(family, N, p) for p in P]
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
@@ -485,7 +489,7 @@ def test_phase_map_matches_per_point_kernel(family, batch_rows, monkeypatch):
     assert {M for _, M in grids} == {256, 512}
     assert len({n for n, _ in grids}) >= 5
     ref = _per_point(family, 2, P)
-    phi = np.array([ph if defined else np.nan for _, _, ph, defined, _ in ref])
+    phi = np.array([ph if defined else np.nan for _, _, ph, defined in ref])
     j1 = np.array([r[1] for r in ref])
     pm = phase_map(A1, A2, delta2, family)
     assert np.array_equal(pm.phi.ravel(), phi, equal_nan=True)
@@ -501,7 +505,7 @@ def _random_search_loop(problem, n_samples, seed):
     best = -np.inf
     for _ in range(n_samples):
         p = lo + rng.random(problem.dim) * (hi - lo)
-        R, j1, phi, defined, _ = _candidate_rates(problem.family, problem.N, p)
+        R, j1, phi, defined = _one(problem.family, problem.N, p)
         if (defined and abs(wrap_angle(phi - problem.phi_target)) <= optimizer.PHI_TOL
                 and j1 >= problem.r_threshold):
             best = max(best, R)
@@ -532,10 +536,10 @@ def test_candidate_batch_raises_first_failing_row(monkeypatch):
 
     def scalar_error(p):
         with pytest.raises(ValueError) as e:
-            _candidate_rates("plus", 2, p)
+            _one("plus", 2, p)
         return type(e.value), str(e.value)
     for p in ok:
-        _candidate_rates("plus", 2, p)
+        _one("plus", 2, p)
     assert scalar_error(large) != scalar_error(small)
     cases = [([ok[0], first, ok[1], second], first) for first, second in
              ((large, small), (small, large))]
@@ -660,7 +664,7 @@ def test_thread_blocks_raise_first_failing_row(monkeypatch):
     # the larger drive's grid group (M = 512) is evaluated after the smaller one's
     large, small = [3.4, 1.0, 0.3], [1.0, 1.6, 0.3]
     with pytest.raises(SpectrumTruncationError) as e:
-        _candidate_rates("plus", 2, large)
+        _one("plus", 2, large)
     for P in (np.vstack((ok, [large], ok[:50], [small])),
               np.vstack((ok, [large], [small]))):
         for threads in (1, 3):
@@ -721,7 +725,7 @@ def test_library_worker_cap_refused_before_any_worker(monkeypatch):
 def _plain_start(problem, x0):
     """The start as plain SLSQP, written out: scipy's own finite
     differences for the objective and both constraints, every point
-    evaluated once through a memo of `_candidate_rates`.  Returns the
+    evaluated once through a memo of one-row kernel calls.  Returns the
     record fields `_slsqp_start` must match and the points evaluated, in
     the order SLSQP first asked for them."""
     from scipy.optimize import minimize
@@ -730,11 +734,11 @@ def _plain_start(problem, x0):
     def rates(x):
         key = x.tobytes()
         if key not in memo:
-            memo[key] = _candidate_rates(problem.family, problem.N, x)
+            memo[key] = _one(problem.family, problem.N, x)
         return memo[key]
 
     def phase_gap(x):
-        _, _, phi, defined, _ = rates(x)
+        _, _, phi, defined = rates(x)
         return wrap_angle(phi - problem.phi_target) if defined else np.pi
 
     N = problem.N
@@ -745,7 +749,7 @@ def _plain_start(problem, x0):
                      {"type": "ineq", "fun": lambda x: rates(x)[1] - problem.r_threshold}),
         options={"ftol": 1e-12, "maxiter": optimizer.MAX_ITER})
     p = optimizer._canonical(res.x, N)
-    R, j1, phi, _, _ = _candidate_rates(problem.family, N, p)
+    R, j1, phi, _ = _one(problem.family, N, p)
     record = {"p": p.tobytes(), "R": R, "j1": j1, "phi": phi, "status": int(res.status),
               "n_iter": int(res.nit), "n_eval": len(memo), "converged": bool(res.success)}
     return record, list(memo)
@@ -753,20 +757,14 @@ def _plain_start(problem, x0):
 
 def _kernel_rows(monkeypatch):
     """Every kernel row from now on, as (call, point bytes): call counts
-    the one-drive and batch calls made so far."""
+    the `_candidate_batch` calls made so far."""
     rows, calls = [], [0]
-    one, batch = optimizer._candidate_rates, optimizer._candidate_batch
-
-    def counted_one(family, N, p):
-        calls[0] += 1
-        rows.append((calls[0], np.asarray(p, dtype=float).tobytes()))
-        return one(family, N, p)
+    batch = optimizer._candidate_batch
 
     def counted_batch(family, N, P, workers=None):
         calls[0] += 1
         rows.extend((calls[0], np.asarray(p, dtype=float).tobytes()) for p in P)
         return batch(family, N, P, workers)
-    monkeypatch.setattr(optimizer, "_candidate_rates", counted_one)
     monkeypatch.setattr(optimizer, "_candidate_batch", counted_batch)
     return rows
 
@@ -805,12 +803,45 @@ def _stencil_cases():
     cases.append(("lower-bound", prob, [np.array([-prob.amp_bound, 1.0, 0.5])], 1))
     prob, x0 = _grid_edge_start()
     cases.append(("two-grids", prob, [x0], 1))
+    # a box narrower than the step, where each step is cut to the far bound
+    prob = OptimizationProblem(phi_target=1.0, r_threshold=0.3, amp_bound=1e-9, n_starts=1,
+                               seed=7)
+    cases.append(("narrow-box", prob, sobol_starts(prob), 1))
     # several starts in one lockstep window, and the same starts one by one
     prob = OptimizationProblem(phi_target=1.0, r_threshold=0.3, amp_bound=3.0, n_starts=8,
                                seed=7)
     cases.append(("lockstep-8", prob, sobol_starts(prob), 8))
     cases.append(("window-1", prob, sobol_starts(prob), 1))
     return cases
+
+
+@pytest.mark.parametrize("x, bound", [
+    # free phases too large for the step to change them: the fallback step
+    ([1.0, 2.0, 3e8], 5.0),
+    ([1.0, -0.5, 2.0, -5e8, 2.0**28], 5.0),
+    # boxes narrower than the step: the step is cut to the far bound
+    ([0.5e-9, -1e-9, 0.3], 1e-9),
+    ([1e-9, -0.2e-9, 0.0], 1e-9),
+    ([-1e-9, 0.0, 1e9], 1e-9),
+])
+def test_stencil_is_scipys_forward_difference(x, bound):
+    # the points and steps of scipy's 2-point rule, as SLSQP's finite
+    # differences take them, byte for byte
+    from scipy.optimize._numdiff import approx_derivative
+    x = np.array(x)
+    N = (len(x) + 1) // 2
+    upper = np.concatenate((np.full(N, bound), np.full(N - 1, np.inf)))
+    seen = []
+
+    def one(point):
+        seen.append(point.tobytes())
+        return np.ones(1)
+    jac = approx_derivative(one, x, method="2-point", abs_step=optimizer._FD_STEP,
+                            f0=np.zeros(1), bounds=(-upper, upper))
+    points, dx = optimizer._stencil(x, -upper, upper)
+    assert [p.tobytes() for p in points] == seen
+    # each column of the Jacobian is 1 / dx
+    assert (1.0 / dx).tobytes() == jac.ravel().tobytes()
 
 
 def _record_fields(record):
@@ -905,26 +936,23 @@ def test_first_error_stops_every_start_thread(monkeypatch):
     # a kernel error in one thread stops the other at its next round, where
     # it would otherwise step every start left (about 780 kernel calls); no
     # thread outlives the call
-    calls, failed_at, lock = [], [], threading.Lock()
-    one, batch = optimizer._candidate_rates, optimizer._candidate_batch
+    calls, lock = [0], threading.Lock()
+    batch = optimizer._candidate_batch
 
-    def counted(kernel):
-        def call(*args):
-            with lock:
-                calls.append(kernel)
-                if kernel is batch and calls.count(batch) == 3:
-                    failed_at.append(len(calls))
-                    raise FloatingPointError("injected")
-            return kernel(*args)
-        return call
-    monkeypatch.setattr(optimizer, "_candidate_rates", counted(one))
-    monkeypatch.setattr(optimizer, "_candidate_batch", counted(batch))
+    def counted(*args):
+        with lock:
+            calls[0] += 1
+            if calls[0] == 3:
+                raise FloatingPointError("injected")
+        return batch(*args)
+    monkeypatch.setattr(optimizer, "_candidate_batch", counted)
     prob = OptimizationProblem(phi_target=1.0, r_threshold=0.25, N=2, n_starts=128, seed=42)
     alive = threading.active_count()
     with pytest.raises(FloatingPointError, match="injected"):
         maximize(prob, workers=2)
     assert threading.active_count() == alive
-    assert len(calls) - failed_at[0] <= 2
+    # at most two kernel calls after the third, failing one
+    assert calls[0] <= 5
 
 
 def test_unchecked_scipy_release_is_refused(monkeypatch):
