@@ -382,14 +382,16 @@ def _emit_error(code: int, kind: str, message: str):
 
 def _check_args(args):
     """Refuse non-finite floats, --starts or --targets above MAX_POINTS,
-    --N above optimizer.MAX_HARMONICS and a --threads below 1 or above
-    optimizer.MAX_WORKERS."""
+    a --targets below 1, --N above optimizer.MAX_HARMONICS and a
+    --threads below 1 or above optimizer.MAX_WORKERS."""
     for name, value in vars(args).items():
         flag = "--" + name.replace("_", "-")
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{flag} must be finite, got {value}")
         if name in ("starts", "targets") and value > MAX_POINTS:
             raise ConfigError(f"{flag} must be at most {MAX_POINTS}, got {value}")
+        if name == "targets" and value < 1:
+            raise ConfigError(f"{flag} must be at least 1, got {value}")
         if name == "N" and value > optimizer.MAX_HARMONICS:
             raise ConfigError(f"{flag} must be at most {optimizer.MAX_HARMONICS}, got {value}")
         if name == "threads" and value is not None:

@@ -39,6 +39,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,8 +158,9 @@ class Harmonic:
     phase_y: float
 
     def __post_init__(self):
-        # m % 1 is NaN for an infinite m, which int() would not take
-        if not (self.m >= 1 and self.m % 1 == 0):
+        # an infinite or NaN m fails the bounds, and so does an integer too
+        # large for a float, which the drive arrays could not hold
+        if not (1 <= self.m <= sys.float_info.max and self.m % 1 == 0):
             raise ValueError(f"harmonic multiple must be a positive integer, got {self.m}")
         object.__setattr__(self, "m", int(self.m))
         for v in (self.amp_x, self.amp_y, self.phase_x, self.phase_y):
@@ -574,21 +576,37 @@ def drive_from_json(data) -> DriveSpec:
     "ax": [amp, phase], "ay": [amp, phase]}, ...]}.  For plus/minus
     families the shorthand {"family": "plus", "omega": w, "A": [...],
     "delta": [...]} is expanded via `build_family_drive`.  A missing
-    field, a short list or a value of the wrong type raises ValueError.
+    field, a short list or a value of the wrong type raises ValueError:
+    a number must be a JSON number (not a string or a boolean), and a
+    list a JSON array.
     """
+    def number(x):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise TypeError(f"expected a number, got {x!r}")
+        return x
+
+    def array(x):
+        if not isinstance(x, list):
+            raise TypeError(f"expected an array, got {x!r}")
+        return x
+
+    def amp_phase(x):
+        x = array(x)
+        return float(number(x[0])), float(number(x[1]))
+
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
     if not isinstance(data, dict):
         raise ValueError("drive JSON must be an object")
     try:
-        family, omega = data["family"], float(data["omega"])
+        family, omega = data["family"], float(number(data["omega"]))
         if "harmonics" in data:
-            harms = [Harmonic(m=h["m"], amp_x=float(h["ax"][0]), phase_x=float(h["ax"][1]),
-                              amp_y=float(h["ay"][0]), phase_y=float(h["ay"][1]))
-                     for h in data["harmonics"]]
+            harms = [Harmonic(number(h["m"]), *amp_phase(h["ax"]), *amp_phase(h["ay"]))
+                     for h in array(data["harmonics"])]
             return DriveSpec(family=family, omega=omega, harmonics=tuple(harms))
         if family in ("plus", "minus"):
-            return build_family_drive(family, omega, data["A"], data["delta"])
-    except (KeyError, IndexError, TypeError) as e:
+            return build_family_drive(family, omega, [number(x) for x in array(data["A"])],
+                                      [number(x) for x in array(data["delta"])])
+    except (KeyError, IndexError, TypeError, OverflowError) as e:
         raise ValueError(f"malformed drive JSON: {type(e).__name__} {e}") from None
     raise ValueError("custom drives require an explicit 'harmonics' list")

@@ -30,11 +30,19 @@ draws them itself (`_sobol_points`: Joe-Kuo direction numbers, linear
 matrix scramble and digital shift), byte for byte the points of scipy
 1.17's `qmc.Sobol(scramble=True)`, without importing `scipy.stats`.
 Starts are independent: a start's record does not depend on the others
-that share its rounds.  One ranking rule, `_rank`, orders optima
-everywhere: feasible points first, by larger R, then infeasible points
-by smaller constraint residual.  The reduction over starts breaks its
-ties on the lexicographically smallest p, independent of execution
-order.
+that share its rounds.
+
+A point is judged in one place.  One phase-gap rule, `_phase_gap`
+(wrap(phi - phi_target), pi where phi is undefined), is SLSQP's
+equality constraint and the phase residual.  One feasibility rule,
+`_feasible`, asks for amplitudes within amp_bound + 1e-9,
+|gap| <= PHI_TOL and j1/j0 >= r_threshold - FEAS_TOL; `_judged` applies
+it to every start record and symmetry image, and `random_search_best`
+to every sample.  One ranking rule, `_rank`, orders optima everywhere:
+feasible points first, by larger R, then infeasible points by smaller
+constraint residual, the sum of the two.  The reduction over starts
+breaks its ties on the lexicographically smallest p, independent of
+execution order.
 
 Two exact symmetries leave R and j1/j0 unchanged: the minus family at
 (A, -delta) is the mirror image (phi -> -phi) of the plus family at
@@ -379,16 +387,32 @@ def _mirror(p, N):
     return p
 
 
-def _start_record(problem: OptimizationProblem, p, R, j1, phi, defined, converged):
-    """Start record: constraint residuals and feasibility of a point."""
-    phi_res = abs(float(wrap_angle(phi - problem.phi_target))) if defined else np.pi
-    r_res = max(0.0, problem.r_threshold - j1)
-    amps_ok = bool(np.all(np.abs(p[:problem.N]) <= problem.amp_bound + 1e-9))
-    feasible = (defined and phi_res <= PHI_TOL
-                and j1 >= problem.r_threshold - FEAS_TOL and amps_ok)
-    return {"p": p, "R": R, "j1": j1, "phi": phi, "defined": defined,
-            "feasible": feasible, "converged": converged,
-            "phi_residual": phi_res, "r_residual": r_res}
+def _phase_gap(problem: OptimizationProblem, phi, defined):
+    """wrap(phi - phi_target), and pi where phi is undefined, elementwise:
+    the one phase-gap rule."""
+    return np.where(defined, wrap_angle(phi - problem.phi_target), np.pi)
+
+
+def _feasible(problem: OptimizationProblem, p, j1, gap):
+    """The one feasibility rule, elementwise over points p (..., dim) with
+    NN ratios j1 and phase gaps gap (`_phase_gap`): amplitudes within
+    amp_bound + 1e-9, |gap| <= PHI_TOL (so phi defined) and
+    j1/j0 >= r_threshold - FEAS_TOL."""
+    return (np.all(np.abs(p[..., :problem.N]) <= problem.amp_bound + 1e-9, axis=-1)
+            & (np.abs(gap) <= PHI_TOL) & (j1 >= problem.r_threshold - FEAS_TOL))
+
+
+def _judged(problem: OptimizationProblem, record, **moved):
+    """A start record: `record` with the fields `moved` replaced and its
+    judgement on `problem` set, `feasible` and the residuals
+    `phi_residual` (|phase gap|) and `r_residual` (NN ratio below the
+    floor); every field keeps its place."""
+    record = {**record, **moved}
+    gap = _phase_gap(problem, record["phi"], record["defined"])
+    record.update(feasible=bool(_feasible(problem, record["p"], record["j1"], gap)),
+                  phi_residual=abs(float(gap)),
+                  r_residual=max(0.0, problem.r_threshold - record["j1"]))
+    return record
 
 
 def _stencil(x, lower, upper):
@@ -465,8 +489,7 @@ def _slsqp_start(problem: OptimizationProblem, x0, slsqp):
     def merit(point):
         """(-R, phase gap, j1/j0 - r_threshold) at an evaluated point."""
         R, j1, phi, defined = memo[point.tobytes()]
-        gap = wrap_angle(phi - problem.phi_target) if defined else np.pi
-        return -R, gap, j1 - problem.r_threshold
+        return -R, _phase_gap(problem, phi, defined), j1 - problem.r_threshold
 
     def gradients(x):
         """(n, 3) forward-difference quotients of `merit` at x."""
@@ -505,9 +528,11 @@ def _slsqp_start(problem: OptimizationProblem, x0, slsqp):
     p = _canonical(x, N)
     yield from evaluate([p])
     R, j1, phi, defined = memo[p.tobytes()]
-    record = _start_record(problem, p, R, j1, phi, defined, state["mode"] == 0)
-    record.update(n_eval=n_eval, n_iter=state["iter"], status=state["mode"])
-    return record
+    # `_judged` sets feasible and the residuals in their places
+    return _judged(problem, {"p": p, "R": R, "j1": j1, "phi": phi, "defined": defined,
+                             "feasible": None, "converged": state["mode"] == 0,
+                             "phi_residual": None, "r_residual": None, "n_eval": n_eval,
+                             "n_iter": state["iter"], "status": state["mode"]})
 
 
 def _run_starts(tasks, workers: int) -> list:
@@ -576,10 +601,7 @@ def _image_record(record, problem: OptimizationProblem, mirror: bool, negate_eve
         p, phi = _mirror(p, problem.N), float(wrap_angle(-phi))
     if mirror or negate_even:
         p = _canonical(p, problem.N)
-    image = _start_record(problem, p, record["R"], record["j1"], phi, record["defined"],
-                          record["converged"])
-    image.update((key, record[key]) for key in ("n_eval", "n_iter", "status"))
-    return image
+    return _judged(problem, record, p=p, phi=phi)
 
 
 def _search_box(problem: OptimizationProblem):
@@ -638,10 +660,11 @@ def sobol_starts(problem: OptimizationProblem) -> np.ndarray:
     return lo + _sobol_points(problem.dim, problem.n_starts, problem.seed) * (hi - lo)
 
 
-def _rank(feasible: bool, R: float, residual: float) -> tuple:
+def _rank(feasible: bool, R: float, phi_residual: float, r_residual: float) -> tuple:
     """Sort key of an optimum, smaller is better: feasible points first,
-    by larger R, then infeasible points by smaller constraint residual."""
-    return (0, -R) if feasible else (1, residual)
+    by larger R, then infeasible points by smaller constraint residual,
+    the sum of the two."""
+    return (0, -R) if feasible else (1, phi_residual + r_residual)
 
 
 def _best(records, family: str) -> OptimizationResult:
@@ -650,7 +673,7 @@ def _best(records, family: str) -> OptimizationResult:
     the constraints; ties go to the lexicographically smallest p,
     independent of execution order."""
     best = min(records, key=lambda r: (
-        _rank(r["feasible"], r["R"], r["phi_residual"] + r["r_residual"]), tuple(r["p"])))
+        _rank(r["feasible"], r["R"], r["phi_residual"], r["r_residual"]), tuple(r["p"])))
     return OptimizationResult(
         p_star=best["p"], R_value=best["R"], j1_over_j0=best["j1"],
         phi_achieved=best["phi"], feasible=bool(best["feasible"]),
@@ -683,9 +706,10 @@ def maximize(problem: OptimizationProblem, workers: int | None = None) -> Optimi
 
 
 def random_search_best(problem: OptimizationProblem, n_samples: int, seed: int = 0) -> float:
-    """Best R among uniformly sampled feasible points on the search box;
-    -inf when no sample is feasible.  Serves as an optimality floor for
-    the multistart result."""
+    """Best R among uniformly sampled points on the search box that are
+    feasible by the optimizer's own rule (`_feasible`); -inf when no
+    sample is feasible.  Serves as an optimality floor for the
+    multistart result."""
     rng = np.random.default_rng(seed)
     lo, hi = _search_box(problem)
     best = -math.inf
@@ -693,8 +717,7 @@ def random_search_best(problem: OptimizationProblem, n_samples: int, seed: int =
         # one draw of k x dim numbers is k draws of dim numbers, in order
         P = lo + rng.random((min(_BATCH_ROWS, n_samples - start), problem.dim)) * (hi - lo)
         R, j1, phi, defined = _candidate_batch(problem.family, problem.N, P)
-        feasible = (defined & (np.abs(wrap_angle(phi - problem.phi_target)) <= PHI_TOL)
-                    & (j1 >= problem.r_threshold))
+        feasible = _feasible(problem, P, j1, _phase_gap(problem, phi, defined))
         if feasible.any():
             best = max(best, float(R[feasible].max()))
     return best
@@ -789,8 +812,8 @@ def sweep_targets(phi_targets, r_thresholds, template: OptimizationProblem,
                 template, phi_target=phi_tg, r_threshold=r_th, family=family))
                 for family in ("plus", "minus")]
             # min keeps the first of equals, so plus wins exact ties
-            res = min(optima, key=lambda r: _rank(r.feasible, r.R_value,
-                                                  r.phi_residual + r.r_residual))
+            res = min(optima, key=lambda r: _rank(r.feasible, r.R_value, r.phi_residual,
+                                                  r.r_residual))
             rows.append((phi_tg, r_th, res))
             series.append(res)
         ds = [_param_jump(series[i], series[i + 1], template.N)

@@ -117,6 +117,8 @@ def test_band_scan_ordering():
     scan = band_scan(model(delta=0.3, j2=0.1, phi=1.0), 12, 12)
     assert (scan.eps_hi >= scan.eps_lo).all()
     assert scan.min_gap >= 0
+    with pytest.raises(ValueError, match="at least 3 x 3"):
+        band_scan(model(), 12, 2)
 
 
 def test_min_gap_boundary_closure():

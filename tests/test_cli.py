@@ -90,11 +90,32 @@ def test_parse_range_rejects_nonfinite():
      '"ay":[1,0]}]}'],
     ["validate", "--drive", PLUS_N1, "--j0-over-omega", "0", "--kgrid", "2", "--steps", "256"],
     ["phase-map", "--A1", "a:1:1", "--A2", "0:1:1"],
+    # a string or a boolean where a number or an array belongs, and a
+    # harmonic multiple or a frequency too large for a float
+    *(["rates", "--drive", drive] for drive in (
+        '{"family":"plus","omega":1,"A":"12","delta":"00"}',
+        '{"family":"custom","omega":1,"harmonics":[{"m":1,"ax":"10","ay":"10"}]}',
+        '{"family":"custom","omega":1,"harmonics":[{"m":true,"ax":[1,0],"ay":[1,0]}]}',
+        '{"family":"plus","omega":"1","A":[true],"delta":[false]}',
+        '{"family":"custom","omega":1,"harmonics":[{"m":1' + "0" * 400
+        + ',"ax":[1,0],"ay":[1,0]}]}',
+        '{"family":"plus","omega":1' + "0" * 400 + ',"A":[1],"delta":[0]}')),
 ])
 def test_meaningless_input_exit_2(argv, tmp_path, capsys):
     code, out, err = run(argv + ["--out", str(tmp_path)], capsys)
     assert code == 2
     assert json.loads(err)["error"]["type"] == "config"
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("count", ["-5", "0"])
+def test_sweep_targets_below_one_refused_by_name(count, tmp_path, capsys):
+    code, _, err = run(["sweep", "--targets", count, "--starts", "1", "--out", str(tmp_path)],
+                       capsys)
+    assert code == 2
+    error = json.loads(err)["error"]
+    assert error["type"] == "config"
+    assert error["message"] == f"--targets must be at least 1, got {count}"
     assert not os.listdir(tmp_path)
 
 
@@ -179,6 +200,9 @@ def test_validate_ladder_writes_undefined_fields_as_null(tmp_path, capsys):
     assert doc["scaling_exponent"] is None
     zero = [d == 0 for d in doc["ladder_deviations"]]
     assert [f is None for f in doc["shrink_factors"]] == zero[1:] and any(zero)
+    # a NaN that reaches the JSON writer itself is a numerical failure
+    with pytest.raises(FloatingPointError, match="NaN or infinity"):
+        cli._json({"value": math.nan})
 
 
 def test_validate_names_empty_kgrid(tmp_path, capsys):
@@ -612,6 +636,10 @@ DRIVES = [
     '{"family":"plus","omega":null,"A":[1],"delta":[0]}',
     '{"family":"custom","omega":1,"harmonics":5}',
     '{"family":"custom","omega":1,"harmonics":[{"m":1.5,"ax":[1,0],"ay":[1,0]}]}',
+    '{"family":"plus","omega":1,"A":"12","delta":"00"}',
+    '{"family":"custom","omega":1,"harmonics":[{"m":1,"ax":"10","ay":"10"}]}',
+    '{"family":"custom","omega":1,"harmonics":[{"m":true,"ax":[1,0],"ay":[1,0]}]}',
+    '{"family":"plus","omega":"1","A":[true],"delta":[false]}',
 ]
 NUMBERS = ["0", "1", "-1", "0.25", "0.5", "2", "1e10", "1e300", "-1e300", "1e-300", "1e-320",
            "1e308", "nan", "inf", "abc"]

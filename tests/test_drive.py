@@ -35,6 +35,9 @@ def test_geometry_bond_identities():
     assert np.allclose(g.a1, [np.sqrt(3) / 2, 0.5])
     assert np.allclose(g.a3, [0.0, -1.0])
     assert abs(g.e1 @ g.e2) < 1e-15
+    assert np.array_equal(g.bond(3), g.a3)
+    with pytest.raises(ValueError, match="bond index must be 1, 2 or 3, got 4"):
+        g.bond(4)
 
 
 def test_geometry_reciprocal_identities():
@@ -58,6 +61,8 @@ def test_harmonic_integer_sequence():
     seq = [family_harmonic_integer(n) for n in range(1, 9)]
     assert seq == [1, 2, 4, 5, 7, 8, 10, 11]
     assert all(m % 3 != 0 for m in seq)
+    with pytest.raises(ValueError, match="harmonic index starts at 1"):
+        family_harmonic_integer(0)
 
 
 def test_family_drive_n3_harmonics():
@@ -87,12 +92,16 @@ def test_family_drive_rejects_bad_input():
         build_family_drive("plus", -1.0, [1.0], [0.0])
     with pytest.raises(ValueError):
         build_family_drive("circular", 1.0, [1.0], [0.0])
+    with pytest.raises(ValueError, match="at least one harmonic"):
+        build_family_drive("plus", 1.0, [], [])
 
 
 def test_drivespec_validates_family_structure():
     h = Harmonic(m=3, amp_x=1.0, phase_x=0.0, amp_y=1.0, phase_y=0.0)
     with pytest.raises(ValueError):
         DriveSpec(family="plus", omega=1.0, harmonics=(h,))
+    with pytest.raises(ValueError, match="unknown family 'circular'"):
+        DriveSpec(family="circular", omega=1.0, harmonics=(h,))
     # the plus layout of the first harmonic is phase_x = 0, equal axis
     # amplitudes and phase_y = phase_x - pi/2
     DriveSpec(family="plus", omega=1.0, harmonics=(Harmonic(1, 1.0, 0.0, 1.0, -np.pi / 2),))
@@ -101,11 +110,13 @@ def test_drivespec_validates_family_structure():
                        (Harmonic(1, 1.0, 0.0, 1.0, np.pi / 2), "phase_y")):
         with pytest.raises(ValueError, match=message):
             DriveSpec(family="plus", omega=1.0, harmonics=(h,))
-    # a harmonic refuses a non-finite amplitude and a non-integral or
-    # infinite multiple, and keeps an integral float multiple as an int
+    # a harmonic refuses a non-finite amplitude and a non-integral,
+    # infinite or float-overflowing multiple, and keeps an integral float
+    # multiple as an int
     for args in ((1, np.inf, 0.0, 1.0, 0.0), (1.5, 1.0, 0.0, 1.0, 0.0),
-                 (np.inf, 1.0, 0.0, 1.0, 0.0), (np.nan, 1.0, 0.0, 1.0, 0.0)):
-        with pytest.raises(ValueError):
+                 (np.inf, 1.0, 0.0, 1.0, 0.0), (np.nan, 1.0, 0.0, 1.0, 0.0),
+                 (10 ** 400, 1.0, 0.0, 1.0, 0.0)):
+        with pytest.raises(ValueError, match="harmonic multiple|amplitudes and phases"):
             Harmonic(*args)
     m = Harmonic(2.0, 1.0, 0.0, 1.0, 0.0).m
     assert m == 2 and type(m) is int
@@ -313,6 +324,11 @@ def test_spectrum_input_validation():
         fourier_components(spec, GEOM, 1.0, samples=1000)  # not a power of two
     with pytest.raises(ValueError):
         fourier_components(spec, GEOM, 1.0, samples=1 << 21)  # above MAX_SAMPLES
+    with pytest.raises(ValueError, match="n_max = 200 does not fit in 256 samples"):
+        fourier_components(spec, GEOM, 1.0, n_max=200, samples=256)
+    sp = fourier_components(spec, GEOM, 1.0, n_max=12)
+    with pytest.raises(ValueError, match="exceeds n_max = 12"):
+        sp.component(1, -13)
 
 
 def test_grid_cap_raises_before_allocation():

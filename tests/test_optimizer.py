@@ -98,6 +98,11 @@ def test_problem_validation():
     for bound in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="amp_bound"):
             OptimizationProblem(phi_target=0.0, r_threshold=0.5, amp_bound=bound)
+    # refused in the library too, not only by the CLI
+    with pytest.raises(ValueError, match="phi_target must be a finite angle"):
+        OptimizationProblem(phi_target=np.nan, r_threshold=0.5)
+    with pytest.raises(ValueError, match="target lists must be nonempty"):
+        sweep_targets([], [0.25], OptimizationProblem(phi_target=0.0, r_threshold=0.5))
 
 
 def test_sobol_starts_deterministic_and_in_box():
@@ -179,11 +184,10 @@ def test_one_draw_per_start_set(monkeypatch):
 
     def run_starts(starts, workers):
         tasks.extend(starts)
-        records = [optimizer._start_record(problem, x0, 0.0, 1.0, 0.0, True, True)
-                   for problem, x0 in starts]
-        for record in records:
-            record.update(n_eval=0, n_iter=0, status=0)
-        return records
+        return [optimizer._judged(problem, {"p": x0, "R": 0.0, "j1": 1.0, "phi": 0.0,
+                                            "defined": True, "converged": True, "n_eval": 0,
+                                            "n_iter": 0, "status": 0})
+                for problem, x0 in starts]
 
     monkeypatch.setattr(optimizer, "_sobol_points", counted)
     monkeypatch.setattr(optimizer, "_run_starts", run_starts)
@@ -507,7 +511,7 @@ def _random_search_loop(problem, n_samples, seed):
         p = lo + rng.random(problem.dim) * (hi - lo)
         R, j1, phi, defined = _one(problem.family, problem.N, p)
         if (defined and abs(wrap_angle(phi - problem.phi_target)) <= optimizer.PHI_TOL
-                and j1 >= problem.r_threshold):
+                and j1 >= problem.r_threshold - optimizer.FEAS_TOL):
             best = max(best, R)
     return best
 
@@ -519,6 +523,25 @@ def test_random_search_matches_per_sample_loop(n_samples):
         assert random_search_best(prob, n_samples, seed) == _random_search_loop(prob, n_samples, seed)
     if n_samples >= 1000:
         assert np.isfinite(random_search_best(prob, n_samples, 3))
+
+
+@pytest.mark.parametrize("below, feasible", [(optimizer.FEAS_TOL / 2, True),
+                                             (2 * optimizer.FEAS_TOL, False)])
+def test_random_search_and_start_records_share_the_floor(below, feasible, monkeypatch):
+    # every sample lies on the target phase, `below` under the NN floor: the
+    # random-search floor counts it as a start record does
+    prob = OptimizationProblem(phi_target=1.0, r_threshold=0.25)
+    j1 = prob.r_threshold - below
+
+    def kernel(family, N, P, workers=None):
+        K = len(P)
+        return (np.arange(K, dtype=float), np.full(K, j1), np.full(K, prob.phi_target),
+                np.ones(K, dtype=bool))
+    monkeypatch.setattr(optimizer, "_candidate_batch", kernel)
+    assert random_search_best(prob, 5, seed=3) == (4.0 if feasible else -np.inf)
+    record = optimizer._judged(prob, {"p": sobol_starts(prob)[0], "R": 4.0, "j1": j1,
+                                      "phi": prob.phi_target, "defined": True})
+    assert record["feasible"] is feasible
 
 
 def test_candidate_batch_raises_first_failing_row(monkeypatch):
