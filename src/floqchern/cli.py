@@ -6,10 +6,11 @@ byte-identical files.  Exit codes: 0 success, 2 configuration error,
 3 numerical failure; errors also go to stderr as one JSON object.
 A malformed or missing flag is a configuration error like any other,
 and so is a count above MAX_POINTS, MAX_KSTEPS or
-optimizer.MAX_HARMONICS, a negative --seed, an --out that cannot be
-created or written, and a scipy release the SLSQP driver was not checked
-against.  --out is made and checked once, before any command starts its
-work, and the scipy release before any start is stepped.  Grid flags use
+optimizer.MAX_HARMONICS, a --starts, --targets or --N below 1, a
+negative --seed, an --out that cannot be created or written, and a
+scipy release the SLSQP driver was not checked against.  --out is made
+and checked once, before any command starts its work, and the scipy
+release before any start is stepped.  Grid flags use
 start:stop:step with the stop included when it lands on the grid within
 epsilon.  phase-map runs its kernel blocks, and optimize and sweep step
 their SLSQP starts, on threads: --threads of them where optimize and
@@ -382,15 +383,16 @@ def _emit_error(code: int, kind: str, message: str):
 
 def _check_args(args):
     """Refuse non-finite floats, --starts or --targets above MAX_POINTS,
-    a --targets below 1, --N above optimizer.MAX_HARMONICS and a
-    --threads below 1 or above optimizer.MAX_WORKERS."""
+    a --starts, --targets or --N below 1, --N above
+    optimizer.MAX_HARMONICS and a --threads below 1 or above
+    optimizer.MAX_WORKERS."""
     for name, value in vars(args).items():
         flag = "--" + name.replace("_", "-")
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{flag} must be finite, got {value}")
         if name in ("starts", "targets") and value > MAX_POINTS:
             raise ConfigError(f"{flag} must be at most {MAX_POINTS}, got {value}")
-        if name == "targets" and value < 1:
+        if name in ("starts", "targets", "N") and value < 1:
             raise ConfigError(f"{flag} must be at least 1, got {value}")
         if name == "N" and value > optimizer.MAX_HARMONICS:
             raise ConfigError(f"{flag} must be at most {optimizer.MAX_HARMONICS}, got {value}")
@@ -412,7 +414,7 @@ def main(argv=None) -> int:
         _emit_error(2, "config", str(e))
         return 2
     except (SpectrumTruncationError, bloch.ChernIndeterminateError,
-            validate.StepCountError, AssertionError, ArithmeticError) as e:
+            validate.StepCountError, ArithmeticError) as e:
         _emit_error(3, "numerical", str(e))
         return 3
     except (ValueError, RuntimeError) as e:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -147,49 +146,12 @@ _NEXT = np.array([1, 2, 0, 4, 5, 3])
 def _residuals(g0, tau):
     """(residual_nn, residual_nnn): the largest |v_i - v_j| among the three
     NN averages g0 and among the three NNN rates tau, over their leading
-    axes, NaN differences skipped.  np.hypot, not np.abs: it rounds as the
-    scalar abs does, so one drive's value does not depend on its batch."""
+    axes, NaN differences skipped."""
     v = np.concatenate((g0, tau), axis=-1)
     d = v - v[..., _NEXT]
     h = np.hypot(d.real, d.imag)
     m = np.fmax.reduce(h.reshape(h.shape[:-1] + (2, 3)), axis=-1, initial=0.0)
     return m[..., 0], m[..., 1]
-
-
-class _RateArrays(NamedTuple):
-    """`derive_rates` over the leading axes of a batch of spectra."""
-
-    g0: np.ndarray
-    tau0: np.ndarray
-    tau: np.ndarray
-    mean_g0: np.ndarray
-    j1: np.ndarray
-    j2: np.ndarray
-    phi: np.ndarray
-    phi_defined: np.ndarray
-    residual_nn: np.ndarray
-    residual_nnn: np.ndarray
-    isotropic_nn: np.ndarray
-    isotropic_nnn: np.ndarray
-
-
-def _rate_arrays(g, n_max: int, j0: float, omega: float) -> _RateArrays:
-    """The reduction of `derive_rates` for spectra g (..., 3, 2 n_max + 1)
-    sharing j0, omega and n_max; phi is 0 where it is undefined."""
-    g0 = g[..., n_max]
-    tau0, tau = _nnn_arrays(g, n_max, omega)
-    residual_nn, residual_nnn = _residuals(g0, tau)
-    mean_g0 = g0.sum(axis=-1) / 3
-    t1 = tau[..., 0]
-    j2 = np.hypot(t1.real, t1.imag)
-    phi_defined = j2 > PHI_UNDEFINED_FLOOR * j0
-    return _RateArrays(
-        g0=g0, tau0=tau0, tau=tau, mean_g0=mean_g0,
-        j1=np.hypot(mean_g0.real, mean_g0.imag), j2=j2,
-        phi=np.where(phi_defined, np.arctan2(t1.imag, t1.real), 0.0),
-        phi_defined=phi_defined, residual_nn=residual_nn, residual_nnn=residual_nnn,
-        isotropic_nn=residual_nn <= ISO_TOL * j0,
-        isotropic_nnn=residual_nnn <= ISO_TOL * j0 ** 2 / omega)
 
 
 def derive_rates(spectrum: TunnelingSpectrum) -> EffectiveRates:
@@ -201,18 +163,21 @@ def derive_rates(spectrum: TunnelingSpectrum) -> EffectiveRates:
     against ISO_TOL relative to j0 (NN) and j0^2/omega (NNN).  A
     non-isotropic drive is diagnosed, not rejected.
     """
-    j0, omega = spectrum.j0, spectrum.omega
-    r = _rate_arrays(spectrum.g, spectrum.n_max, j0, omega)
-    g0 = r.g0.copy()
-    tau = r.tau.copy()
-    tau0 = complex(r.tau0)
-    j1 = float(r.j1)
+    j0, omega, n_max = spectrum.j0, spectrum.omega, spectrum.n_max
+    g0 = spectrum.g[:, n_max].copy()
+    tau0, tau = _nnn_arrays(spectrum.g, n_max, omega)
+    residual_nn, residual_nnn = _residuals(g0, tau)
+    mean_g0 = g0.sum() / 3
+    j1 = float(np.hypot(mean_g0.real, mean_g0.imag))
+    j2 = float(np.hypot(tau[0].real, tau[0].imag))
+    phi_defined = j2 > PHI_UNDEFINED_FLOOR * j0
     g0.setflags(write=False)
     tau.setflags(write=False)
     return EffectiveRates(
-        j0=j0, omega=omega, g0=g0, tau0=tau0, tau=tau,
-        j1=j1, j2=float(r.j2), phi=float(r.phi), phi_defined=bool(r.phi_defined),
-        delta_shift=tau0.real,
-        gauge_phase=float(np.angle(r.mean_g0)) if j1 > 0 else 0.0,
-        residual_nn=float(r.residual_nn), residual_nnn=float(r.residual_nnn),
-        isotropic_nn=bool(r.isotropic_nn), isotropic_nnn=bool(r.isotropic_nnn))
+        j0=j0, omega=omega, g0=g0, tau0=complex(tau0), tau=tau,
+        j1=j1, j2=j2, phi=float(np.arctan2(tau[0].imag, tau[0].real)) if phi_defined else 0.0,
+        phi_defined=phi_defined, delta_shift=float(tau0.real),
+        gauge_phase=float(np.angle(mean_g0)) if j1 > 0 else 0.0,
+        residual_nn=float(residual_nn), residual_nnn=float(residual_nnn),
+        isotropic_nn=bool(residual_nn <= ISO_TOL * j0),
+        isotropic_nnn=bool(residual_nnn <= ISO_TOL * j0 ** 2 / omega))

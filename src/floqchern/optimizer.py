@@ -56,10 +56,15 @@ all starts stepped together.
 Every candidate evaluation, p -> (R, j1/j0, phi, phi_defined), goes
 through one kernel, `_candidate_batch`, which takes an array of
 parameter vectors: phase maps, random search, the optimizer's rounds and
-`evaluate_candidate` alike.  A single row runs on its own grid in the
-calling thread.  More rows are grouped by their Fourier grid in one pass
-and run through the spectrum and rate code along a leading axis, in
-blocks of bounded size.  For phase maps and random search the blocks run
+`evaluate_candidate` alike.  It samples, transforms and reduces bond 1
+only: in both families bond k + 1 is bond k a third of a period later,
+so one bond's power spectrum gives every rate (`_candidate_block`).  Its
+values agree with the three-bond chain build_family_drive ->
+fourier_components -> derive_rates within the tolerance that
+tests/test_optimizer.py states, not bit for bit.  A single row runs on
+its own grid in the calling thread.  More rows are grouped by their
+Fourier grid in one pass and run through the spectrum and rate code
+along a leading axis, in blocks of bounded size.  For phase maps and random search the blocks run
 on `worker_count()` threads; an optimizer thread evaluates its rounds
 itself.  Each block depends on its own rows only, and its values are
 scattered in submission order, so a row's values are bit for bit those
@@ -88,7 +93,7 @@ import numpy as np
 from .drive import (_family_bond_amplitudes, _grid_key, _grid_size, _peierls_components,
                     _quadrature_sizes, _tail_fits, _truncation_error, family_harmonic_integer,
                     wrap_angle)
-from .effective import _rate_arrays
+from .effective import PHI_UNDEFINED_FLOOR
 
 #: sweep targets closer than this (mod 2 pi) share one optimization
 SAME_ANGLE = 1e-12
@@ -99,8 +104,8 @@ PHI_TOL = 1e-3
 FEAS_TOL = 1e-9
 MAX_ITER = 600
 
-#: complex samples (drives x 3 bonds x grid size) one batched evaluation
-#: holds at a time, so that memory does not grow with the batch
+#: complex samples (drives x grid size) one batched evaluation holds at a
+#: time, so that memory does not grow with the batch
 _BLOCK_SAMPLES = 1 << 15
 
 #: drives `_candidate_batch` groups by grid at a time, and parameter
@@ -259,39 +264,66 @@ class OptimizationResult:
     r_residual: float = 0.0
 
 
+@functools.lru_cache(maxsize=64)
+def _third_turn_weights(n_max: int) -> np.ndarray:
+    """(cos, sin)(2 pi n / 3) / n for n = 1 .. n_max, shape (n_max, 2),
+    read-only; by n mod 3, cos is 1 or -1/2 and sin 0 or +-sqrt(3)/2."""
+    turns = np.array([[1.0, 0.0], [-0.5, math.sqrt(3) / 2], [-0.5, -math.sqrt(3) / 2]])
+    n = np.arange(1, n_max + 1)
+    weights = turns[n % 3] / n[:, None]
+    weights.setflags(write=False)
+    return weights
+
+
 def _candidate_block(family, ms, Z, n_max: int, M: int):
     """(values, index, error) for bond amplitudes Z (..., 3, N) on one grid
     (n_max, M): values are (R, j1/j0, phi, phi_defined) at omega = j0 = 1,
     each of Z's leading shape, with R = j2/j1 and infinite where j1
     vanishes; index and error are those of the first drive that fails the
-    truncation check or isotropy, or None and None."""
-    g, tail = _peierls_components(ms, Z, 1.0, n_max, M)
-    r = _rate_arrays(g, n_max, 1.0, 1.0)
-    R = np.divide(r.j2, r.j1, out=np.full(np.shape(r.j1), math.inf), where=r.j1 > 0)
-    values = (R, r.j1, r.phi, r.phi_defined)
-    failed = ~(_tail_fits(tail, 1.0) & r.isotropic_nn & r.isotropic_nnn)
+    truncation check, or None and None.
+
+    A family drive's bond k + 1 is its bond k a third of a period later,
+    Z_{k+1,h} = Z_{k,h} e^{2 pi i s m_h / 3} (s = +1 plus, -1 minus), so
+    g_{k+1}^n = g_k^n zeta^{sn} with zeta = e^{2 pi i / 3}, and bond 1's
+    components g^n and power P_n = |g^n|^2 give every rate:
+    j1 = |g^0| and tau1 = sum_{n>=1} (P_{-n} zeta^{sn} - P_n zeta^{-sn}) / n."""
+    g, tail = _peierls_components(ms, Z[..., :1, :], 1.0, n_max, M)
+    g = g[..., 0, :]
+    power = g.real * g.real + g.imag * g.imag
+    below, above = power[..., n_max - 1::-1], power[..., n_max + 1:]
+    # (Re tau1, s Im tau1), the terms (..., n, 2) summed over n in order of
+    # n: a sum over the last axis rounds a row alone and a row of a stack
+    # differently
+    t = (np.stack((below - above, below + above), axis=-1)
+         * _third_turn_weights(n_max)).sum(axis=-2)
+    re, im = t[..., 0], (t[..., 1] if family == "plus" else -t[..., 1])
+    j1 = np.hypot(g[..., n_max].real, g[..., n_max].imag)
+    j2 = np.hypot(re, im)
+    defined = j2 > PHI_UNDEFINED_FLOOR
+    R = np.divide(j2, j1, out=np.full(np.shape(j1), math.inf), where=j1 > 0)
+    values = (R, j1, np.where(defined, np.arctan2(im, re), 0.0), defined)
+    failed = ~_tail_fits(tail, 1.0)
     if not failed.any():
         return values, None, None
     i = np.unravel_index(np.argmax(failed), failed.shape)
-    error = _truncation_error(tail[i], n_max, 1.0) or AssertionError(
-        f"family {family!r} drive broke isotropy (residuals {r.residual_nn[i]:.2e}, "
-        f"{r.residual_nnn[i]:.2e}); this cannot happen for plus/minus drives")
-    return values, i, error
+    return values, i, _truncation_error(tail[i], n_max, 1.0)
 
 
 def _candidate_batch(family, N, P, workers=None):
     """(R, j1/j0, phi, phi_defined) arrays (K,) at omega = j0 = 1 over the
     K parameter vectors P (K, 2N - 1): the one candidate kernel.
 
-    Row by row, bit for bit the chain build_family_drive ->
-    fourier_components -> derive_rates, including its grid-size rule and
+    Row by row, within the stated tolerance of the chain
+    build_family_drive -> fourier_components -> derive_rates (R 1e-14
+    relative, phi 1e-14, j1 5e-16), with its grid-size rule and
     truncation check, but with the bond amplitudes built straight from p
-    instead of through a validated DriveSpec.  A single row is evaluated
-    on its own grid in the calling thread.  More rows are taken in runs of
-    _BATCH_ROWS, grouped by grid (n_max, M) and evaluated in blocks of at
-    most _BLOCK_SAMPLES complex samples, on `worker_count(workers)`
-    threads.  Like a loop over the rows, it raises the error of the first
-    row that fails."""
+    instead of through a validated DriveSpec and bond 1 standing for all
+    three (`_candidate_block`).  A single row is evaluated on its own grid
+    in the calling thread.  More rows are taken in runs of _BATCH_ROWS,
+    grouped by grid (n_max, M) and evaluated in blocks of at most
+    _BLOCK_SAMPLES complex samples, on `worker_count(workers)` threads.
+    Like a loop over the rows, it raises the error of the first row that
+    fails."""
     P = np.asarray(P, dtype=float)
     K = len(P)
     workers = worker_count(workers)
@@ -322,7 +354,7 @@ def _candidate_batch(family, N, P, workers=None):
             rows.setdefault(grids[key], []).append(i)
         blocks = []
         for (n_max, M), grid_rows in rows.items():
-            grid_rows, step = np.array(grid_rows), max(1, _BLOCK_SAMPLES // (3 * M))
+            grid_rows, step = np.array(grid_rows), max(1, _BLOCK_SAMPLES // M)
             blocks += [(grid_rows[s:s + step], n_max, M) for s in range(0, len(grid_rows), step)]
         calls = [functools.partial(_candidate_block, family, ms, Z[block], n_max, M)
                  for block, n_max, M in blocks]

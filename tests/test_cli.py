@@ -108,14 +108,26 @@ def test_meaningless_input_exit_2(argv, tmp_path, capsys):
     assert not os.listdir(tmp_path)
 
 
-@pytest.mark.parametrize("count", ["-5", "0"])
-def test_sweep_targets_below_one_refused_by_name(count, tmp_path, capsys):
-    code, _, err = run(["sweep", "--targets", count, "--starts", "1", "--out", str(tmp_path)],
-                       capsys)
+@pytest.mark.parametrize("argv, flag, count", [
+    (["sweep", "--starts", "1"], "--targets", "-5"),
+    (["sweep", "--starts", "1"], "--targets", "0"),
+    (["sweep", "--targets", "2"], "--starts", "0"),
+    (["optimize", "--phi-target", "1", "--r-th", "0.25"], "--starts", "0"),
+    (["optimize", "--phi-target", "1", "--r-th", "0.25", "--starts", "1"], "--N", "0"),
+    (["sweep", "--targets", "2", "--starts", "1"], "--N", "-1"),
+], ids=["-5", "0", "sweep-starts-0", "optimize-starts-0", "optimize-N-0", "sweep-N--1"])
+def test_sweep_targets_below_one_refused_by_name(argv, flag, count, tmp_path, capsys,
+                                                 monkeypatch):
+    # --targets, --starts and --N below 1 are refused by flag name before
+    # any start array is drawn
+    def no_draw(*args):
+        raise AssertionError("a start array was drawn")
+    monkeypatch.setattr(optimizer, "_sobol_points", no_draw)
+    code, _, err = run(argv + [flag, count, "--out", str(tmp_path)], capsys)
     assert code == 2
     error = json.loads(err)["error"]
     assert error["type"] == "config"
-    assert error["message"] == f"--targets must be at least 1, got {count}"
+    assert error["message"] == f"{flag} must be at least 1, got {count}"
     assert not os.listdir(tmp_path)
 
 

@@ -17,6 +17,7 @@ from floqchern import (
     default_geometry,
     derive_rates,
     evaluate_candidate,
+    family_harmonic_integer,
     fourier_components,
     maximize,
     phase_map,
@@ -60,18 +61,90 @@ def test_candidate_circular_phase_is_exactly_half_pi():
     assert phi == pytest.approx(-np.pi / 2, abs=1e-12)
 
 
+def _chain(family, N, p):
+    """`derive_rates` of parameter vector p through the three-bond chain
+    build_family_drive -> fourier_components -> derive_rates."""
+    deltas = np.concatenate(([0.0], wrap_angle(p[N:])))
+    spec = build_family_drive(family, 1.0, p[:N], deltas)
+    return derive_rates(fourier_components(spec, default_geometry(), 1.0))
+
+
 @pytest.mark.parametrize("family", ["plus", "minus"])
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_candidate_rates_match_reference_chain(family, N):
-    # the candidate kernel skips the DriveSpec but must reproduce
-    # build_family_drive -> fourier_components -> derive_rates bit for bit
+    # the candidate kernel skips the DriveSpec and reads bond 1's power
+    # spectrum only, so it meets the three-bond chain within a tolerance:
+    # on these drives R differs by at most 4.0e-15 relative, phi by
+    # 6.7e-15 and j1 by 2.2e-16; the bounds are about twice that.
+    # phi_defined must agree exactly
     rng = np.random.default_rng(100 + N)
     for _ in range(40):
         p = np.concatenate((rng.uniform(0.0, 5.0, N), rng.uniform(-4.0, 4.0, N - 1)))
-        deltas = np.concatenate(([0.0], wrap_angle(p[N:])))
-        spec = build_family_drive(family, 1.0, p[:N], deltas)
-        r = derive_rates(fourier_components(spec, default_geometry(), 1.0))
-        assert _one(family, N, p) == (r.j2 / r.j1, r.j1, r.phi, r.phi_defined)
+        r = _chain(family, N, p)
+        R, j1, phi, defined = _one(family, N, p)
+        assert defined == r.phi_defined
+        assert abs(R - r.j2 / r.j1) <= 1e-14 * (r.j2 / r.j1)
+        assert abs(wrap_angle(phi - r.phi)) <= 1e-14
+        assert abs(j1 - r.j1) <= 5e-16
+
+
+def _family_vectors():
+    """(family, N, p) with N = 1-4, amplitudes in [0, 7] (grids M = 256,
+    512 and 1024) and phases in [-pi, pi]."""
+    def vector(N):
+        return st.tuples(st.lists(st.floats(0.0, 7.0), min_size=N, max_size=N),
+                         st.lists(st.floats(-np.pi, np.pi), min_size=N - 1, max_size=N - 1))
+    return st.tuples(st.sampled_from(["plus", "minus"]), st.integers(1, 4)).flatmap(
+        lambda fN: st.tuples(st.just(fN[0]), st.just(fN[1]),
+                             vector(fN[1]).map(lambda v: np.array(v[0] + v[1]))))
+
+
+def _at_grid_edges(test):
+    """`test` with the examples of both families at the largest amplitudes
+    of the 256- and 512-point grids and at the next floats: N = 1 changes
+    grid at zmax = A_1 = 3 and 7, N = 2 at 2 and 6."""
+    edges = [(1, [3.0]), (1, [np.nextafter(3.0, 4.0)]), (1, [7.0]),
+             (2, [2.0, 0.0, 0.5]), (2, [np.nextafter(2.0, 3.0), 0.0, -1.0]),
+             (2, [6.0, 0.0, 2.0]), (2, [np.nextafter(6.0, 7.0), 0.0, -3.0])]
+    for family in ("plus", "minus"):
+        for N, p in edges:
+            test = example((family, N, np.array(p)))(test)
+    return test
+
+
+@_at_grid_edges
+@settings(max_examples=80, deadline=None)
+@given(_family_vectors())
+@example(("plus", 1, np.zeros(1)))
+def test_candidate_rates_meet_reference_chain_anywhere(case):
+    # the tolerance pin over both families, N = 1-4 and amplitudes across
+    # the grid edges.  Compared as tau1 = R j1 e^{i phi}, not R and phi,
+    # which are ill-conditioned where j1 or j2 is small; over 2,400 such
+    # drives tau1 differed by at most 3.3e-16 and j1 by 2.2e-16
+    family, N, p = case
+    r = _chain(family, N, p)
+    R, j1, phi, defined = _one(family, N, p)
+    assert defined == r.phi_defined
+    assert abs(j1 - r.j1) <= 5e-16
+    if defined:
+        assert abs(R * j1 * np.exp(1j * phi) - r.tau[0]) <= 1e-15
+
+
+@settings(max_examples=80, deadline=None)
+@given(_family_vectors())
+def test_family_bonds_are_third_period_shifts(case):
+    # the candidate kernel's premise: no harmonic integer is a multiple of
+    # 3, and bond k + 1's amplitudes are bond k's turned by
+    # e^{2 pi i s m_h / 3} (s = +1 plus, -1 minus), within rounding: at
+    # most 6 eps (1 + sum A) over 40,000 drives
+    family, N, p = case
+    ms, Z = _family_bond_amplitudes(family, N, p)
+    assert [int(m) for m in ms] == [family_harmonic_integer(n) for n in range(1, N + 1)]
+    assert all(m % 3 for m in ms)
+    s = 1 if family == "plus" else -1
+    turned = Z * np.exp(2j * np.pi * s * ms / 3)
+    bound = 16 * np.finfo(float).eps * (1.0 + p[:N].sum())
+    assert np.abs(np.roll(Z, -1, axis=0) - turned).max() <= bound
 
 
 def test_candidate_ratio_invariant_under_j0():
