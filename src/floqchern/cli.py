@@ -12,12 +12,13 @@ scipy release the SLSQP driver was not checked against.  --out is made
 and checked once, before any command starts its work, and the scipy
 release before any start is stepped.  Grid flags use
 start:stop:step with the stop included when it lands on the grid within
-epsilon.  phase-map runs its kernel blocks, and optimize and sweep step
-their SLSQP starts, on threads: --threads of them where optimize and
-sweep are given it, else FCF_THREADS, else one per usable core, at most
-optimizer.MAX_WORKERS.  Every command runs in one process.  A
-FCF_THREADS or --threads below 1 or above optimizer.MAX_WORKERS is a
-configuration error.
+epsilon.  Every command runs in one process.  phase-map runs its kernel
+blocks on threads: FCF_THREADS of them, else one per usable core, at
+most optimizer.MAX_WORKERS.  optimize and sweep step every SLSQP start
+in the calling thread; they take --threads and check it, or FCF_THREADS
+where it is not given, but neither changes how they run.  A FCF_THREADS
+or --threads below 1 or above optimizer.MAX_WORKERS is a configuration
+error.
 
 Commands run with numpy's overflow, division-by-zero and invalid-operation
 errors raised (underflow stays silent), in their threads too.  Such
@@ -322,8 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=42)
             p.add_argument("--amp-bound", type=float, default=5.0, dest="amp_bound")
             p.add_argument("--threads", type=int,
-                           help="threads that step the SLSQP starts (default: FCF_THREADS, "
-                                "else the usable cores)")
+                           help=f"checked like FCF_THREADS (1 to {optimizer.MAX_WORKERS}), "
+                                "which it overrides; the SLSQP starts run in one thread "
+                                "whatever its value")
 
     p = sub.add_parser("rates", help="effective rates of a drive")
     p.add_argument("--drive", required=True, help="drive JSON path or inline JSON")

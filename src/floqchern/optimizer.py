@@ -12,18 +12,18 @@ the equality wrap(phi - phi_target) = 0 and the inequality
 j1/j0 - r_threshold >= 0, with the amplitudes bounded by +-amp_bound and
 the phases free.  Each start is stepped by reverse communication through
 scipy's SLSQP routine (`_slsqp_start`, as `scipy.optimize.minimize` steps
-it), and the starts of a call run in the calling process on up to
-`workers` threads (`_run_starts`).  The routine is looked up, and its
-scipy release checked, once per call before any thread starts; the first
-error in any thread stops the others at their next round.  Each thread
-steps its share of the starts in lockstep: a round evaluates the points
-its live starts ask for next, values or the 2N - 1 points of a
-forward-difference gradient, in one kernel call.  The constraint gradients are the objective's
-quotients on the same points.  Each start memoizes its evaluations, so
-that the objective and both constraints share them and no point is
-evaluated twice for one start.  Every start record counts its
-evaluations, iterations and SLSQP exit status (`n_eval`, `n_iter`,
-`status`).  Starts come from a seeded scrambled Sobol sequence over the
+it), and the starts of a call run in the calling thread (`_run_starts`):
+the stepping is Python under the GIL, which threads would only contend
+for.  The routine is looked up, and its scipy release checked, once per
+call before any start is stepped; the first error ends the run.  The
+starts are stepped in lockstep: a round evaluates the points the live
+starts ask for next, values or the 2N - 1 points of a
+forward-difference gradient, in one kernel call.  The constraint
+gradients are the objective's quotients on the same points.  Each start
+memoizes its evaluations, so that the objective and both constraints
+share them and no point is evaluated twice for one start.  Every start
+record counts its evaluations, iterations and SLSQP exit status
+(`n_eval`, `n_iter`, `status`).  Starts come from a seeded scrambled Sobol sequence over the
 box (amplitudes in [0, bound], phases in (-pi, pi]), so identical
 problem + seed reproduce identical results bit for bit.  The package
 draws them itself (`_sobol_points`: Joe-Kuo direction numbers, linear
@@ -64,17 +64,19 @@ fourier_components -> derive_rates within the tolerance that
 tests/test_optimizer.py states, not bit for bit.  A single row runs on
 its own grid in the calling thread.  More rows are grouped by their
 Fourier grid in one pass and run through the spectrum and rate code
-along a leading axis, in blocks of bounded size.  For phase maps and random search the blocks run
-on `worker_count()` threads; an optimizer thread evaluates its rounds
-itself.  Each block depends on its own rows only, and its values are
-scattered in submission order, so a row's values are bit for bit those
-of the row alone, whatever the batch and the thread count.  The kernel
-takes its drive-layer rules from `drive`: the bond amplitudes of the
-family layout (`_family_bond_amplitudes`), the grid key that groups
-drives (`_grid_key`) and the truncation limit (`_tail_fits`).  Every
-thread count comes from `worker_count` and every thread is started by
+along a leading axis, in blocks of bounded size.  For phase maps and
+random search the blocks run on `worker_count()` threads; the optimizer
+evaluates its rounds in the calling thread.  Each block depends on its
+own rows only, and its values are scattered in submission order, so a
+row's values are bit for bit those of the row alone, whatever the batch
+and the thread count.  The kernel takes its drive-layer rules from
+`drive`: the bond amplitudes of the family layout
+(`_family_bond_amplitudes`), the grid key that groups drives
+(`_grid_key`) and the truncation limit (`_tail_fits`).  Every thread
+count comes from `worker_count` and every thread is started by
 `_threaded`; a count below 1 or above MAX_WORKERS is refused before any
-thread starts.
+thread starts.  `maximize` and `sweep_targets` still take `workers` and
+check it the same way, but it does not change how they run.
 """
 
 from __future__ import annotations
@@ -116,7 +118,8 @@ _BATCH_ROWS = 4096
 #: cap of the default; each thread holds a kernel block and a malloc arena
 MAX_WORKERS = 64
 
-#: most SLSQP starts `_run_starts` keeps live at once, over all its threads
+#: most SLSQP starts `_run_starts` keeps live at once; each round
+#: evaluates their points in one kernel call
 _WINDOW = 64
 
 #: scipy releases [first, last) whose private SLSQP routine
@@ -567,24 +570,20 @@ def _slsqp_start(problem: OptimizationProblem, x0, slsqp):
                              "n_iter": state["iter"], "status": state["mode"]})
 
 
-def _run_starts(tasks, workers: int) -> list:
+def _run_starts(tasks) -> list:
     """The records of `_slsqp_start` from each (problem, x0) of `tasks`, in
-    task order, stepped on up to `workers` threads (`_threaded`).  The
-    tasks are not empty and their problems share one family and N, which,
-    like the SLSQP routine, are resolved once before any thread starts.
-    Each thread keeps an even share of the tasks live, at most
-    _WINDOW // threads, and advances them in lockstep: a round gathers the
-    points its live starts ask for next and evaluates them in the thread,
-    in one `_candidate_batch` call.  The threads draw tasks in order from
-    one queue, so finished starts are replaced in task order and memory
-    does not grow with the number of tasks.  A thread that raises stops
-    the others before their next round."""
+    task order, stepped in the calling thread.  The tasks are not empty
+    and their problems share one family and N, which, like the SLSQP
+    routine, are resolved once before the first start is stepped.  At
+    most _WINDOW starts are live at once, advanced in lockstep: a round
+    gathers the points the live starts ask for next and evaluates them in
+    one `_candidate_batch` call, its blocks in this thread too.  Finished
+    starts are replaced in task order, so memory does not grow with the
+    number of tasks.  The first error ends the run."""
     slsqp = _slsqp_routine()
     family, N = tasks[0][0].family, tasks[0][0].N
     records = [None] * len(tasks)
     queue = iter(enumerate(tasks))
-    draw, stop = threading.Lock(), threading.Event()
-    threads = min(workers, len(tasks))
 
     def advance(entries):
         """Each (task index, start, values) sent its values: the
@@ -597,30 +596,18 @@ def _run_starts(tasks, workers: int) -> list:
                 records[i] = done.value
         return going
 
-    def step_starts(window):
-        live = []
-        try:
-            while not stop.is_set():
-                with draw:
-                    new = list(itertools.islice(queue, window - len(live)))
-                # a new start always asks for points (x0 and its stencil) first
-                live += advance((i, _slsqp_start(problem, x0, slsqp), None)
-                                for i, (problem, x0) in new)
-                if not live:
-                    return
-                P = [point for *_, points in live for point in points]
-                # each point's (R, j1/j0, phi, phi_defined) as Python scalars
-                values = zip(*(a.tolist() for a in _candidate_batch(family, N, P, 1)))
-                live = advance((i, start, list(itertools.islice(values, len(points))))
-                               for i, start, points in live)
-        except BaseException:
-            stop.set()
-            raise
-
-    # an even share of the tasks, so that each thread starts with work
-    window = min(_WINDOW // threads, -(-len(tasks) // threads))
-    _threaded([functools.partial(step_starts, window)] * threads, threads)
-    return records
+    live = []
+    while True:
+        # a new start always asks for points (x0 and its stencil) first
+        live += advance((i, _slsqp_start(problem, x0, slsqp), None)
+                        for i, (problem, x0) in itertools.islice(queue, _WINDOW - len(live)))
+        if not live:
+            return records
+        P = [point for *_, points in live for point in points]
+        # each point's (R, j1/j0, phi, phi_defined) as Python scalars
+        values = zip(*(a.tolist() for a in _candidate_batch(family, N, P, 1)))
+        live = advance((i, start, list(itertools.islice(values, len(points))))
+                       for i, start, points in live)
 
 
 def _image_record(record, problem: OptimizationProblem, mirror: bool, negate_even: bool):
@@ -716,10 +703,11 @@ def _best(records, family: str) -> OptimizationResult:
 
 def _maximize_all(problems, workers: int | None = None) -> list:
     """`maximize` for each problem, with every start of every problem
-    stepped in lockstep by one `_run_starts`."""
-    workers = worker_count(workers)
+    stepped in lockstep by one `_run_starts`; `workers` is only checked,
+    so that a count out of bounds is refused before any work."""
+    worker_count(workers)
     records = _run_starts([(problem, x0) for problem in problems
-                           for x0 in sobol_starts(problem)], workers)
+                           for x0 in sobol_starts(problem)])
     results, i = [], 0
     for problem in problems:
         results.append(_best(records[i:i + problem.n_starts], problem.family))
@@ -732,7 +720,9 @@ def maximize(problem: OptimizationProblem, workers: int | None = None) -> Optimi
     within the problem's drive family.
 
     Returns the best feasible point, or the smallest-residual point
-    flagged infeasible when no start satisfies the constraints.
+    flagged infeasible when no start satisfies the constraints.  The
+    starts run in the calling thread; `workers` is only checked
+    (`worker_count`).
     """
     return _maximize_all([problem], workers)[0]
 
@@ -823,7 +813,7 @@ def sweep_targets(phi_targets, r_thresholds, template: OptimizationProblem,
     optima (`_family_optimum`) by `_rank`, plus winning exact ties.
     Parameter jumps between adjacent targets exceeding 10x the median
     jump for that threshold, and every change of family, are recorded as
-    discontinuities.
+    discontinuities.  As in `maximize`, `workers` is only checked.
     """
     phi_targets = list(phi_targets)
     r_thresholds = list(r_thresholds)

@@ -265,23 +265,23 @@ def test_phase_map_does_not_import_scipy(tmp_path):
 
 
 def test_optimizer_commands_start_no_process(tmp_path):
-    # optimize and sweep run every start in this process: with os.fork
-    # refused they still succeed, and multiprocessing is never imported;
-    # a thread count above MAX_WORKERS is refused before any thread exists
+    # optimize and sweep run every start in the calling thread: with
+    # os.fork and Thread.start refused they still succeed at --threads 2,
+    # and multiprocessing is never imported; a thread count above
+    # MAX_WORKERS is still refused
     code = ("import os, sys, threading\n"
             "def refuse(*args, **kwargs):\n"
             "    raise AssertionError('a process or thread was started')\n"
             "os.fork = refuse\n"
             "from floqchern import cli\n"
             "out = sys.argv[1]\n"
-            "start, threading.Thread.start = threading.Thread.start, refuse\n"
+            "threading.Thread.start = refuse\n"
             "optimize = ['optimize', '--phi-target', '1.0', '--r-th', '0.25', '--N', '1',\n"
             "            '--starts', '2', '--out', out]\n"
             "refused = [cli.main(optimize + ['--threads', '65'])]\n"
             "os.environ['FCF_THREADS'] = '65'\n"
             "refused += [cli.main(optimize), cli.main(['sweep', '--targets', '2', '--out', out])]\n"
             "del os.environ['FCF_THREADS']\n"
-            "threading.Thread.start = start\n"
             "codes = [cli.main(optimize + ['--threads', '2']),\n"
             "         cli.main(['sweep', '--targets', '2', '--starts', '2', '--threads', '2',\n"
             "                   '--out', out])]\n"

@@ -255,7 +255,7 @@ def test_one_draw_per_start_set(monkeypatch):
         draws.append(key)
         return draw(*key)
 
-    def run_starts(starts, workers):
+    def run_starts(starts):
         tasks.extend(starts)
         return [optimizer._judged(problem, {"p": x0, "R": 0.0, "j1": 1.0, "phi": 0.0,
                                             "defined": True, "converged": True, "n_eval": 0,
@@ -953,7 +953,7 @@ def test_run_start_matches_plain_slsqp(case, monkeypatch):
     refs = [_plain_start(prob, x0) for x0 in starts]
     rows = _kernel_rows(monkeypatch)
     monkeypatch.setattr(optimizer, "_WINDOW", window)
-    records = optimizer._run_starts([(prob, x0) for x0 in starts], 1)
+    records = optimizer._run_starts([(prob, x0) for x0 in starts])
     assert [_record_fields(r) for r in records] == [ref for ref, _ in refs]
     # each start evaluates every point once: the points plain SLSQP
     # evaluated, and the canonical optimum when SLSQP did not evaluate it
@@ -974,14 +974,15 @@ def test_run_start_matches_plain_slsqp(case, monkeypatch):
 
 def test_window_bounds_the_live_starts(monkeypatch):
     # 3 x 64 starts, cut short at 8 iterations: at most _WINDOW live at
-    # once, and the records in task order, those of the starts run one by one
+    # once, the whole window at any `workers`, and the records in task
+    # order, those of the starts run one by one
     monkeypatch.setattr(optimizer, "MAX_ITER", 8)
     problems = [OptimizationProblem(phi_target=phi, r_threshold=0.25, N=1, n_starts=64,
                                     seed=42) for phi in (np.pi / 2, 1.0, -2.0)]
     tasks = [(problem, x0) for problem in problems for x0 in sobol_starts(problem)]
     window = optimizer._WINDOW
     monkeypatch.setattr(optimizer, "_WINDOW", 1)
-    one_by_one = optimizer._run_starts(tasks, 1)
+    one_by_one = [_record_fields(r) for r in optimizer._run_starts(tasks)]
     monkeypatch.setattr(optimizer, "_WINDOW", window)
     live, most = set(), [0]
     start = optimizer._slsqp_start
@@ -995,51 +996,48 @@ def test_window_bounds_the_live_starts(monkeypatch):
         finally:
             live.discard(token)
     monkeypatch.setattr(optimizer, "_slsqp_start", counted)
-    records = optimizer._run_starts(tasks, 1)
+    records = optimizer._run_starts(tasks)
     assert most[0] == window == 64 and not live
-    assert [_record_fields(r) for r in records] == [_record_fields(r) for r in one_by_one]
-    # three threads share the window, 21 starts each
-    most[0] = 0
-    records = optimizer._run_starts(tasks, 3)
-    assert most[0] == 63 and not live
-    assert [_record_fields(r) for r in records] == [_record_fields(r) for r in one_by_one]
+    assert [_record_fields(r) for r in records] == one_by_one
+    for workers in (1, 2, 3):
+        most[0] = 0
+        results = optimizer._maximize_all(problems, workers)
+        assert most[0] == 64 and not live
+        assert [_record_fields(r) for res in results for r in res.best_per_start] == one_by_one
 
 
-def test_start_threads_keep_the_callers_error_state(monkeypatch):
-    # the threads that step starts run in copies of the caller's context,
-    # so each round runs under the caller's np.errstate; the records are
-    # those of one thread
+def test_optimizer_rounds_run_in_the_calling_thread(monkeypatch):
+    # at workers = 2 every round is still one kernel call on one thread,
+    # the caller's, so under its np.errstate; the records are those of
+    # workers = 1
     monkeypatch.setattr(optimizer, "MAX_ITER", 8)
     prob = OptimizationProblem(phi_target=1.0, r_threshold=0.25, N=2, n_starts=8, seed=3)
-    tasks = [(prob, x0) for x0 in sobol_starts(prob)]
-    one = optimizer._run_starts(tasks, 1)
-    states, batch = set(), optimizer._candidate_batch
+    one = maximize(prob, workers=1).best_per_start
+    states, batch = [], optimizer._candidate_batch
 
     def recorded(family, N, P, workers=None):
-        states.add((threading.get_ident(), np.geterr()["over"], workers))
+        states.append((threading.get_ident(), np.geterr()["over"], workers))
         return batch(family, N, P, workers)
     monkeypatch.setattr(optimizer, "_candidate_batch", recorded)
     alive = threading.active_count()
     with np.errstate(over="raise"):
-        two = optimizer._run_starts(tasks, 2)
+        two = maximize(prob, workers=2).best_per_start
     assert threading.active_count() == alive
-    assert len({ident for ident, _, _ in states}) == 2
-    assert {(over, workers) for _, over, workers in states} == {("raise", 1)}
+    assert len(states) > 1
+    assert set(states) == {(threading.get_ident(), "raise", 1)}
     assert [_record_fields(r) for r in two] == [_record_fields(r) for r in one]
 
 
-def test_first_error_stops_every_start_thread(monkeypatch):
-    # a kernel error in one thread stops the other at its next round, where
-    # it would otherwise step every start left (about 780 kernel calls); no
-    # thread outlives the call
-    calls, lock = [0], threading.Lock()
+def test_first_error_stops_every_start(monkeypatch):
+    # a kernel error ends the run: no kernel call follows the failing one,
+    # and no thread outlives the call
+    calls = [0]
     batch = optimizer._candidate_batch
 
     def counted(*args):
-        with lock:
-            calls[0] += 1
-            if calls[0] == 3:
-                raise FloatingPointError("injected")
+        calls[0] += 1
+        if calls[0] == 3:
+            raise FloatingPointError("injected")
         return batch(*args)
     monkeypatch.setattr(optimizer, "_candidate_batch", counted)
     prob = OptimizationProblem(phi_target=1.0, r_threshold=0.25, N=2, n_starts=128, seed=42)
@@ -1047,8 +1045,40 @@ def test_first_error_stops_every_start_thread(monkeypatch):
     with pytest.raises(FloatingPointError, match="injected"):
         maximize(prob, workers=2)
     assert threading.active_count() == alive
-    # at most two kernel calls after the third, failing one
-    assert calls[0] <= 5
+    assert calls[0] == 3
+
+
+def _typed(records):
+    """Start records as lists of (key, type, value) in key order, p as bytes."""
+    return [[(key, type(value), value.tobytes() if key == "p" else value)
+             for key, value in record.items()] for record in records]
+
+
+def test_optimizer_starts_no_thread(monkeypatch):
+    # maximize and sweep_targets step every start in the calling thread at
+    # any workers and FCF_THREADS: with Thread.start refused they run, and
+    # their records are those of workers = 1, field by field with types
+    # and key order
+    def no_threads(*args, **kwargs):
+        raise AssertionError("a thread was started")
+    monkeypatch.setattr(optimizer, "MAX_ITER", 20)
+    prob = OptimizationProblem(phi_target=1.0, r_threshold=0.25, N=2, n_starts=6, seed=5)
+    targets, thresholds = [1.0, -2.0, np.pi / 2], [0.25, 0.5]
+
+    def run(workers):
+        sweep = sweep_targets(targets, thresholds, prob, workers=workers)
+        return (_typed(maximize(prob, workers=workers).best_per_start),
+                [_typed(res.best_per_start) + [(res.family, res.feasible)]
+                 for _, _, res in sweep.rows], sweep.jumps)
+    monkeypatch.delenv("FCF_THREADS", raising=False)
+    one = run(1)
+    monkeypatch.setattr(threading.Thread, "start", no_threads)
+    alive = threading.active_count()
+    for workers in (1, 2, 3):
+        assert run(workers) == one
+    monkeypatch.setenv("FCF_THREADS", "3")
+    assert run(None) == one
+    assert threading.active_count() == alive
 
 
 def test_unchecked_scipy_release_is_refused(monkeypatch):
@@ -1075,5 +1105,5 @@ def test_stencil_batches_run_in_the_calling_thread(monkeypatch):
     assert six.dim * 3 * 1024 > optimizer._BLOCK_SAMPLES
     for prob, start in (_grid_edge_start(), (six, x0)):
         with _threads(monkeypatch, 3, inline=True) as ran:
-            optimizer._run_starts([(prob, start)], optimizer.worker_count())
+            optimizer._run_starts([(prob, start)])
         assert ran == {threading.get_ident()}
