@@ -19,7 +19,7 @@ from .drive import (
     fourier_components,
     wrap_angle,
 )
-from .effective import EffectiveRates, derive_rates, nnn_rates, w_commutator
+from .effective import EffectiveRates, derive_rates, w_commutator
 from .bloch import (
     BandScan,
     BlochModel,

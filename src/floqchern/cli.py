@@ -53,8 +53,10 @@ from .effective import derive_rates
 MAX_POINTS = 1 << 20
 
 #: most k-point steps (k-points x steps per period) in one propagation;
-#: the propagator works in step blocks of bounded size, so this bounds
-#: run time, not memory
+#: it bounds run time.  The propagator evaluates the bond rates and the
+#: step matrices one block of steps at a time, of at most
+#: validate.STEP_BLOCK_SAMPLES k-point steps or harmonic terms, so memory
+#: does not grow with the step count
 MAX_KSTEPS = 1 << 23
 
 

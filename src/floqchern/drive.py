@@ -15,9 +15,9 @@ i.e. amp * omega along the unit drive axes.
 
 All functions here are pure and all containers immutable after
 construction; values can be shared freely across parallel workers.
-`drive_from_json` refuses a malformed drive (a missing field, a short
-list, a value of the wrong type, a non-integral harmonic multiple) with
-a ValueError.
+`drive_from_json` refuses a malformed drive (a missing field, a list of
+the wrong length, a value of the wrong type, a key it does not read, a
+non-integral harmonic multiple) with a ValueError.
 
 This module is the one home of the drive-layer rules that `optimizer`
 and `validate` build on:
@@ -111,14 +111,11 @@ def build_geometry(a: float = 1.0) -> LatticeGeometry:
     return geom
 
 
-_DEFAULT_GEOM = None
+_DEFAULT_GEOM = build_geometry(1.0)
 
 
 def default_geometry() -> LatticeGeometry:
     """Shared a = 1 geometry."""
-    global _DEFAULT_GEOM
-    if _DEFAULT_GEOM is None:
-        _DEFAULT_GEOM = build_geometry(1.0)
     return _DEFAULT_GEOM
 
 
@@ -306,7 +303,7 @@ def _bond_amplitudes(spec: DriveSpec, geom: LatticeGeometry):
 
 
 #: drive-axis projections on the bonds of the a = 1 geometry
-_DEFAULT_PROJ = _bond_projections(default_geometry())
+_DEFAULT_PROJ = _bond_projections(_DEFAULT_GEOM)
 
 
 def _family_bond_amplitudes(family: str, N: int, P):
@@ -576,9 +573,10 @@ def drive_from_json(data) -> DriveSpec:
     "ax": [amp, phase], "ay": [amp, phase]}, ...]}.  For plus/minus
     families the shorthand {"family": "plus", "omega": w, "A": [...],
     "delta": [...]} is expanded via `build_family_drive`.  A missing
-    field, a short list or a value of the wrong type raises ValueError:
-    a number must be a JSON number (not a string or a boolean), and a
-    list a JSON array.
+    field, a list of the wrong length or a value of the wrong type raises
+    ValueError: a number must be a JSON number (not a string or a
+    boolean), and a list a JSON array.  So does a key the form does not
+    read, named: one unknown to it, or "A" or "delta" beside "harmonics".
     """
     def number(x):
         if isinstance(x, bool) or not isinstance(x, (int, float)):
@@ -590,23 +588,37 @@ def drive_from_json(data) -> DriveSpec:
             raise TypeError(f"expected an array, got {x!r}")
         return x
 
-    def amp_phase(x):
-        x = array(x)
+    def fields(x, known):
+        if not isinstance(x, dict):
+            raise TypeError(f"expected an object, got {x!r}")
+        for key in x:
+            if key not in known:
+                raise ValueError(f"drive JSON key {key!r} is not read here "
+                                 f"(keys: {', '.join(known)})")
+
+    def amp_phase(h, key):
+        x = array(h[key])
+        if len(x) != 2:
+            raise ValueError(f"drive JSON key {key!r} must be [amplitude, phase], got {x!r}")
         return float(number(x[0])), float(number(x[1]))
+
+    def harmonic(h):
+        fields(h, ("m", "ax", "ay"))
+        return Harmonic(number(h["m"]), *amp_phase(h, "ax"), *amp_phase(h, "ay"))
 
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
     if not isinstance(data, dict):
         raise ValueError("drive JSON must be an object")
+    fields(data, ("family", "omega") + (("harmonics",) if "harmonics" in data else ("A", "delta")))
     try:
         family, omega = data["family"], float(number(data["omega"]))
         if "harmonics" in data:
-            harms = [Harmonic(number(h["m"]), *amp_phase(h["ax"]), *amp_phase(h["ay"]))
-                     for h in array(data["harmonics"])]
+            harms = [harmonic(h) for h in array(data["harmonics"])]
             return DriveSpec(family=family, omega=omega, harmonics=tuple(harms))
         if family in ("plus", "minus"):
             return build_family_drive(family, omega, [number(x) for x in array(data["A"])],
                                       [number(x) for x in array(data["delta"])])
-    except (KeyError, IndexError, TypeError, OverflowError) as e:
+    except (KeyError, TypeError, OverflowError) as e:
         raise ValueError(f"malformed drive JSON: {type(e).__name__} {e}") from None
     raise ValueError("custom drives require an explicit 'harmonics' list")

@@ -10,6 +10,11 @@ For the isotropy-preserving drive families all three NN averages coincide
 (common complex value, removable by a sublattice gauge phase) and the
 three NNN rates collapse onto a single j2 * exp(i*phi).
 
+`derive_rates` is the one reduction of a spectrum to rates: tau0 and the
+three tau come from the six commutator sums of `_nnn_arrays`, and the
+isotropy residuals are the largest pairwise spread within the three g0
+and within the three tau.  `w_commutator` is the kernel for one pair.
+
 Pure functions over immutable inputs; safe for parallel parameter sweeps.
 """
 
@@ -48,25 +53,12 @@ def w_commutator(ga: np.ndarray, gb: np.ndarray, omega: float, n_max: int) -> co
     return complex(np.sum(terms))
 
 
-def nnn_rates(spectrum: TunnelingSpectrum):
-    """(tau0, tau1, tau2, tau3) from a tunneling spectrum.
-
-    tau0 = sum_i w(a_i, -a_i); tau1 = w(a2, -a3); tau2 = w(a3, -a1);
-    tau3 = w(a1, -a2).  Negated-bond components follow from the
-    conjugate-reflection rule g_{-a}^n = conj(g_a^{-n}).
-
-    Equivalent to six w_commutator calls, vectorized over the pair list.
-    """
-    tau0, tau = _nnn_arrays(spectrum.g, spectrum.n_max, spectrum.omega)
-    return complex(tau0), complex(tau[0]), complex(tau[1]), complex(tau[2])
-
-
 @functools.lru_cache(maxsize=64)
 def _pair_gathers(n_max: int):
     """(index, n): flat indices (4, n_max, 6) into g (..., 3, 2 n_max + 1)
     of the factors g_i^{-n}, g_j^{-n}, g_j^{n} and g_i^{n} of `_nnn_arrays`
-    for the pairs (i, j) of `nnn_rates`, in (n, pair) layout, and n as
-    floats (n_max, 1); both read-only."""
+    for its six pairs (i, j), in (n, pair) layout, and n as floats
+    (n_max, 1); both read-only."""
     c, width = n_max, 2 * n_max + 1
     n = np.arange(1, c + 1)[:, None]
     i = np.array([0, 1, 2, 1, 2, 0]) * width
@@ -79,8 +71,12 @@ def _pair_gathers(n_max: int):
 
 
 def _nnn_arrays(g, n_max: int, omega: float):
-    """(tau0, tau) of `nnn_rates` over the leading axes of the spectra
-    g (..., 3, 2 n_max + 1): tau0 of shape (...), tau of shape (..., 3)."""
+    """(tau0, tau) over the leading axes of the spectra
+    g (..., 3, 2 n_max + 1): tau0 of shape (...), tau of shape (..., 3).
+
+    tau0 = sum_i w(a_i, -a_i); tau1 = w(a2, -a3); tau2 = w(a3, -a1);
+    tau3 = w(a1, -a2), with `w_commutator`'s kernel w: six of its calls,
+    vectorized over the pair list."""
     # pairs (i, j) realizing w(a_i, -a_j); the -a_j array is conj(g[j][::-1]),
     # so its order n is g_j's order -n.  The terms are gathered (..., n, pair)
     # and summed over n in order of n; a pairwise sum would move the last
@@ -138,20 +134,10 @@ class EffectiveRates:
         }
 
 
-#: v_i - v_{i+1 mod 3} within each of two triples runs over the triple's
-#: three pairs, up to an exact sign
-_NEXT = np.array([1, 2, 0, 4, 5, 3])
-
-
-def _residuals(g0, tau):
-    """(residual_nn, residual_nnn): the largest |v_i - v_j| among the three
-    NN averages g0 and among the three NNN rates tau, over their leading
-    axes, NaN differences skipped."""
-    v = np.concatenate((g0, tau), axis=-1)
-    d = v - v[..., _NEXT]
-    h = np.hypot(d.real, d.imag)
-    m = np.fmax.reduce(h.reshape(h.shape[:-1] + (2, 3)), axis=-1, initial=0.0)
-    return m[..., 0], m[..., 1]
+def _spread(v):
+    """The largest |v_i - v_j| among three complex values v (3,)."""
+    d = v - v[[1, 2, 0]]
+    return np.hypot(d.real, d.imag).max()
 
 
 def derive_rates(spectrum: TunnelingSpectrum) -> EffectiveRates:
@@ -166,7 +152,7 @@ def derive_rates(spectrum: TunnelingSpectrum) -> EffectiveRates:
     j0, omega, n_max = spectrum.j0, spectrum.omega, spectrum.n_max
     g0 = spectrum.g[:, n_max].copy()
     tau0, tau = _nnn_arrays(spectrum.g, n_max, omega)
-    residual_nn, residual_nnn = _residuals(g0, tau)
+    residual_nn, residual_nnn = _spread(g0), _spread(tau)
     mean_g0 = g0.sum() / 3
     j1 = float(np.hypot(mean_g0.real, mean_g0.imag))
     j2 = float(np.hypot(tau[0].real, tau[0].imag))

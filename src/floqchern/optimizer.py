@@ -61,10 +61,10 @@ only: in both families bond k + 1 is bond k a third of a period later,
 so one bond's power spectrum gives every rate (`_candidate_block`).  Its
 values agree with the three-bond chain build_family_drive ->
 fourier_components -> derive_rates within the tolerance that
-tests/test_optimizer.py states, not bit for bit.  A single row runs on
-its own grid in the calling thread.  More rows are grouped by their
-Fourier grid in one pass and run through the spectrum and rate code
-along a leading axis, in blocks of bounded size.  For phase maps and
+tests/test_optimizer.py states, not bit for bit.  Every row count, one
+included, takes the same path: the rows are grouped by their Fourier
+grid in one pass and run through the spectrum and rate code along a
+leading axis, in blocks of bounded size.  For phase maps and
 random search the blocks run on `worker_count()` threads; the optimizer
 evaluates its rounds in the calling thread.  Each block depends on its
 own rows only, and its values are scattered in submission order, so a
@@ -279,11 +279,11 @@ def _third_turn_weights(n_max: int) -> np.ndarray:
 
 
 def _candidate_block(family, ms, Z, n_max: int, M: int):
-    """(values, index, error) for bond amplitudes Z (..., 3, N) on one grid
-    (n_max, M): values are (R, j1/j0, phi, phi_defined) at omega = j0 = 1,
-    each of Z's leading shape, with R = j2/j1 and infinite where j1
-    vanishes; index and error are those of the first drive that fails the
-    truncation check, or None and None.
+    """(values, index, error) for the bond amplitudes Z (B, 3, N) of B
+    drives on one grid (n_max, M): values are (R, j1/j0, phi, phi_defined)
+    at omega = j0 = 1, each of shape (B,), with R = j2/j1 and infinite
+    where j1 vanishes; index and error are those of the first drive that
+    fails the truncation check, or None and None.
 
     A family drive's bond k + 1 is its bond k a third of a period later,
     Z_{k+1,h} = Z_{k,h} e^{2 pi i s m_h / 3} (s = +1 plus, -1 minus), so
@@ -308,7 +308,7 @@ def _candidate_block(family, ms, Z, n_max: int, M: int):
     failed = ~_tail_fits(tail, 1.0)
     if not failed.any():
         return values, None, None
-    i = np.unravel_index(np.argmax(failed), failed.shape)
+    i = np.argmax(failed)
     return values, i, _truncation_error(tail[i], n_max, 1.0)
 
 
@@ -321,23 +321,14 @@ def _candidate_batch(family, N, P, workers=None):
     relative, phi 1e-14, j1 5e-16), with its grid-size rule and
     truncation check, but with the bond amplitudes built straight from p
     instead of through a validated DriveSpec and bond 1 standing for all
-    three (`_candidate_block`).  A single row is evaluated on its own grid
-    in the calling thread.  More rows are taken in runs of _BATCH_ROWS,
-    grouped by grid (n_max, M) and evaluated in blocks of at most
-    _BLOCK_SAMPLES complex samples, on `worker_count(workers)` threads.
-    Like a loop over the rows, it raises the error of the first row that
-    fails."""
+    three (`_candidate_block`).  Any number of rows, one included, takes
+    one path: runs of _BATCH_ROWS rows are grouped by grid (n_max, M) and
+    evaluated in blocks of at most _BLOCK_SAMPLES complex samples, on
+    `worker_count(workers)` threads.  Like a loop over the rows, it raises
+    the error of the first row that fails."""
     P = np.asarray(P, dtype=float)
     K = len(P)
     workers = worker_count(workers)
-    if K == 1:
-        # the row as a vector: a leading axis of one costs a few us per call
-        ms, Z = _family_bond_amplitudes(family, N, P[0])
-        zmax, bandwidth, mmax = _quadrature_sizes(ms, Z)
-        values, _, error = _candidate_block(family, ms, Z, *_grid_size(mmax, zmax, bandwidth))
-        if error:
-            raise error
-        return tuple(v.reshape(1) for v in values)
     out = (np.empty(K), np.empty(K), np.empty(K), np.empty(K, dtype=bool))
     for start in range(0, K, _BATCH_ROWS):
         ms, Z = _family_bond_amplitudes(family, N, P[start:start + _BATCH_ROWS])

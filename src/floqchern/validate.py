@@ -18,9 +18,13 @@ rule of `wrap_angle`.
 
 One-period propagators are ordered products of midpoint exponentials
 (second-order Magnus), evaluated with the closed-form 2x2 matrix
-exponential, so each factor is unitary to machine precision.
-`period_propagator` is the one entry point, for a single k or a k-array,
-and runs the optional Richardson step-doubling check.  Each Floquet
+exponential, so each factor is unitary to machine precision.  The bond
+rates and step matrices are built one power-of-two block of steps at a
+time, so memory grows with neither the step count nor the harmonic
+count times it.  `period_propagator` is the one entry point, for a
+single k or a k-array, and runs the optional Richardson step-doubling
+check.  `compare_effective` and `omega_ladder` take the size N of an
+N x N torus grid (`torus_grid`), as `validate --kgrid` does.  Each Floquet
 spectrum is diagonalized in one place: quasienergies are folded to
 (-omega/2, omega/2] and sorted per k-point.  Branch pairing against the
 effective spectrum goes by eigenvector overlap (in the same sublattice
@@ -44,9 +48,9 @@ from .effective import derive_rates
 
 RICHARDSON_TOL = 1e-8
 
-#: most k-point steps whose step matrices are held at once (56 steps at
-#: the 24^2 grid); it bounds memory, not cache use: a 2^15 block makes
-#: about 20 temporaries of 256-512 KB
+#: most k-point steps whose step matrices, and harmonic terms whose phases,
+#: are held at once (32 steps at the 24^2 grid); it bounds memory, not
+#: cache use: a 2^15 block makes about 20 temporaries of 256-512 KB
 STEP_BLOCK_SAMPLES = 1 << 15
 
 
@@ -109,24 +113,26 @@ def _propagators(spec, geom, j0, delta, ks, steps):
 
     Midpoint-exponential products with the closed-form 2x2 exponential:
     exp(-i(h.sigma)dt) = cos(|h|dt) - i sin(|h|dt)/|h| * h.sigma.
-    The step matrices are built step-major, (block, Nk), one block of
-    at most STEP_BLOCK_SAMPLES k-point steps at a time, so the working
-    set grows with neither the k-grid nor the step count.
+    The bond rates and the step matrices are built step-major, (block, Nk),
+    one block of steps at a time: at most STEP_BLOCK_SAMPLES k-point steps
+    and harmonic terms, or 4 steps, so the working set does not grow with
+    the step count.  The block is a power of two, which divides the step
+    count (a power of two, as PropagatorSettings asks) and gives each
+    step's rates bit for bit as one product over the whole period would.
     """
     ks = np.atleast_2d(np.asarray(ks, dtype=float))
     T = spec.period
     dt = T / steps
-    tmid = (np.arange(steps) + 0.5) * dt
-    g = _bond_rates_at(spec, geom, j0, tmid)
     ph1, ph2 = _bond_phases(ks, geom)
     u11 = np.ones(len(ks), dtype=complex)
     u12 = np.zeros(len(ks), dtype=complex)
     u21 = np.zeros(len(ks), dtype=complex)
     u22 = np.ones(len(ks), dtype=complex)
-    block = max(1, STEP_BLOCK_SAMPLES // len(ks))
+    fits = max(1, STEP_BLOCK_SAMPLES // max(len(ks), len(spec.harmonics)))
+    block = min(steps, max(4, 1 << (fits.bit_length() - 1)))
     for n0 in range(0, steps, block):
-        sl = slice(n0, n0 + block)
-        G = _bond_sum(g[:, sl, None], ph1, ph2)
+        g = _bond_rates_at(spec, geom, j0, (np.arange(n0, n0 + block) + 0.5) * dt)
+        G = _bond_sum(g[:, :, None], ph1, ph2)
         h1 = G.real
         h2 = G.imag
         E = np.sqrt(h1 ** 2 + h2 ** 2 + delta ** 2)
@@ -227,15 +233,11 @@ def _effective_h(rates, delta_bare, geom, ks):
 
 
 def compare_effective(spec: DriveSpec, geom: LatticeGeometry, j0: float,
-                      delta: float, kgrid, settings: PropagatorSettings) -> QuasienergyReport:
-    """Folded exact quasienergies vs the effective spectrum on a k-grid.
-
-    kgrid: integer N (an N x N torus grid) or an explicit (Nk, 2) array.
-    """
+                      delta: float, kgrid: int, settings: PropagatorSettings) -> QuasienergyReport:
+    """Folded exact quasienergies vs the effective spectrum on the
+    kgrid x kgrid torus grid (`torus_grid`)."""
     rates = derive_rates(fourier_components(spec, geom, j0))
-    ks = torus_grid(geom, kgrid, kgrid) if np.isscalar(kgrid) else np.asarray(kgrid, dtype=float)
-    if ks.ndim != 2 or ks.shape[1] != 2 or not len(ks):
-        raise ValueError(f"k-grid must be a nonempty (Nk, 2) array, got shape {ks.shape}")
+    ks = torus_grid(geom, kgrid, kgrid)
     # the effective side first: its two-band model refuses an anisotropic
     # drive before anything is propagated
     He = _effective_h(rates, delta, geom, ks)
@@ -278,7 +280,7 @@ class LadderResult:
 
 
 def omega_ladder(spec: DriveSpec, geom: LatticeGeometry, j0: float, delta: float,
-                 kgrid, settings: PropagatorSettings,
+                 kgrid: int, settings: PropagatorSettings,
                  factors=(1.0, 2.0, 4.0, 8.0)) -> LadderResult:
     """Deviation scaling across an omega ladder at fixed A/omega and fixed j0.
 

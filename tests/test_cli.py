@@ -431,6 +431,22 @@ def test_malformed_json_exit_2(tmp_path, capsys):
     assert "line" in msg["error"]["message"]
 
 
+def test_unread_drive_key_exit_2(tmp_path, capsys):
+    # a key the drive would not read is a configuration error that names it
+    for drive, key in (('{"family":"custom","omega":1,"harmonics":[{"m":1,"ax":[1,0,7],'
+                        '"ay":[1,0]}]}', "ax"),
+                       ('{"family":"plus","omega":1,"A":[1],"delta":[0],"phase":[0.3]}', "phase"),
+                       ('{"family":"custom","omega":1,"harmonics":[{"m":1,"ax":[1,0],'
+                        '"ay":[1,0],"az":[1,0]}]}', "az"),
+                       ('{"family":"plus","omega":1,"A":[1],"delta":[0],"harmonics":[{"m":1,'
+                        '"ax":[1,0],"ay":[1,0]}]}', "A")):
+        code, out, err = run(["rates", "--drive", drive, "--out", str(tmp_path)], capsys)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "config" and f"key '{key}'" in error["message"]
+    assert not os.listdir(tmp_path)
+
+
 def test_missing_file_exit_2(tmp_path, capsys):
     code, _, err = run(["rates", "--drive", str(tmp_path / "nope.json"),
                         "--out", str(tmp_path)], capsys)

@@ -382,3 +382,18 @@ def test_json_errors():
     with pytest.raises(ValueError):
         drive_from_json({"family": "plus", "omega": 1.0,
                          "harmonics": [{"m": 1, "ax": [1.0]}]})
+    # input the drive would not read is refused by key, not dropped
+    harmonic = {"m": 1, "ax": [1.0, 0.0], "ay": [1.0, 0.0]}
+    for data, key in (
+            ({"family": "custom", "omega": 1.0,
+              "harmonics": [{**harmonic, "ax": [1, 0, 7]}]}, "ax"),
+            ({"family": "plus", "omega": 1.0, "A": [1.0], "delta": [0.0], "phase": [0.3]},
+             "phase"),
+            ({"family": "custom", "omega": 1.0, "harmonics": [{**harmonic, "az": [1, 0]}]},
+             "az"),
+            ({"family": "plus", "omega": 1.0, "harmonics": [harmonic], "A": [1.0],
+              "delta": [0.0]}, "A"),
+            ({"family": "plus", "omega": 1.0, "harmonics": [harmonic], "delta": [0.0]},
+             "delta")):
+        with pytest.raises(ValueError, match=f"key '{key}'"):
+            drive_from_json(data)

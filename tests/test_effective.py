@@ -8,7 +8,6 @@ from floqchern import (
     default_geometry,
     derive_rates,
     fourier_components,
-    nnn_rates,
     w_commutator,
 )
 
@@ -54,9 +53,8 @@ def test_w_mismatched_extents():
 def test_zero_force_rates():
     spec = build_custom_drive(1.0, [])
     sp = fourier_components(spec, GEOM, 1.5, n_max=4)
-    tau0, t1, t2, t3 = nnn_rates(sp)
-    assert tau0 == t1 == t2 == t3 == 0
     r = derive_rates(sp)
+    assert r.tau0 == r.tau[0] == r.tau[1] == r.tau[2] == 0
     assert r.j1 == pytest.approx(1.5)
     assert r.j2 == 0
     assert not r.phi_defined

@@ -663,12 +663,20 @@ def _threads(monkeypatch, threads, inline=None):
     may outlive the body.  When `inline` (default: threads == 1) the
     calling thread alone must have run blocks; otherwise blocks must have
     run on more than one thread, at least one of them not the calling
-    thread."""
+    thread.  There the first thread to run a block waits (at most 30 s)
+    until a second one has entered, so that one thread cannot take every
+    block, whatever the scheduling."""
     ran = set()
     block = optimizer._candidate_block
+    inline = threads == 1 if inline is None else inline
+    second = threading.Event()
 
     def recorded(*args):
         ran.add(threading.get_ident())
+        if len(ran) > 1:
+            second.set()
+        elif not inline:
+            second.wait(30)
         return block(*args)
     monkeypatch.setattr(optimizer, "_candidate_block", recorded)
     monkeypatch.setenv("FCF_THREADS", str(threads))
@@ -681,7 +689,7 @@ def _threads(monkeypatch, threads, inline=None):
         sys.setswitchinterval(interval)
     assert threading.active_count() == alive
     caller = {threading.get_ident()}
-    if (threads == 1) if inline is None else inline:
+    if inline:
         assert ran == caller
     else:
         assert len(ran) > 1 and ran - caller

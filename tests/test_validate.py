@@ -218,8 +218,8 @@ def test_ladder_of_an_exact_model_is_undefined():
 
 
 def test_step_blocks_match_one_block(monkeypatch):
-    # 7 k-points in one block of all 256 steps, then in blocks of 142 steps
-    # (1,000 samples), whose last block is short
+    # 7 k-points in one block of all 256 steps, then in blocks of 128 steps
+    # (1,000 samples)
     spec = build_family_drive("plus", 1.0, [2.0, 1.0], [0.0, 0.4])
     ks = np.random.default_rng(6).normal(size=(7, 2))
     whole = _propagators(spec, GEOM, 0.4, 0.2, ks, 256)
@@ -229,12 +229,12 @@ def test_step_blocks_match_one_block(monkeypatch):
 
 @pytest.mark.parametrize("delta", [0.0, 0.3])
 def test_step_block_size_moves_no_bit(delta, monkeypatch):
-    # the 24^2 grid in blocks of 1, 7 and 56 steps (2^10, 2^12 and 2^15
+    # the 24^2 grid in blocks of 4, 8 and 32 steps (2^10, 2^13 and 2^15
     # samples): the same bytes, at delta = 0 and away from it
     spec = build_family_drive("plus", 1.0, [2.0, 1.0], [0.0, 0.4])
     ks = torus_grid(GEOM, 24, 24)
     runs = []
-    for samples in (1 << 10, 1 << 12, 1 << 15):
+    for samples in (1 << 10, 1 << 13, 1 << 15):
         monkeypatch.setattr(validate, "STEP_BLOCK_SAMPLES", samples)
         runs.append(_propagators(spec, GEOM, 0.02, delta, ks, 256).tobytes())
     assert runs[0] == runs[1] == runs[2]
@@ -251,6 +251,23 @@ def test_propagator_memory_does_not_grow_with_steps():
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20
+
+
+@pytest.mark.parametrize("harmonics, kgrid, steps, block",
+                         [(50, 1, 2048, 512), (2, 24, 2048, 32), (2, 96, 256, 4)])
+def test_propagator_evaluates_rates_in_step_blocks(harmonics, kgrid, steps, block, monkeypatch):
+    # the bond rates come a power-of-two block of steps at a time, of at
+    # most STEP_BLOCK_SAMPLES k-point steps or harmonic terms (4 steps at
+    # least), not for the whole period at once
+    spec = build_family_drive("plus", 1.0, [0.01] * harmonics, [0.0] * harmonics)
+    times = []
+
+    def recorded(spec, geom, t):
+        times.append(len(t))
+        return _peierls_phases(spec, geom, t)
+    monkeypatch.setattr(validate, "_peierls_phases", recorded)
+    _propagators(spec, GEOM, 0.02, 0.0, torus_grid(GEOM, kgrid, kgrid), steps)
+    assert max(times) == block and sum(times) == steps
 
 
 def test_fold_quasienergy_window():
@@ -301,7 +318,7 @@ def test_compare_refuses_anisotropic_drive_before_propagating(monkeypatch):
 
 def test_compare_rejects_empty_kgrid():
     settings = PropagatorSettings(steps_per_period=256)
-    for kgrid in (0, -3, np.empty((0, 2))):
+    for kgrid in (0, -3):
         with pytest.raises(ValueError, match="k-grid"):
             compare_effective(ZERO, GEOM, 0.05, 0.01, kgrid, settings)
 
