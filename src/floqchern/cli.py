@@ -59,6 +59,13 @@ MAX_POINTS = 1 << 20
 #: does not grow with the step count
 MAX_KSTEPS = 1 << 23
 
+#: k-points that one step counts as, at the least: a step's Python-level
+#: product costs as much as this many k-point steps on a large grid
+#: (2-harmonic drive, 2-core x86-64: 6-10 us per step at --kgrid 1 against
+#: 79-105 ns per k-point step at 24^2, a ratio of 83-102), so that
+#: MAX_KSTEPS bounds run time on small grids too
+MIN_STEP_KPOINTS = 128
+
 
 class ConfigError(ValueError):
     pass
@@ -273,9 +280,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if args.kgrid ** 2 * args.steps > MAX_KSTEPS:
-        raise ConfigError(f"--kgrid {args.kgrid} and --steps {args.steps} make "
-                          f"{args.kgrid ** 2 * args.steps} k-point steps, more than {MAX_KSTEPS}")
+    ksteps = max(args.kgrid ** 2, MIN_STEP_KPOINTS) * args.steps
+    if ksteps > MAX_KSTEPS:
+        raise ConfigError(f"--kgrid {args.kgrid} and --steps {args.steps} make {ksteps} "
+                          f"k-point steps (a step counts as at least {MIN_STEP_KPOINTS} "
+                          f"k-points), more than {MAX_KSTEPS}")
     spec = _load_drive(args.drive)
     if args.j0_over_omega <= 0:
         raise ConfigError("--j0-over-omega must be positive")

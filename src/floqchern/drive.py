@@ -78,9 +78,15 @@ class LatticeGeometry:
 
     def bond(self, k: int) -> np.ndarray:
         """NN bond vector a_k, k in {1, 2, 3}."""
-        if k not in (1, 2, 3):
-            raise ValueError(f"bond index must be 1, 2 or 3, got {k}")
-        return (self.a1, self.a2, self.a3)[k - 1]
+        return (self.a1, self.a2, self.a3)[_bond_row(k)]
+
+
+def _bond_row(k: int) -> int:
+    """Row k - 1 of bond k's entry in the per-bond arrays, for k in
+    {1, 2, 3}; any other k raises ValueError."""
+    if k not in (1, 2, 3):
+        raise ValueError(f"bond index must be 1, 2 or 3, got {k}")
+    return k - 1
 
 
 def build_geometry(a: float = 1.0) -> LatticeGeometry:
@@ -317,11 +323,11 @@ def _family_bond_amplitudes(family: str, N: int, P):
     return ms, _axis_bond_amplitudes(_DEFAULT_PROJ, amps, deltas, amps, deltas + offsets)
 
 
-def _peierls_phases(spec: DriveSpec, geom: LatticeGeometry, t) -> np.ndarray:
+def _peierls_phases(ms, Z, omega: float, t) -> np.ndarray:
     """chi_k(t) = Im[sum_h (Z_kh / m_h) e^{i m_h omega t}] of the three
-    bonds at the times t (T,); shape (3, T)."""
-    ms, Z = _bond_amplitudes(spec, geom)
-    return ((Z / ms) @ np.exp(1j * spec.omega * np.outer(ms, t))).imag
+    bonds at the times t (T,), from the harmonic integers ms (H,) and bond
+    amplitudes Z (3, H) of `_bond_amplitudes`; shape (3, T)."""
+    return ((Z / ms) @ np.exp(1j * omega * np.outer(ms, t))).imag
 
 
 def chi(spec: DriveSpec, geom: LatticeGeometry, k: int, t) -> np.ndarray:
@@ -330,10 +336,10 @@ def chi(spec: DriveSpec, geom: LatticeGeometry, k: int, t) -> np.ndarray:
     Equal to the time integral of F(tau).a_k from 0 to t minus its own
     period average, so the period average of chi_k is zero.
     """
-    if k not in (1, 2, 3):
-        raise ValueError(f"bond index must be 1, 2 or 3, got {k}")
+    row = _bond_row(k)
     t = np.asarray(t, dtype=float)
-    return _peierls_phases(spec, geom, t.ravel())[k - 1].reshape(t.shape)
+    chi_t = _peierls_phases(*_bond_amplitudes(spec, geom), spec.omega, t.ravel())
+    return chi_t[row].reshape(t.shape)
 
 
 @functools.lru_cache(maxsize=8)
@@ -404,13 +410,15 @@ class TunnelingSpectrum:
 
     def component(self, k: int, n: int) -> complex:
         """g_k^n for bond k in {1,2,3}."""
+        row = _bond_row(k)
         if abs(n) > self.n_max:
             raise ValueError(f"|n| exceeds n_max = {self.n_max}")
-        return self.g[k - 1, self.n_max + n]
+        return self.g[row, self.n_max + n]
 
     def negated_bond(self, k: int) -> np.ndarray:
-        """Components of g_{-a_k}(t) = conj(g_k(t)): conj(g_k^{-n})."""
-        return np.conj(self.g[k - 1, ::-1])
+        """Components of g_{-a_k}(t) = conj(g_k(t)): conj(g_k^{-n}), for
+        bond k in {1,2,3}."""
+        return np.conj(self.g[_bond_row(k), ::-1])
 
     def parseval_defect(self) -> float:
         """max_k |sum_n |g_k^n|^2 - j0^2| / j0^2."""

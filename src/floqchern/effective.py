@@ -11,16 +11,20 @@ For the isotropy-preserving drive families all three NN averages coincide
 three NNN rates collapse onto a single j2 * exp(i*phi).
 
 `derive_rates` is the one reduction of a spectrum to rates: tau0 and the
-three tau come from the six commutator sums of `_nnn_arrays`, and the
-isotropy residuals are the largest pairwise spread within the three g0
-and within the three tau.  `w_commutator` is the kernel for one pair.
+three tau are six sums of the one commutator kernel `w_commutator`, each
+pairing a bond a_i with a reflected bond -a_j (`negated_bond`):
+
+    tau0 = w(a1, -a1) + w(a2, -a2) + w(a3, -a3)
+    tau1 = w(a2, -a3),  tau2 = w(a3, -a1),  tau3 = w(a1, -a2)
+
+and the isotropy residuals are the largest pairwise spread within the
+three g0 and within the three tau.
 
 Pure functions over immutable inputs; safe for parallel parameter sweeps.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +41,13 @@ ISO_TOL = 1e-8
 def w_commutator(ga: np.ndarray, gb: np.ndarray, omega: float, n_max: int) -> complex:
     """Commutator kernel sum_{n=1..n_max} (ga[-n]*gb[n] - gb[-n]*ga[n])/(n*omega).
 
-    Arrays span n in [-n_max, n_max] (center index n_max).  Antisymmetric
-    under argument swap, exactly: every term is an exact IEEE negation of
-    its swapped counterpart and the summation order is fixed.
+    Arrays span n in [-n_max, n_max] (center index n_max).  The terms are
+    added in order of n, as a loop over n would add them, not by numpy's
+    pairwise sum of a 1-D array, which rounds differently: the rates of
+    `derive_rates`, and the files written from them, keep the bits of an
+    in-order sum.  Antisymmetric under argument swap, exactly: every term
+    is an exact IEEE negation of its swapped counterpart, and both are
+    summed in the same order.
     """
     ga = np.asarray(ga)
     gb = np.asarray(gb)
@@ -48,45 +56,10 @@ def w_commutator(ga: np.ndarray, gb: np.ndarray, omega: float, n_max: int) -> co
             f"Fourier arrays must span [-n_max, n_max] = {2 * n_max + 1} entries, "
             f"got {ga.shape} and {gb.shape}")
     c = n_max
-    n = np.arange(1, n_max + 1)
-    terms = (ga[c - n] * gb[c + n] - gb[c - n] * ga[c + n]) / (n * omega)
-    return complex(np.sum(terms))
-
-
-@functools.lru_cache(maxsize=64)
-def _pair_gathers(n_max: int):
-    """(index, n): flat indices (4, n_max, 6) into g (..., 3, 2 n_max + 1)
-    of the factors g_i^{-n}, g_j^{-n}, g_j^{n} and g_i^{n} of `_nnn_arrays`
-    for its six pairs (i, j), in (n, pair) layout, and n as floats
-    (n_max, 1); both read-only."""
-    c, width = n_max, 2 * n_max + 1
-    n = np.arange(1, c + 1)[:, None]
-    i = np.array([0, 1, 2, 1, 2, 0]) * width
-    j = np.array([0, 1, 2, 2, 0, 1]) * width
-    index = np.stack((i + c - n, j + c - n, j + c + n, i + c + n))
-    n = n.astype(float)
-    index.setflags(write=False)
-    n.setflags(write=False)
-    return index, n
-
-
-def _nnn_arrays(g, n_max: int, omega: float):
-    """(tau0, tau) over the leading axes of the spectra
-    g (..., 3, 2 n_max + 1): tau0 of shape (...), tau of shape (..., 3).
-
-    tau0 = sum_i w(a_i, -a_i); tau1 = w(a2, -a3); tau2 = w(a3, -a1);
-    tau3 = w(a1, -a2), with `w_commutator`'s kernel w: six of its calls,
-    vectorized over the pair list."""
-    # pairs (i, j) realizing w(a_i, -a_j); the -a_j array is conj(g[j][::-1]),
-    # so its order n is g_j's order -n.  The terms are gathered (..., n, pair)
-    # and summed over n in order of n; a pairwise sum would move the last
-    # bits of every rate.
-    index, n = _pair_gathers(n_max)
-    f = np.take(g.reshape(g.shape[:-2] + (-1,)), index, axis=-1)
-    gj = np.conj(f[..., 1:3, :, :])
-    terms = (f[..., 0, :, :] * gj[..., 0, :, :] - gj[..., 1, :, :] * f[..., 3, :, :]) / (n * omega)
-    w = terms.sum(axis=-2)
-    return w[..., 0] + w[..., 1] + w[..., 2], w[..., 3:]
+    # views of the orders -1 .. -n_max and 1 .. n_max
+    terms = ((ga[:c][::-1] * gb[c + 1:] - gb[:c][::-1] * ga[c + 1:])
+             / (np.arange(1, c + 1) * omega))
+    return complex(np.add.accumulate(terms)[-1]) if n_max else 0j
 
 
 @dataclass(frozen=True)
@@ -151,7 +124,12 @@ def derive_rates(spectrum: TunnelingSpectrum) -> EffectiveRates:
     """
     j0, omega, n_max = spectrum.j0, spectrum.omega, spectrum.n_max
     g0 = spectrum.g[:, n_max].copy()
-    tau0, tau = _nnn_arrays(spectrum.g, n_max, omega)
+
+    def w(i, j):
+        # w(a_i, -a_j)
+        return w_commutator(spectrum.g[i - 1], spectrum.negated_bond(j), omega, n_max)
+    tau0 = w(1, 1) + w(2, 2) + w(3, 3)
+    tau = np.array([w(2, 3), w(3, 1), w(1, 2)])
     residual_nn, residual_nnn = _spread(g0), _spread(tau)
     mean_g0 = g0.sum() / 3
     j1 = float(np.hypot(mean_g0.real, mean_g0.imag))
@@ -160,9 +138,9 @@ def derive_rates(spectrum: TunnelingSpectrum) -> EffectiveRates:
     g0.setflags(write=False)
     tau.setflags(write=False)
     return EffectiveRates(
-        j0=j0, omega=omega, g0=g0, tau0=complex(tau0), tau=tau,
+        j0=j0, omega=omega, g0=g0, tau0=tau0, tau=tau,
         j1=j1, j2=j2, phi=float(np.arctan2(tau[0].imag, tau[0].real)) if phi_defined else 0.0,
-        phi_defined=phi_defined, delta_shift=float(tau0.real),
+        phi_defined=phi_defined, delta_shift=tau0.real,
         gauge_phase=float(np.angle(mean_g0)) if j1 > 0 else 0.0,
         residual_nn=float(residual_nn), residual_nnn=float(residual_nnn),
         isotropic_nn=bool(residual_nn <= ISO_TOL * j0),

@@ -13,8 +13,9 @@ entry); the same convention then makes the first-order NNN and on-site
 terms land on the bonds used by the effective module.  Both sides take
 k.b from `bloch._kb`, the one k.b product, and G from `_bond_sum`.  The
 rates g_k(t) = j0 e^{i chi_k(t)} come from `drive._phasor`, the phasor
-of the Fourier components, and quasienergies fold by `drive._fold`, the
-rule of `wrap_angle`.
+of the Fourier components, applied to `drive._peierls_phases`, the one
+formula for chi_k(t); quasienergies fold by `drive._fold`, the rule of
+`wrap_angle`.
 
 One-period propagators are ordered products of midpoint exponentials
 (second-order Magnus), evaluated with the closed-form 2x2 matrix
@@ -42,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bloch as _bloch
-from .drive import (DriveSpec, LatticeGeometry, _fold, _peierls_phases, _phasor,
-                    fourier_components)
+from .drive import (DriveSpec, LatticeGeometry, _bond_amplitudes, _fold, _peierls_phases,
+                    _phasor, fourier_components)
 from .effective import derive_rates
 
 RICHARDSON_TOL = 1e-8
@@ -69,13 +70,6 @@ class PropagatorSettings:
             raise ValueError("steps_per_period must be a power of two >= 256")
 
 
-def _bond_rates_at(spec, geom, j0, t):
-    """g_k(t) = j0 exp(i chi_k(t)) for the three bonds at the times t (T,);
-    shape (3, T)."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    return _phasor(_peierls_phases(spec, geom, t), j0)
-
-
 def _bond_phases(k, geom):
     """(e^{+i k.b1}, e^{-i k.b2}) over the leading shape of k (..., 2)."""
     kb1, kb2 = _bloch._kb(k, geom)
@@ -98,7 +92,8 @@ def bloch_hamiltonian_t(spec: DriveSpec, geom: LatticeGeometry, j0: float,
     (T, 2, 2); (Nk,) times with an (Nk, 2) k-array pair up row by row.
     """
     t = np.asarray(t, dtype=float)
-    g = _bond_rates_at(spec, geom, j0, t.ravel()).reshape((3,) + t.shape)
+    chi = _peierls_phases(*_bond_amplitudes(spec, geom), spec.omega, t.ravel())
+    g = _phasor(chi, j0).reshape((3,) + t.shape)
     G = _bond_sum(g, *_bond_phases(k, geom))
     H = np.empty(G.shape + (2, 2), dtype=complex)
     H[..., 0, 0] = delta
@@ -113,17 +108,19 @@ def _propagators(spec, geom, j0, delta, ks, steps):
 
     Midpoint-exponential products with the closed-form 2x2 exponential:
     exp(-i(h.sigma)dt) = cos(|h|dt) - i sin(|h|dt)/|h| * h.sigma.
-    The bond rates and the step matrices are built step-major, (block, Nk),
-    one block of steps at a time: at most STEP_BLOCK_SAMPLES k-point steps
-    and harmonic terms, or 4 steps, so the working set does not grow with
-    the step count.  The block is a power of two, which divides the step
-    count (a power of two, as PropagatorSettings asks) and gives each
-    step's rates bit for bit as one product over the whole period would.
+    The bond amplitudes are built once; the bond rates and the step
+    matrices are built step-major, (block, Nk), one block of steps at a
+    time: at most STEP_BLOCK_SAMPLES k-point steps and harmonic terms, or
+    4 steps, so the working set does not grow with the step count.  The
+    block is a power of two, which divides the step count (a power of
+    two, as PropagatorSettings asks) and gives each step's rates bit for
+    bit as one product over the whole period would.
     """
     ks = np.atleast_2d(np.asarray(ks, dtype=float))
     T = spec.period
     dt = T / steps
     ph1, ph2 = _bond_phases(ks, geom)
+    ms, Z = _bond_amplitudes(spec, geom)
     u11 = np.ones(len(ks), dtype=complex)
     u12 = np.zeros(len(ks), dtype=complex)
     u21 = np.zeros(len(ks), dtype=complex)
@@ -131,7 +128,8 @@ def _propagators(spec, geom, j0, delta, ks, steps):
     fits = max(1, STEP_BLOCK_SAMPLES // max(len(ks), len(spec.harmonics)))
     block = min(steps, max(4, 1 << (fits.bit_length() - 1)))
     for n0 in range(0, steps, block):
-        g = _bond_rates_at(spec, geom, j0, (np.arange(n0, n0 + block) + 0.5) * dt)
+        chi = _peierls_phases(ms, Z, spec.omega, (np.arange(n0, n0 + block) + 0.5) * dt)
+        g = _phasor(chi, j0)
         G = _bond_sum(g[:, :, None], ph1, ph2)
         h1 = G.real
         h2 = G.imag

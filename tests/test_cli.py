@@ -140,6 +140,9 @@ def test_sweep_targets_below_one_refused_by_name(argv, flag, count, tmp_path, ca
     (["optimize", "--phi-target", "1", "--r-th", "0.25", "--starts", "1", "--N", "17"], "--N"),
     (["sweep", "--targets", "2", "--starts", "1", "--N", "20000"], "--N"),
     (["phase-map", "--A1", "0:1023:1", "--A2", "0:1024:1"], "--A1 x --A2 grid"),
+    # a step counts as MIN_STEP_KPOINTS k-points: 2^23 steps at --kgrid 1 is over the cap
+    (["validate", "--drive", PLUS_N1, "--kgrid", "1", "--steps", "8388608"],
+     "--kgrid 1 and --steps 8388608"),
 ])
 def test_count_caps_refuse_before_allocation(argv, flag, tmp_path, capsys):
     # each input asks for gigabytes; the caps refuse it with no large allocation

@@ -329,6 +329,12 @@ def test_spectrum_input_validation():
     sp = fourier_components(spec, GEOM, 1.0, n_max=12)
     with pytest.raises(ValueError, match="exceeds n_max = 12"):
         sp.component(1, -13)
+    # a bond index outside 1-3 is refused, not read as another bond's row
+    for k in (0, -1, 4):
+        with pytest.raises(ValueError, match=f"bond index must be 1, 2 or 3, got {k}"):
+            sp.component(k, 0)
+        with pytest.raises(ValueError, match=f"bond index must be 1, 2 or 3, got {k}"):
+            sp.negated_bond(k)
 
 
 def test_grid_cap_raises_before_allocation():

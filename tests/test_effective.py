@@ -47,6 +47,35 @@ def test_w_mismatched_extents():
         w_commutator(np.zeros(5), np.zeros(7), 1.0, 3)
 
 
+def test_one_commutator_kernel_pairs_the_bonds():
+    # an anisotropic drive (an m = 3 harmonic on unequal axes) keeps the
+    # nine bond pairs apart; w_commutator adds its terms in order of n, and
+    # derive_rates takes its six sums from it and from negated_bond
+    spec = build_custom_drive(1.3, [(1, 1.1, 0.0, 0.7, 0.4), (3, 0.6, -0.9, 0.2, 1.7)])
+    sp = fourier_components(spec, GEOM, 0.8)
+    c, omega = sp.n_max, sp.omega
+    assert c >= 16
+
+    def w(i, j):
+        return w_commutator(sp.g[i - 1], sp.negated_bond(j), omega, c)
+    # the terms as one array expression (numpy's complex array product may
+    # fuse multiply-adds, which scalar products do not), summed by a loop
+    n = np.arange(1, c + 1)
+    for i in (1, 2, 3):
+        for j in (1, 2, 3):
+            ga, gb = sp.g[i - 1], sp.negated_bond(j)
+            terms = (ga[c - n] * gb[c + n] - gb[c - n] * ga[c + n]) / (n * omega)
+            total = terms[0]
+            for term in terms[1:]:
+                total = total + term
+            assert w(i, j) == total
+    r = derive_rates(sp)
+    assert not r.isotropic_nnn
+    tau0 = w(1, 1) + w(2, 2) + w(3, 3)
+    assert r.tau0 == tau0 and r.delta_shift == tau0.real
+    assert r.tau.tolist() == [w(2, 3), w(3, 1), w(1, 2)]
+
+
 # ---------------------------------------------------------------------------
 # NNN rates
 

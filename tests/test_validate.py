@@ -23,8 +23,8 @@ from floqchern import (
     wrap_angle,
 )
 from floqchern import validate
-from floqchern.drive import _peierls_phases
-from floqchern.validate import _bond_rates_at, _effective_h, _propagators
+from floqchern.drive import _bond_amplitudes, _peierls_phases, _phasor
+from floqchern.validate import _effective_h, _propagators
 
 GEOM = default_geometry()
 K_POINT = (GEOM.G1 + GEOM.G2) / 3
@@ -89,8 +89,9 @@ def test_bond_rates_match_complex_exp():
         for steps in (256, 1024, 8192):
             t = (np.arange(steps) + 0.5) * (spec.period / steps)
             for j0 in (1.0, 0.02, 0.7):
-                want = j0 * np.exp(1j * _peierls_phases(spec, GEOM, t))
-                assert _bond_rates_at(spec, GEOM, j0, t).tobytes() == want.tobytes()
+                chi = _peierls_phases(*_bond_amplitudes(spec, GEOM), spec.omega, t)
+                want = j0 * np.exp(1j * chi)
+                assert _phasor(chi, j0).tobytes() == want.tobytes()
 
 
 def test_hamiltonian_undriven_limits():
@@ -261,13 +262,21 @@ def test_propagator_evaluates_rates_in_step_blocks(harmonics, kgrid, steps, bloc
     # least), not for the whole period at once
     spec = build_family_drive("plus", 1.0, [0.01] * harmonics, [0.0] * harmonics)
     times = []
+    built = []
 
-    def recorded(spec, geom, t):
+    def recorded(ms, Z, omega, t):
         times.append(len(t))
-        return _peierls_phases(spec, geom, t)
+        return _peierls_phases(ms, Z, omega, t)
+
+    def counted(spec, geom):
+        built.append(spec)
+        return _bond_amplitudes(spec, geom)
     monkeypatch.setattr(validate, "_peierls_phases", recorded)
+    monkeypatch.setattr(validate, "_bond_amplitudes", counted)
     _propagators(spec, GEOM, 0.02, 0.0, torus_grid(GEOM, kgrid, kgrid), steps)
     assert max(times) == block and sum(times) == steps
+    # the bond amplitudes are built once per propagation, not per block
+    assert built == [spec]
 
 
 def test_fold_quasienergy_window():
