@@ -5,12 +5,13 @@ Every command is deterministic given its flags and seed; reruns write
 byte-identical files.  Exit codes: 0 success, 2 configuration error,
 3 numerical failure; errors also go to stderr as one JSON object.
 A malformed or missing flag is a configuration error like any other,
-and so is a count above MAX_POINTS, MAX_KSTEPS or
-optimizer.MAX_HARMONICS, a --starts, --targets or --N below 1, a
-negative --seed, an --out that cannot be created or written, and a
-scipy release the SLSQP driver was not checked against.  --out is made
-and checked once, before any command starts its work, and the scipy
-release before any start is stepped.  Grid flags use
+and so is a count above MAX_POINTS (a sweep's --starts x targets x
+thresholds among them), MAX_KSTEPS or optimizer.MAX_HARMONICS, a
+--starts, --targets or --N below 1, a negative --seed, an --out that
+cannot be created or written, and a scipy release the SLSQP driver was
+not checked against.  --out is made and checked once, before any
+command starts its work, and the scipy release before any start is
+stepped.  Grid flags use
 start:stop:step with the stop included when it lands on the grid within
 epsilon.  Every command runs in one process.  phase-map runs its kernel
 blocks on threads: FCF_THREADS of them, else one per usable core, at
@@ -48,8 +49,9 @@ from .drive import (SpectrumTruncationError, default_geometry, drive_from_json,
 from .effective import derive_rates
 
 
-#: most points in one range, cells in one grid, --starts, --targets or
-#: k-points in one BZ grid
+#: most points in one range, cells in one grid, --starts, --targets,
+#: starts in one sweep (--starts x targets x thresholds) or k-points in
+#: one BZ grid
 MAX_POINTS = 1 << 20
 
 #: most k-point steps (k-points x steps per period) in one propagation;
@@ -264,6 +266,10 @@ def cmd_sweep(args) -> int:
     targets = (_floats(args.phi_list, "--phi-list") if args.phi_list
                else list(np.linspace(-np.pi, np.pi, args.targets + 1)[1:]))
     r_ths = _floats(args.r_th, "--r-th")
+    if (starts := args.starts * len(targets) * len(r_ths)) > MAX_POINTS:
+        raise ConfigError(f"--starts {args.starts} x {len(targets)} targets (--targets or "
+                          f"--phi-list) x {len(r_ths)} thresholds (--r-th) make {starts} "
+                          f"starts, more than {MAX_POINTS}")
     template = optimizer.OptimizationProblem(
         phi_target=0.0, r_threshold=r_ths[0], N=args.N,
         amp_bound=args.amp_bound, n_starts=args.starts, seed=args.seed)

@@ -51,7 +51,9 @@ phi -> pi - phi.  `maximize` searches the problem's family only.
 `sweep_targets` reports at each target the better of the two families'
 optima, the plus family winning exact ties.  Through the two symmetries
 it runs one plus-family maximization per class of equivalent targets,
-all starts stepped together.
+all starts stepped together; `_sweep_classes` finds the classes, and
+each target's source class in each family, in one pass over the
+targets.
 
 Every candidate evaluation, p -> (R, j1/j0, phi, phi_defined), goes
 through one kernel, `_candidate_batch`, which takes an array of
@@ -394,25 +396,6 @@ def _canonical(p, N):
     return p
 
 
-def _negate_even(p, N):
-    """Same-family image of p with phi -> pi - phi and (R, j1/j0) kept:
-    every even-m harmonic negated (delta_n -> delta_n + pi), which is
-    F -> -F up to a half-period time shift."""
-    p = np.array(p, dtype=float)
-    for n in range(2, N + 1):
-        if family_harmonic_integer(n) % 2 == 0:
-            p[N + n - 2] += np.pi
-    return p
-
-
-def _mirror(p, N):
-    """Other-family image of p with phi -> -phi and (R, j1/j0) kept:
-    delta_n -> -delta_n (the drive run backwards in time)."""
-    p = np.array(p, dtype=float)
-    p[N:] = -p[N:]
-    return p
-
-
 def _phase_gap(problem: OptimizationProblem, phi, defined):
     """wrap(phi - phi_target), and pi where phi is undefined, elementwise:
     the one phase-gap rule."""
@@ -603,14 +586,22 @@ def _run_starts(tasks) -> list:
 
 def _image_record(record, problem: OptimizationProblem, mirror: bool, negate_even: bool):
     """A start record carried over by the exact symmetries onto `problem`
-    (its target, family and threshold), without a new evaluation."""
-    p, phi = record["p"], record["phi"]
+    (its target, family and threshold), without a new evaluation; R and
+    j1/j0 are kept.  `negate_even` negates every even-m harmonic
+    (delta_n -> delta_n + pi, which is F -> -F up to a half-period time
+    shift): phi -> pi - phi in the same family.  `mirror` runs the drive
+    backwards in time (delta_n -> -delta_n): phi -> -phi in the other
+    family."""
+    N = problem.N
+    p, phi = np.array(record["p"], dtype=float), record["phi"]
     if negate_even:
-        p, phi = _negate_even(p, problem.N), float(wrap_angle(np.pi - phi))
+        p[[N + n - 2 for n in range(2, N + 1) if family_harmonic_integer(n) % 2 == 0]] += np.pi
+        phi = float(wrap_angle(np.pi - phi))
     if mirror:
-        p, phi = _mirror(p, problem.N), float(wrap_angle(-phi))
+        p[N:] = -p[N:]
+        phi = float(wrap_angle(-phi))
     if mirror or negate_even:
-        p = _canonical(p, problem.N)
+        p = _canonical(p, N)
     return _judged(problem, record, p=p, phi=phi)
 
 
@@ -759,39 +750,42 @@ def _param_jump(res_a: OptimizationResult, res_b: OptimizationResult, N: int) ->
     return float(np.linalg.norm(z(res_b.p_star) - z(res_a.p_star)))
 
 
-def _folded(a: float) -> float:
-    """The member of {a, pi - a} (mod 2 pi) in [-pi/2, pi/2]."""
-    a = float(wrap_angle(a))
-    return a if abs(a) <= np.pi / 2 else float(wrap_angle(np.pi - a))
+def _sweep_classes(phi_targets):
+    """(angles, sources) of a sweep: the angles to maximize the plus
+    family at, one per class of equivalent targets, and for each target
+    its plus- and minus-family sources, each an (angle index,
+    negate_even) pair for `_image_record`.
 
-
-def _sweep_angles(phi_targets) -> list:
-    """Angles to optimize the plus family at: one per class of the
-    targets and their negations under phi -> pi - phi.  Targets that
-    already lie in [-pi/2, pi/2] come first, then their negations, so a
-    representative is an input value wherever one is available."""
-    needed = list(phi_targets) + [-t for t in phi_targets]
-    angles = []
-    for a in [t for t in needed if abs(t) <= np.pi / 2] + [_folded(t) for t in needed]:
-        if not any(abs(wrap_angle(a - b)) <= SAME_ANGLE for b in angles):
+    The minus family at phi is the mirror image of the plus family at
+    -phi, so the plus family is needed at every target and its negation
+    b, as itself when b lies in [-pi/2, pi/2], else folded into that
+    interval, through pi - b (negate_even) where wrap(b) lies outside
+    it.  The candidates are first the targets and negations in
+    [-pi/2, pi/2], as themselves, so a representative is an input value
+    wherever one is available, then every target's and negation's fold.
+    A candidate within SAME_ANGLE (mod 2 pi) of a representative joins
+    the first such class, else it starts one, and b's source is the
+    class its own candidate joined.  Representatives are filed in bins
+    of width 2 SAME_ANGLE, so a candidate reads three bins and the work
+    is linear in the targets."""
+    needed = phi_targets + [-t for t in phi_targets]
+    # (angle, index in needed of the b it stands for, negate_even)
+    candidates = [(b, i, False) for i, b in enumerate(needed) if abs(b) <= np.pi / 2]
+    for i, b in enumerate(needed):
+        a = float(wrap_angle(b))
+        negate_even = abs(a) > np.pi / 2
+        candidates.append((float(wrap_angle(np.pi - a)) if negate_even else a, i, negate_even))
+    angles, bins, own = [], {}, [None] * len(needed)
+    for a, i, negate_even in candidates:
+        k = math.floor(a / (2 * SAME_ANGLE))
+        j = min((j for m in (k - 1, k, k + 1) for j in bins.get(m, ())
+                 if abs(wrap_angle(a - angles[j])) <= SAME_ANGLE), default=len(angles))
+        if j == len(angles):
             angles.append(a)
-    return angles
-
-
-def _family_optimum(solved, angles, problem: OptimizationProblem) -> OptimizationResult:
-    """The optimum of `problem`, carried over by the exact symmetries from
-    `solved`, the plus-family results at `angles` and the problem's
-    threshold: the minus family at phi is the mirror image of the plus
-    family at -phi, and within a family phi and pi - phi are images
-    under `_negate_even`."""
-    mirror = problem.family == "minus"
-    b = -problem.phi_target if mirror else problem.phi_target
-    for a, base in zip(angles, solved):
-        for negate_even, image in ((False, b), (True, np.pi - b)):
-            if abs(wrap_angle(image - a)) <= SAME_ANGLE:
-                records = [_image_record(r, problem, mirror, negate_even)
-                           for r in base.best_per_start]
-                return _best(records, problem.family)
+            bins.setdefault(k, []).append(j)
+        # b in [-pi/2, pi/2] keeps its first candidate, itself
+        own[i] = own[i] or (j, negate_even)
+    return angles, list(zip(own, own[len(phi_targets):]))
 
 
 def sweep_targets(phi_targets, r_thresholds, template: OptimizationProblem,
@@ -800,10 +794,11 @@ def sweep_targets(phi_targets, r_thresholds, template: OptimizationProblem,
 
     The template supplies N, amp_bound, n_starts and seed.  Maximizations
     run in the plus family only, at one angle per symmetry class
-    (`_sweep_angles`); each row takes the better of the two families'
-    optima (`_family_optimum`) by `_rank`, plus winning exact ties.
-    Parameter jumps between adjacent targets exceeding 10x the median
-    jump for that threshold, and every change of family, are recorded as
+    (`_sweep_classes`); each row carries its source class's start
+    records over to both families (`_image_record`) and takes the better
+    of the two optima by `_rank`, plus winning exact ties.  Parameter
+    jumps between adjacent targets exceeding 10x the median jump for that
+    threshold, and every change of family, are recorded as
     discontinuities.  As in `maximize`, `workers` is only checked.
     """
     phi_targets = list(phi_targets)
@@ -812,7 +807,7 @@ def sweep_targets(phi_targets, r_thresholds, template: OptimizationProblem,
         raise ValueError("target lists must be nonempty")
     if not all(math.isfinite(t) for t in phi_targets):
         raise ValueError("sweep targets must be finite angles")
-    angles = _sweep_angles(phi_targets)
+    angles, sources = _sweep_classes(phi_targets)
     solved = _maximize_all([replace(template, phi_target=a, r_threshold=r_th, family="plus")
                             for r_th in r_thresholds for a in angles], workers)
     rows = []
@@ -820,10 +815,12 @@ def sweep_targets(phi_targets, r_thresholds, template: OptimizationProblem,
     for k, r_th in enumerate(r_thresholds):
         base = solved[k * len(angles):(k + 1) * len(angles)]
         series = []
-        for phi_tg in phi_targets:
-            optima = [_family_optimum(base, angles, replace(
-                template, phi_target=phi_tg, r_threshold=r_th, family=family))
-                for family in ("plus", "minus")]
+        for phi_tg, source in zip(phi_targets, sources):
+            optima = []
+            for family, (j, negate_even) in zip(("plus", "minus"), source):
+                problem = replace(template, phi_target=phi_tg, r_threshold=r_th, family=family)
+                optima.append(_best([_image_record(r, problem, family == "minus", negate_even)
+                                     for r in base[j].best_per_start], family))
             # min keeps the first of equals, so plus wins exact ties
             res = min(optima, key=lambda r: _rank(r.feasible, r.R_value, r.phi_residual,
                                                   r.r_residual))

@@ -131,6 +131,27 @@ def test_sweep_targets_below_one_refused_by_name(argv, flag, count, tmp_path, ca
     assert not os.listdir(tmp_path)
 
 
+@pytest.mark.parametrize("argv, starts", [
+    (["--targets", "4096", "--starts", "65536"], 4096 * 65536 * 2),
+    (["--phi-list", "0.5,1", "--r-th", "0.25", "--starts", str(cli.MAX_POINTS)],
+     2 * cli.MAX_POINTS),
+    (["--targets", "1024", "--r-th", "0.25,0.3,0.5", "--starts", "342"], 1024 * 3 * 342),
+], ids=["targets", "phi-list", "thresholds"])
+def test_sweep_start_total_refused_by_name(argv, starts, tmp_path, capsys, monkeypatch):
+    # each count is within its own cap, but not their product: the sweep is
+    # refused, naming every flag of the product, before any start is drawn
+    def no_draw(*args):
+        raise AssertionError("a start array was drawn")
+    monkeypatch.setattr(optimizer, "_sobol_points", no_draw)
+    code, _, err = run(["sweep"] + argv + ["--out", str(tmp_path)], capsys)
+    assert code == 2
+    error = json.loads(err)["error"]
+    assert error["type"] == "config"
+    for name in ("--starts", "--targets", "--phi-list", "--r-th", f"make {starts} starts"):
+        assert name in error["message"]
+    assert not os.listdir(tmp_path)
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["optimize", "--phi-target", "1", "--r-th", "0.25", "--starts", "1000000000"], "--starts"),
     (["phase-map", "--A1", "0:1e9:1", "--A2", "0:1:1"], "--A1"),
@@ -547,6 +568,17 @@ def test_sweep_command(tmp_path, capsys):
     lines = read(tmp_path / "sweep.csv").decode().strip().split("\n")
     assert lines[0].endswith("p_jump_from_prev")
     assert len(lines) == 3
+
+
+def test_sweep_takes_large_finite_targets(tmp_path, capsys):
+    # a target far from [-pi, pi] has a float spacing near the class
+    # tolerance or above it; its class is that of its own fold, so every
+    # target finds its source
+    code, _, err = run(["sweep", "--phi-list", "1e6,-3e4,1e300", "--r-th", "0.25",
+                        "--starts", "1", "--out", str(tmp_path)], capsys)
+    assert (code, err) == (0, "")
+    lines = read(tmp_path / "sweep.csv").decode().strip().split("\n")
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [1e6, -3e4, 1e300]
 
 
 def test_sweep_rejects_nonfinite_target(tmp_path, capsys):

@@ -416,6 +416,67 @@ def test_sweep_takes_optimum_over_both_families(tmp_path, capsys):
     assert rows[2]["p_jump_from_prev"] == "1"
 
 
+def _reference_classes(targets):
+    """(angles, sources) by the class rule written out as plain scans:
+    the candidates in order, each joining the first representative within
+    SAME_ANGLE, and each target's plus (b = t) and minus (b = -t) source
+    the first representative that b or pi - b lies within SAME_ANGLE of."""
+    needed = targets + [-t for t in targets]
+
+    def folded(a):
+        a = float(wrap_angle(a))
+        return a if abs(a) <= np.pi / 2 else float(wrap_angle(np.pi - a))
+    angles = []
+    for a in [t for t in needed if abs(t) <= np.pi / 2] + [folded(t) for t in needed]:
+        if not any(abs(wrap_angle(a - b)) <= optimizer.SAME_ANGLE for b in angles):
+            angles.append(a)
+
+    def source(b):
+        for j, a in enumerate(angles):
+            for negate_even, image in ((False, b), (True, np.pi - b)):
+                if abs(wrap_angle(image - a)) <= optimizer.SAME_ANGLE:
+                    return j, negate_even
+    return angles, [(source(t), source(-t)) for t in targets]
+
+
+def test_sweep_classes_match_the_plain_scan():
+    # seeded random targets with near-duplicates of every kind the
+    # symmetries make, kept 1e-9 away from +-pi/2, where the two rules may
+    # pick different images of one class
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        base = (rng.uniform(-8, 8, rng.integers(1, 10)).tolist()
+                + rng.uniform(-100, 100, 2).tolist())
+        near = [f(t) for t in base for f in (
+            lambda t: t + rng.uniform(-2e-12, 2e-12), lambda t: np.pi - t, lambda t: -t,
+            lambda t: t + 2 * np.pi, lambda t: float(np.nextafter(t, np.inf)))
+            if rng.random() < 0.5]
+        targets = [t for t in base + near
+                   if abs(abs(float(wrap_angle(t))) - np.pi / 2) >= 1e-9]
+        targets += [np.pi, -np.pi, 0.0, -0.0]
+        rng.shuffle(targets)
+        angles, sources = optimizer._sweep_classes(targets)
+        ref_angles, ref_sources = _reference_classes(targets)
+        assert ([float(a).hex() for a in angles]
+                == [float(a).hex() for a in ref_angles]), seed
+        assert sources == ref_sources, seed
+
+
+def test_sweep_classes_work_is_linear(monkeypatch):
+    # the plain scan compares every candidate with every representative,
+    # millions of angle wraps for these targets
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return wrap_angle(x)
+    monkeypatch.setattr(optimizer, "wrap_angle", counted)
+    targets = list(np.linspace(-np.pi, np.pi, 2049)[1:])
+    angles, sources = optimizer._sweep_classes(targets)
+    assert len(angles) == 1025 and len(sources) == 2048
+    assert len(calls) <= 8 * len(targets)
+
+
 def test_worker_env_override(monkeypatch):
     from floqchern.optimizer import worker_count
     monkeypatch.setenv("FCF_THREADS", "3")
