@@ -6,12 +6,12 @@ byte-identical files.  Exit codes: 0 success, 2 configuration error,
 3 numerical failure; errors also go to stderr as one JSON object.
 A malformed or missing flag is a configuration error like any other,
 and so is a count above MAX_POINTS (a sweep's --starts x targets x
-thresholds among them), MAX_KSTEPS or optimizer.MAX_HARMONICS, a
---starts, --targets or --N below 1, a negative --seed, an --out that
-cannot be created or written, and a scipy release the SLSQP driver was
-not checked against.  --out is made and checked once, before any
-command starts its work, and the scipy release before any start is
-stepped.  Grid flags use
+thresholds among them), MAX_KSTEPS, MAX_CELL_KPOINTS (a chern-diagram's
+cells x --kgrid^2) or optimizer.MAX_HARMONICS, a --starts, --targets or
+--N below 1, a negative --seed, an --out that cannot be created or
+written, and a scipy release the SLSQP driver was not checked against.
+--out is made and checked once, before any command starts its work, and
+the scipy release before any start is stepped.  Grid flags use
 start:stop:step with the stop included when it lands on the grid within
 epsilon.  Every command runs in one process.  phase-map runs its kernel
 blocks on threads: FCF_THREADS of them, else one per usable core, at
@@ -67,6 +67,11 @@ MAX_KSTEPS = 1 << 23
 #: 79-105 ns per k-point step at 24^2, a ratio of 83-102), so that
 #: MAX_KSTEPS bounds run time on small grids too
 MIN_STEP_KPOINTS = 128
+
+#: most cell k-points (cells x --kgrid^2) in one chern-diagram; it bounds
+#: run time at about 12 s (both models, 2-core x86-64: 76-89 ns per cell
+#: k-point for 97 x 97 cells at 48^2 and 25 x 25 at 192^2)
+MAX_CELL_KPOINTS = 1 << 27
 
 
 class ConfigError(ValueError):
@@ -220,6 +225,9 @@ def cmd_chern_diagram(args) -> int:
     if args.kgrid ** 2 > MAX_POINTS:
         raise ConfigError(f"--kgrid {args.kgrid} has {args.kgrid ** 2} k-points, "
                           f"more than {MAX_POINTS}")
+    if (work := len(phis) * len(ratios) * args.kgrid ** 2) > MAX_CELL_KPOINTS:
+        raise ConfigError(f"--phi x --ratio grid of {len(phis) * len(ratios)} cells at --kgrid "
+                          f"{args.kgrid} makes {work} cell k-points, more than {MAX_CELL_KPOINTS}")
     kinds = {"both": bloch.KINDS, "driven": ("driven_hexagonal",),
              "haldane": ("haldane_reference",)}[args.model]
     diagrams = bloch.phase_diagram(phis, ratios, N1=args.kgrid, N2=args.kgrid, kinds=kinds)

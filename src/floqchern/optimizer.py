@@ -50,10 +50,18 @@ Two exact symmetries leave R and j1/j0 unchanged: the minus family at
 phi -> pi - phi.  `maximize` searches the problem's family only.
 `sweep_targets` reports at each target the better of the two families'
 optima, the plus family winning exact ties.  Through the two symmetries
-it runs one plus-family maximization per class of equivalent targets,
-all starts stepped together; `_sweep_classes` finds the classes, and
-each target's source class in each family, in one pass over the
-targets.
+it runs one plus-family maximization per class of equivalent targets;
+`_sweep_classes` finds the classes, and each target's source class in
+each family, in one pass over the targets.  A closed-form ceiling
+bounds R at every feasible point: by Parseval the kernel's
+tau1/(1 - j1^2) lies in the convex hull of the points zeta^{sn}/n and
+-zeta^{-sn}/n (n >= 1), a quadrilateral, so j2 <= h_s(phi)(1 - j1^2)
+with h_s its radial function, and R <= C_s(phi, r_th) =
+h_s(phi)(1 - r_th^2)/r_th (`_r_ceiling`, over the phase window and
+with a rounding margin).  The sweep's classes run in two waves of
+lockstep starts: after the first, a class whose ceiling lies below the
+other family's feasible optimum at every row it serves is skipped.  A
+skipped class never wins a row, so every row is that of a single wave.
 
 Every candidate evaluation, p -> (R, j1/j0, phi, phi_defined), goes
 through one kernel, `_candidate_batch`, which takes an array of
@@ -750,6 +758,60 @@ def _param_jump(res_a: OptimizationResult, res_b: OptimizationResult, N: int) ->
     return float(np.linalg.norm(z(res_b.p_star) - z(res_a.p_star)))
 
 
+#: vertices, counterclockwise, of the plus family's hull: the convex hull
+#: of the points zeta^n/n and -zeta^-n/n (n >= 1, zeta = e^{2 pi i / 3}),
+#: which holds tau1/(1 - j1^2).  They are the points of n = 2, then
+#: n = 1; the n = 3 points +-1/3 lie on its edges and those of n >= 4
+#: inside it.  The minus family's hull is its mirror image
+_HULL = tuple(r * complex(math.cos(a), math.sin(a)) for r, a in (
+    (0.5, -2 * math.pi / 3), (0.5, -math.pi / 3), (1, math.pi / 3), (1, 2 * math.pi / 3)))
+
+#: slack on the phase window of a ceiling, beyond PHI_TOL: it covers
+#: SAME_ANGLE and the rounding of a sweep image's phase and of its phase
+#: gap to a target t, under 1e-11 together for |t| <= _CEILING_MAX_TARGET
+#: (a sweep class that serves a larger target is never skipped)
+_CEILING_PHASE_SLACK = 1e-9
+_CEILING_MAX_TARGET = 1024.0
+
+#: rounding margin of a ceiling: relative on the hull's radial function,
+#: and absolute on the power 1 - j1^2 off n = 0, which the kernel's
+#: Parseval sum meets to about 1e-15
+_CEILING_MARGIN = 1e-9
+
+
+def _radial(phi: float) -> float:
+    """h_+(phi), the radial function of the plus family's hull: the
+    largest rho with rho e^{i phi} in it, the smallest
+    cross(a, b) / cross(u, b - a) over the edges (a, b) that face
+    u = e^{i phi}."""
+    u = complex(math.cos(phi), math.sin(phi))
+
+    def cross(z, w):
+        return z.real * w.imag - z.imag * w.real
+    return min(cross(a, b) / c for a, b in zip(_HULL, _HULL[1:] + _HULL[:1])
+               if (c := cross(u, b - a)) > 0)
+
+
+def _r_ceiling(phi: float, r_th: float) -> float:
+    """An upper bound on R over every feasible plus-family point at the
+    target phi and floor r_th, for any N, amplitude bound and grid.
+
+    By Parseval the kernel's tau1/(1 - j1^2) lies in the hull `_HULL`,
+    so j2 <= h_+(phi)(1 - j1^2), and R = j2/j1 falls as j1 rises.  The
+    bound is the largest h_+ over the window |phi' - phi| <= PHI_TOL +
+    _CEILING_PHASE_SLACK, reached at a window end or at a hull vertex
+    inside it, times (1 - r^2)/r with r = r_th - FEAS_TOL, each with the
+    margin _CEILING_MARGIN; +inf where r <= 0."""
+    r = r_th - FEAS_TOL
+    if r <= 0:
+        return math.inf
+    w = PHI_TOL + _CEILING_PHASE_SLACK
+    vertices = (math.atan2(v.imag, v.real) for v in _HULL)
+    inside = [d for a in vertices if abs(d := float(wrap_angle(a - phi))) <= w]
+    h = max(_radial(phi + d) for d in (-w, w, *inside))
+    return h * (1 + _CEILING_MARGIN) * (1 - r * r + _CEILING_MARGIN) / r
+
+
 def _sweep_classes(phi_targets):
     """(angles, sources) of a sweep: the angles to maximize the plus
     family at, one per class of equivalent targets, and for each target
@@ -796,10 +858,23 @@ def sweep_targets(phi_targets, r_thresholds, template: OptimizationProblem,
     run in the plus family only, at one angle per symmetry class
     (`_sweep_classes`); each row carries its source class's start
     records over to both families (`_image_record`) and takes the better
-    of the two optima by `_rank`, plus winning exact ties.  Parameter
-    jumps between adjacent targets exceeding 10x the median jump for that
-    threshold, and every change of family, are recorded as
-    discontinuities.  As in `maximize`, `workers` is only checked.
+    of the two optima by `_rank`, plus winning exact ties.
+
+    The (threshold, class) maximizations run in two waves.  A class is a
+    skip candidate when at every row it serves its ceiling (`_r_ceiling`)
+    is below that of the row's other-family source class, and every
+    target it serves has |t| <= _CEILING_MAX_TARGET.  Wave 1 solves the
+    other classes.  A candidate is skipped when at every row it serves
+    the other family's optimum comes from a wave-1 class, is feasible
+    and has R strictly above the candidate's ceiling; wave 2 solves the
+    candidates that are left.  A skipped class never wins a row: no
+    feasible point of its family reaches its ceiling, so such a row
+    takes the other family's optimum unchanged, and since starts are
+    independent every row is the one a single wave would give.
+
+    Parameter jumps between adjacent targets exceeding 10x the median
+    jump for that threshold, and every change of family, are recorded
+    as discontinuities.  As in `maximize`, `workers` is only checked.
     """
     phi_targets = list(phi_targets)
     r_thresholds = list(r_thresholds)
@@ -808,22 +883,56 @@ def sweep_targets(phi_targets, r_thresholds, template: OptimizationProblem,
     if not all(math.isfinite(t) for t in phi_targets):
         raise ValueError("sweep targets must be finite angles")
     angles, sources = _sweep_classes(phi_targets)
-    solved = _maximize_all([replace(template, phi_target=a, r_threshold=r_th, family="plus")
-                            for r_th in r_thresholds for a in angles], workers)
+    # the rows (target index, family index) each class serves
+    served = [[] for _ in angles]
+    for i, source in enumerate(sources):
+        for f, (j, _) in enumerate(source):
+            served[j].append((i, f))
+    classes = [(k, j) for k in range(len(r_thresholds)) for j in range(len(angles))]
+    ceiling = {(k, j): _r_ceiling(angles[j], r_thresholds[k]) for k, j in classes}
+    candidates = {(k, j) for k, j in classes if all(
+        abs(phi_targets[i]) <= _CEILING_MAX_TARGET
+        and ceiling[k, j] < ceiling[k, sources[i][1 - f][0]] for i, f in served[j])}
+    solved = {}
+
+    def solve(wave):
+        problems = [replace(template, phi_target=angles[j], r_threshold=r_thresholds[k],
+                            family="plus") for k, j in wave]
+        solved.update(zip(wave, _maximize_all(problems, workers)))
+
+    optima = {}
+
+    def optimum(k, i, f):
+        """The optimum of row i at threshold k in family f (0 plus, 1
+        minus): its source class's start records carried over."""
+        if (k, i, f) not in optima:
+            (j, negate_even), family = sources[i][f], ("plus", "minus")[f]
+            problem = replace(template, phi_target=phi_targets[i], r_threshold=r_thresholds[k],
+                              family=family)
+            optima[k, i, f] = _best([_image_record(r, problem, f == 1, negate_even)
+                                     for r in solved[k, j].best_per_start], family)
+        return optima[k, i, f]
+
+    def beaten(k, j):
+        return all((k, sources[i][1 - f][0]) in solved
+                   and (res := optimum(k, i, 1 - f)).feasible and res.R_value > ceiling[k, j]
+                   for i, f in served[j])
+
+    # the class of the largest ceiling is never a candidate, so wave 1
+    # is not empty and checks `workers` before any work
+    solve([c for c in classes if c not in candidates])
+    if wave := [c for c in classes if c in candidates and not beaten(*c)]:
+        solve(wave)
     rows = []
     jumps = {}
     for k, r_th in enumerate(r_thresholds):
-        base = solved[k * len(angles):(k + 1) * len(angles)]
         series = []
-        for phi_tg, source in zip(phi_targets, sources):
-            optima = []
-            for family, (j, negate_even) in zip(("plus", "minus"), source):
-                problem = replace(template, phi_target=phi_tg, r_threshold=r_th, family=family)
-                optima.append(_best([_image_record(r, problem, family == "minus", negate_even)
-                                     for r in base[j].best_per_start], family))
+        for i, phi_tg in enumerate(phi_targets):
             # min keeps the first of equals, so plus wins exact ties
-            res = min(optima, key=lambda r: _rank(r.feasible, r.R_value, r.phi_residual,
-                                                  r.r_residual))
+            res = min((optimum(k, i, f) for f in (0, 1) if (k, sources[i][f][0]) in solved),
+                      key=lambda r: _rank(r.feasible, r.R_value, r.phi_residual, r.r_residual))
+            for f in (0, 1):    # only the winners stay in memory
+                optima.pop((k, i, f), None)
             rows.append((phi_tg, r_th, res))
             series.append(res)
         ds = [_param_jump(series[i], series[i + 1], template.N)

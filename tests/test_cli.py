@@ -164,6 +164,10 @@ def test_sweep_start_total_refused_by_name(argv, starts, tmp_path, capsys, monke
     # a step counts as MIN_STEP_KPOINTS k-points: 2^23 steps at --kgrid 1 is over the cap
     (["validate", "--drive", PLUS_N1, "--kgrid", "1", "--steps", "8388608"],
      "--kgrid 1 and --steps 8388608"),
+    # each flag within its own cap, but 129 cells x 1024^2 k-points is over
+    # MAX_CELL_KPOINTS (2^27)
+    (["chern-diagram", "--kgrid", "1024", "--phi=0:128:1", "--ratio=0:0:1"],
+     "--phi x --ratio grid of 129 cells at --kgrid 1024"),
 ])
 def test_count_caps_refuse_before_allocation(argv, flag, tmp_path, capsys):
     # each input asks for gigabytes; the caps refuse it with no large allocation
@@ -179,6 +183,24 @@ def test_count_caps_refuse_before_allocation(argv, flag, tmp_path, capsys):
     assert error["type"] == "config" and flag in error["message"]
     assert not os.listdir(tmp_path)
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("phi, ratio, kgrid, cells", [
+    ("-3.1416:3.1416:0.065", "-8:8:0.165", 48, 97 * 97),    # README's diagram
+    ("-3.1416:3.1416:0.065", "-8:8:0.165", 96, 97 * 97),    # 8.7e7 cell k-points
+    ("0:127:1", "0:0:1", 1024, 128),                        # MAX_CELL_KPOINTS itself
+])
+def test_chern_diagram_cap_accepts_large_documented_runs(phi, ratio, kgrid, cells, tmp_path,
+                                                         capsys, monkeypatch):
+    # the cell k-point cap lets these runs reach the diagram, stubbed here
+    calls = []
+    monkeypatch.setattr(cli.bloch, "phase_diagram",
+                        lambda phis, ratios, N1, N2, kinds: calls.append(
+                            (len(phis) * len(ratios), N1)) or {})
+    assert main(["chern-diagram", f"--phi={phi}", f"--ratio={ratio}", "--kgrid", str(kgrid),
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert calls == [(cells, kgrid)]
 
 
 @pytest.mark.parametrize("command", [

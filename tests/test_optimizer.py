@@ -477,6 +477,164 @@ def test_sweep_classes_work_is_linear(monkeypatch):
     assert len(calls) <= 8 * len(targets)
 
 
+def _hull_radial(family, phi):
+    """h_s(phi) in closed form: the plus family's `_radial`, mirrored for
+    the minus family."""
+    return optimizer._radial(phi if family == "plus" else -phi)
+
+
+def _hull_lp(family, phi, n_max=60):
+    """h_s(phi) by linear programming: the largest rho such that
+    rho e^{i phi} is a convex combination of the points zeta^{sn}/n and
+    -zeta^{-sn}/n, n = 1 .. n_max."""
+    from scipy.optimize import linprog
+    s = 1 if family == "plus" else -1
+    n = np.arange(1, n_max + 1)
+    zeta = np.exp(2j * np.pi / 3)
+    points = np.concatenate((zeta ** (s * n) / n, -zeta ** (-s * n) / n))
+    # variables (rho, w): rho e^{i phi} = sum w v, sum w = 1, w >= 0
+    A_eq = np.array([np.concatenate(([-np.cos(phi)], points.real)),
+                     np.concatenate(([-np.sin(phi)], points.imag)),
+                     np.concatenate(([0.0], np.ones(len(points))))])
+    c = np.zeros(1 + len(points))
+    c[0] = -1.0
+    res = linprog(c, A_eq=A_eq, b_eq=[0.0, 0.0, 1.0], bounds=[(0, None)] * len(c),
+                  method="highs")
+    assert res.status == 0
+    return res.x[0]
+
+
+_VERTEX_ANGLES = [k * np.pi / 3 for k in (-2, -1, 1, 2)]
+
+
+def test_ceiling_hull_is_the_lp_optimum():
+    # the closed-form radial function of the hull against an LP over the
+    # points of n = 1-60, both families, at 73 angles and the vertex
+    # angles; they agreed to 1.5e-15 relative, the bound is 1e-12
+    for family in ("plus", "minus"):
+        for phi in list(np.linspace(-np.pi, np.pi, 73)) + _VERTEX_ANGLES:
+            h = _hull_radial(family, phi)
+            assert abs(h - _hull_lp(family, phi)) <= 1e-12 * h, (family, phi)
+
+
+@pytest.mark.parametrize("phi", [np.pi / 2, -np.pi / 2, -np.pi / 4, 0.3,
+                                 np.pi / 3 + 5e-4, -2 * np.pi / 3 - 9e-4, np.pi])
+def test_ceiling_is_the_window_maximum(phi):
+    # `_r_ceiling` is the LP radial function's largest value h over the
+    # phase window, sampled at its ends, the vertices inside it and 21
+    # points between, times (1 - r^2)/r, with its margins m:
+    # h (1 - r^2)/r <= ceiling = h (1 + m)(1 - r^2 + m)/r, to 1e-12
+    w = optimizer.PHI_TOL + optimizer._CEILING_PHASE_SLACK
+    window = [phi + d for d in np.linspace(-w, w, 23)]
+    window += [v + 2 * np.pi * k for v in _VERTEX_ANGLES for k in (-1, 0, 1)
+               if abs(v + 2 * np.pi * k - phi) <= w]
+    h, m = max(_hull_lp("plus", a) for a in window), optimizer._CEILING_MARGIN
+    for r_th in (0.25, 0.5, 0.999):
+        r = r_th - optimizer.FEAS_TOL
+        ceiling = optimizer._r_ceiling(phi, r_th)
+        assert h * (1 - r * r) / r <= ceiling
+        assert ceiling == pytest.approx(h * (1 + m) * (1 - r * r + m) / r, rel=1e-12, abs=0)
+    assert optimizer._r_ceiling(phi, optimizer.FEAS_TOL) == np.inf
+    assert optimizer._r_ceiling(phi, 0.0) == np.inf
+
+
+def _check_ceiling(family, R, j1, phi, defined, margin=optimizer._CEILING_MARGIN):
+    """Assert j2 <= h_s(phi)(1 + margin)(1 - j1^2 + margin) for each
+    defined row of kernel output, j2 = R j1; the largest
+    j2 / (h_s(phi)(1 - j1^2)) over them."""
+    rows = defined & (j1 > 0)
+    j2, j1, phi = R[rows] * j1[rows], j1[rows], phi[rows]
+    h = np.array([_hull_radial(family, a) for a in phi])
+    assert np.all(j2 <= h * (1 + margin) * (1 - j1 * j1 + margin))
+    return float(np.max(j2 / (h * (1 - j1 * j1)), initial=0.0))
+
+
+def _kernel_respects_ceiling(family, N, P):
+    # the margin holds with room: a margin 1,000 times smaller holds too
+    out = _candidate_batch(family, N, P, 1)
+    _check_ceiling(family, *out, margin=optimizer._CEILING_MARGIN / 1000)
+    return _check_ceiling(family, *out)
+
+
+def _family_batches():
+    """(family, N, P): batches of 1-16 parameter vectors, N = 1-4."""
+    def batch(family, N):
+        row = st.tuples(st.lists(st.floats(0.0, 7.0), min_size=N, max_size=N),
+                        st.lists(st.floats(-np.pi, np.pi), min_size=N - 1, max_size=N - 1))
+        return st.lists(row.map(lambda v: v[0] + v[1]), min_size=1, max_size=16).map(
+            lambda rows: (family, N, np.array(rows)))
+    return st.tuples(st.sampled_from(["plus", "minus"]), st.integers(1, 4)).flatmap(
+        lambda fN: batch(*fN))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_family_batches())
+def test_kernel_batches_respect_the_ceiling(case):
+    _kernel_respects_ceiling(*case)
+
+
+def test_phase_maps_and_random_samples_respect_the_ceiling():
+    # every defined cell of criterion 4's maps, in both families, where
+    # the largest j2 / (h_s(phi)(1 - j1^2)) was 0.99994, and random-search
+    # samples of N = 1-4 over the search box
+    A1 = np.arange(0.0, 3.5 + 1e-9, 0.05)
+    A2 = np.arange(-3.5, 3.5 + 1e-9, 0.05)
+    worst = 0.0
+    for family, delta2 in (("plus", np.pi / 2), ("minus", -np.pi / 2)):
+        P = np.stack(np.broadcast_arrays(A1[:, None], A2[None, :], delta2),
+                     axis=-1).reshape(-1, 3)
+        worst = max(worst, _kernel_respects_ceiling(family, 2, P))
+    assert 0.999 < worst <= 1.0
+    rng = np.random.default_rng(27)
+    for family in ("plus", "minus"):
+        for N in (1, 2, 3, 4):
+            lo, hi = optimizer._search_box(OptimizationProblem(0.0, 0.25, family, N))
+            _kernel_respects_ceiling(family, N, lo + rng.random((500, 2 * N - 1)) * (hi - lo))
+
+
+def _typed_rows(sweep):
+    """Every field of a sweep's rows, with types, p and p_star as bytes."""
+    return [(phi, r_th, [(name, type(value), value.tobytes() if name == "p_star" else value)
+                         for name, value in vars(res).items() if name != "best_per_start"],
+             _typed(res.best_per_start)) for phi, r_th, res in sweep.rows]
+
+
+@pytest.mark.parametrize("targets, N, starts, solved_counts, unsolved", [
+    (list(np.linspace(-np.pi, np.pi, 9)[1:]), 2, 4, (8, 10), -np.pi / 2),
+    (list(np.linspace(-np.pi, np.pi, 14)[1:]), 3, 4, (22, 26), None),
+    # no row is feasible at N = 1 off +-pi/2, and the minus-family optimum
+    # at pi/4 has R above the -pi/4 class's ceiling: a skip on R alone
+    # would move these rows
+    ([-np.pi / 4, np.pi / 4], 1, 2, (4, 4), None),
+    # a target beyond _CEILING_MAX_TARGET keeps its class, here -pi/2's
+    ([np.pi / 2, -np.pi / 2 - 800 * np.pi], 2, 4, (4, 4), None),
+])
+def test_skipped_classes_never_win_a_row(targets, N, starts, solved_counts, unsolved,
+                                         monkeypatch):
+    # the sweep as it is, and with every ceiling +inf, which skips no
+    # class: rows, jumps and each row's start records are equal field by
+    # field with types.  The benchmark sweep never solves the -pi/2 class,
+    # at either threshold
+    template = OptimizationProblem(phi_target=0.0, r_threshold=0.25, N=N, n_starts=starts,
+                                   seed=42)
+    solved = []
+    maximize_all = optimizer._maximize_all
+
+    def recorded(problems, workers=None):
+        solved.extend((p.phi_target, p.r_threshold) for p in problems)
+        return maximize_all(problems, workers)
+    monkeypatch.setattr(optimizer, "_maximize_all", recorded)
+    skipping = sweep_targets(targets, [0.25, 0.5], template)
+    skipped = len(solved)
+    assert unsolved not in [phi for phi, _ in solved]
+    solved.clear()
+    monkeypatch.setattr(optimizer, "_r_ceiling", lambda phi, r_th: np.inf)
+    every = sweep_targets(targets, [0.25, 0.5], template)
+    assert (skipped, len(solved)) == solved_counts
+    assert _typed_rows(skipping) == _typed_rows(every)
+    assert skipping.jumps == every.jumps
+
+
 def test_worker_env_override(monkeypatch):
     from floqchern.optimizer import worker_count
     monkeypatch.setenv("FCF_THREADS", "3")
