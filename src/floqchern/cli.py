@@ -14,10 +14,11 @@ written, and a scipy release the SLSQP driver was not checked against.
 the scipy release before any start is stepped.  Grid flags use
 start:stop:step with the stop included when it lands on the grid within
 epsilon.  Every command runs in one process.  phase-map runs its kernel
-blocks on threads: FCF_THREADS of them, else one per usable core, at
-most optimizer.MAX_WORKERS.  optimize and sweep step every SLSQP start
-in the calling thread; they take --threads and check it, or FCF_THREADS
-where it is not given, but neither changes how they run.  A FCF_THREADS
+blocks, and validate --ladder its omega rungs, on threads: FCF_THREADS
+of them, else one per usable core, at most optimizer.MAX_WORKERS.
+optimize and sweep step every SLSQP start in the calling thread; they
+take --threads and check it, or FCF_THREADS where it is not given, but
+neither changes how they run.  A FCF_THREADS
 or --threads below 1 or above optimizer.MAX_WORKERS is a configuration
 error.
 

@@ -84,7 +84,8 @@ and the thread count.  The kernel takes its drive-layer rules from
 (`_family_bond_amplitudes`), the grid key that groups drives
 (`_grid_key`) and the truncation limit (`_tail_fits`).  Every thread
 count comes from `worker_count` and every thread is started by
-`_threaded`; a count below 1 or above MAX_WORKERS is refused before any
+`_threaded`, here and in `validate.omega_ladder`, which runs its rungs
+on it; a count below 1 or above MAX_WORKERS is refused before any
 thread starts.  `maximize` and `sweep_targets` still take `workers` and
 check it the same way, but it does not change how they run.
 """

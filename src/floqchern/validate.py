@@ -32,11 +32,16 @@ effective spectrum goes by eigenvector overlap (in the same sublattice
 gauge), since folding can invert energy order.
 
 The omega ladder's first rung (factor 1) is the base comparison, so
-`validate --ladder` propagates each omega once.
+`validate --ladder` propagates each omega once.  The rungs are
+independent, so `omega_ladder` runs them on `optimizer.worker_count()`
+threads through `optimizer._threaded`; each propagation writes its step
+blocks into work arrays of its own, allocated once per call, and every
+output is bit for bit that of one thread.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,12 +51,13 @@ from . import bloch as _bloch
 from .drive import (DriveSpec, LatticeGeometry, _bond_amplitudes, _fold, _peierls_phases,
                     _phasor, fourier_components)
 from .effective import derive_rates
+from .optimizer import _threaded, worker_count
 
 RICHARDSON_TOL = 1e-8
 
 #: most k-point steps whose step matrices, and harmonic terms whose phases,
 #: are held at once (32 steps at the 24^2 grid); it bounds memory, not
-#: cache use: a 2^15 block makes about 20 temporaries of 256-512 KB
+#: cache use: at 2^15 the block's work arrays take about 4.3 MiB
 STEP_BLOCK_SAMPLES = 1 << 15
 
 
@@ -76,10 +82,13 @@ def _bond_phases(k, geom):
     return np.exp(1j * kb1), np.exp(-1j * kb2)
 
 
-def _bond_sum(g, ph1, ph2):
+def _bond_sum(g, ph1, ph2, out=None, work=None):
     """G = g_3 + g_2 e^{+i k.b1} + g_1 e^{-i k.b2} from the bond rates
-    g (3, ...) and the `_bond_phases` (ph1, ph2), broadcast together."""
-    return g[2] + g[1] * ph1 + g[0] * ph2
+    g (3, ...) and the `_bond_phases` (ph1, ph2), broadcast together;
+    written into `out`, with `work` as scratch, where they are given
+    (both complex, of the broadcast shape)."""
+    G = np.add(g[2], np.multiply(g[1], ph1, out=out), out=out)
+    return np.add(G, np.multiply(g[0], ph2, out=work), out=out)
 
 
 def bloch_hamiltonian_t(spec: DriveSpec, geom: LatticeGeometry, j0: float,
@@ -114,39 +123,53 @@ def _propagators(spec, geom, j0, delta, ks, steps):
     4 steps, so the working set does not grow with the step count.  The
     block is a power of two, which divides the step count (a power of
     two, as PropagatorSettings asks) and gives each step's rates bit for
-    bit as one product over the whole period would.
+    bit as one product over the whole period would.  The block's work
+    arrays are allocated once per call and written in place; each step
+    multiplies U by one broadcast product and one sum, (Nk,)-vector
+    operations in the order of the 2x2 product's terms.
     """
     ks = np.atleast_2d(np.asarray(ks, dtype=float))
+    nk = len(ks)
     T = spec.period
     dt = T / steps
     ph1, ph2 = _bond_phases(ks, geom)
     ms, Z = _bond_amplitudes(spec, geom)
-    u11 = np.ones(len(ks), dtype=complex)
-    u12 = np.zeros(len(ks), dtype=complex)
-    u21 = np.zeros(len(ks), dtype=complex)
-    u22 = np.ones(len(ks), dtype=complex)
-    fits = max(1, STEP_BLOCK_SAMPLES // max(len(ks), len(spec.harmonics)))
+    fits = max(1, STEP_BLOCK_SAMPLES // max(nk, len(spec.harmonics)))
     block = min(steps, max(4, 1 << (fits.bit_length() - 1)))
+    G, w, q = (np.empty((block, nk), dtype=complex) for _ in range(3))
+    E, c, s = (np.empty((block, nk)) for _ in range(3))
+    pos = np.empty((block, nk), dtype=bool)
+    h1, h2 = G.real, G.imag
+    # the step matrices m[n, i, j] and U[i, j], entries as (Nk,) vectors,
+    # and the terms m[i, l] U[l, j] of one step's product
+    m = np.empty((block, 2, 2, nk), dtype=complex)
+    u = np.zeros((2, 2, nk), dtype=complex)
+    u[0, 0] = u[1, 1] = 1
+    terms = np.empty((2, 2, 2, nk), dtype=complex)
     for n0 in range(0, steps, block):
         chi = _peierls_phases(ms, Z, spec.omega, (np.arange(n0, n0 + block) + 0.5) * dt)
-        g = _phasor(chi, j0)
-        G = _bond_sum(g[:, :, None], ph1, ph2)
-        h1 = G.real
-        h2 = G.imag
-        E = np.sqrt(h1 ** 2 + h2 ** 2 + delta ** 2)
-        c = np.cos(E * dt)
-        s = np.where(E > 0, np.sin(E * dt) / np.where(E > 0, E, 1.0), dt)
-        m11 = c - 1j * s * delta
-        m12 = -1j * s * (h1 - 1j * h2)
-        m21 = -1j * s * (h1 + 1j * h2)
-        m22 = c + 1j * s * delta
-        for a11, a12, a21, a22 in zip(m11, m12, m21, m22):
-            u11, u12, u21, u22 = (a11 * u11 + a12 * u21, a11 * u12 + a12 * u22,
-                                  a21 * u11 + a22 * u21, a21 * u12 + a22 * u22)
-    U = np.empty((len(ks), 2, 2), dtype=complex)
-    U[:, 0, 0], U[:, 0, 1] = u11, u12
-    U[:, 1, 0], U[:, 1, 1] = u21, u22
-    return U
+        _bond_sum(_phasor(chi, j0)[:, :, None], ph1, ph2, out=G, work=w)
+        # E = sqrt(h1 ** 2 + h2 ** 2 + delta ** 2)
+        np.add(np.square(h1, out=E), np.square(h2, out=c), out=E)
+        np.sqrt(np.add(E, delta ** 2, out=E), out=E)
+        # s = sin(E dt) / E where E > 0, else dt; c = cos(E dt)
+        np.sin(np.multiply(E, dt, out=c), out=s)
+        np.cos(c, out=c)
+        np.divide(s, E, out=s, where=np.greater(E, 0, out=pos))
+        np.copyto(s, dt, where=np.logical_not(pos, out=pos))
+        # m11 = c - 1j * s * delta, m22 = c + 1j * s * delta
+        np.multiply(np.multiply(1j, s, out=q), delta, out=q)
+        np.subtract(c, q, out=m[:, 0, 0])
+        np.add(c, q, out=m[:, 1, 1])
+        # m12 = -1j * s * (h1 - 1j * h2), m21 = -1j * s * (h1 + 1j * h2)
+        np.multiply(-1j, s, out=q)
+        np.multiply(1j, h2, out=w)
+        np.multiply(q, np.subtract(h1, w, out=m[:, 0, 1]), out=m[:, 0, 1])
+        np.multiply(q, np.add(h1, w, out=m[:, 1, 0]), out=m[:, 1, 0])
+        for a in m:
+            np.multiply(a[:, :, None], u, out=terms)
+            np.add(terms[:, 0], terms[:, 1], out=u)
+    return np.ascontiguousarray(u.transpose(2, 0, 1))
 
 
 def period_propagator(spec: DriveSpec, geom: LatticeGeometry, j0: float,
@@ -285,13 +308,19 @@ def omega_ladder(spec: DriveSpec, geom: LatticeGeometry, j0: float, delta: float
     Amplitudes are stored as multiples of omega, so raising omega with the
     same harmonics realizes exactly the fixed-ratio ladder.  With the
     default first factor 1.0, the first rung is `compare_effective` at the
-    base omega, bit for bit.  A deviation of exactly 0 (an effective model
-    that is exact on the grid) leaves the exponent and the shrink factors
-    that need its logarithm or divide by it undefined: NaN, with no warning.
+    base omega, bit for bit.  The rungs are independent propagations and
+    run on `worker_count()` threads (`optimizer._threaded`), in order as
+    far as errors go: the first rung that raises, in order, raises, and no
+    result depends on the thread count.  A deviation of exactly 0 (an
+    effective model that is exact on the grid) leaves the exponent and the
+    shrink factors that need its logarithm or divide by it undefined: NaN,
+    with no warning.
     """
-    reports = [compare_effective(DriveSpec(family=spec.family, omega=spec.omega * f,
+    def rung(factor):
+        return compare_effective(DriveSpec(family=spec.family, omega=spec.omega * factor,
                                            harmonics=spec.harmonics),
-                                 geom, j0, delta, kgrid, settings) for f in factors]
+                                 geom, j0, delta, kgrid, settings)
+    reports = _threaded([functools.partial(rung, f) for f in factors], worker_count())
     omegas = np.array([rep.omega for rep in reports])
     devs = np.array([rep.max_abs_deviation for rep in reports])
     positive = devs > 0

@@ -669,6 +669,10 @@ def test_rerun_byte_identical(argv, tmp_path, capsys):
         assert read(a / name) == read(b / name), name
 
 
+LADDER = ["validate", "--drive", PLUS_N1, "--j0-over-omega", "0.02", "--kgrid", "2",
+          "--steps", "256", "--ladder"]
+
+
 @pytest.mark.parametrize("argv, env, flag", [
     (["phase-map", "--A1", "0:1:0.5", "--A2", "0:1:0.5"], "100000", "FCF_THREADS"),
     (["optimize", "--phi-target", "1", "--r-th", "0.25", "--starts", "4"], "100000",
@@ -680,6 +684,8 @@ def test_rerun_byte_identical(argv, tmp_path, capsys):
     (["sweep", "--targets", "2", "--starts", "4", "--threads", "0"], None, "--threads"),
     (["phase-map", "--A1", "0:1:0.5", "--A2", "0:1:0.5"], "0", "FCF_THREADS"),
     (["sweep", "--targets", "2", "--starts", "4"], "-1", "FCF_THREADS"),
+    (LADDER, "0", "FCF_THREADS"),
+    (LADDER, "100000", "FCF_THREADS"),
 ])
 def test_worker_cap_exit_2(argv, env, flag, tmp_path, capsys, monkeypatch):
     # refused before any thread or process starts (the values are never run)

@@ -1,3 +1,6 @@
+import contextlib
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -23,8 +26,9 @@ from floqchern import (
     wrap_angle,
 )
 from floqchern import validate
+from floqchern.cli import main as cli_main
 from floqchern.drive import _bond_amplitudes, _peierls_phases, _phasor
-from floqchern.validate import _effective_h, _propagators
+from floqchern.validate import _bond_phases, _effective_h, _propagators
 
 GEOM = default_geometry()
 K_POINT = (GEOM.G1 + GEOM.G2) / 3
@@ -277,6 +281,150 @@ def test_propagator_evaluates_rates_in_step_blocks(harmonics, kgrid, steps, bloc
     assert max(times) == block and sum(times) == steps
     # the bond amplitudes are built once per propagation, not per block
     assert built == [spec]
+
+
+def _fresh_block_propagators(spec, geom, j0, delta, ks, steps):
+    """`_propagators` as it was written with fresh arrays for every block
+    and four k-vector products per step: the oracle of the in-place
+    version."""
+    ks = np.atleast_2d(np.asarray(ks, dtype=float))
+    dt = spec.period / steps
+    ph1, ph2 = _bond_phases(ks, geom)
+    ms, Z = _bond_amplitudes(spec, geom)
+    u11 = np.ones(len(ks), dtype=complex)
+    u12 = np.zeros(len(ks), dtype=complex)
+    u21 = np.zeros(len(ks), dtype=complex)
+    u22 = np.ones(len(ks), dtype=complex)
+    fits = max(1, validate.STEP_BLOCK_SAMPLES // max(len(ks), len(spec.harmonics)))
+    block = min(steps, max(4, 1 << (fits.bit_length() - 1)))
+    for n0 in range(0, steps, block):
+        chi = _peierls_phases(ms, Z, spec.omega, (np.arange(n0, n0 + block) + 0.5) * dt)
+        g = _phasor(chi, j0)[:, :, None]
+        G = g[2] + g[1] * ph1 + g[0] * ph2
+        h1 = G.real
+        h2 = G.imag
+        E = np.sqrt(h1 ** 2 + h2 ** 2 + delta ** 2)
+        c = np.cos(E * dt)
+        s = np.where(E > 0, np.sin(E * dt) / np.where(E > 0, E, 1.0), dt)
+        m11 = c - 1j * s * delta
+        m12 = -1j * s * (h1 - 1j * h2)
+        m21 = -1j * s * (h1 + 1j * h2)
+        m22 = c + 1j * s * delta
+        for a11, a12, a21, a22 in zip(m11, m12, m21, m22):
+            u11, u12, u21, u22 = (a11 * u11 + a12 * u21, a11 * u12 + a12 * u22,
+                                  a21 * u11 + a22 * u21, a21 * u12 + a22 * u22)
+    U = np.empty((len(ks), 2, 2), dtype=complex)
+    U[:, 0, 0], U[:, 0, 1] = u11, u12
+    U[:, 1, 0], U[:, 1, 1] = u21, u22
+    return U
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-3, -1e-3])
+@pytest.mark.parametrize("family", ["plus", "minus", "zero"])
+def test_in_place_step_blocks_move_no_bit(family, delta):
+    # both families and the zero drive, k-grids of 1, 3^2 and 12^2 points,
+    # 256 and 2,048 steps, a weak and a strong j0/omega
+    spec = ZERO if family == "zero" else build_family_drive(family, 1.0, [2.0, 1.0], [0.0, 0.4])
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for kgrid in (1, 3, 12):
+            ks = torus_grid(GEOM, kgrid, kgrid)
+            for steps in (256, 2048):
+                for j0 in (0.02, 0.4):
+                    U = _propagators(spec, GEOM, j0, delta, ks, steps)
+                    oracle = _fresh_block_propagators(spec, GEOM, j0, delta, ks, steps)
+                    assert U.tobytes() == oracle.tobytes(), (kgrid, steps, j0)
+
+
+@contextlib.contextmanager
+def _ladder_rungs(monkeypatch, threads):
+    """FCF_THREADS = threads and a short GIL switch interval for the body,
+    which gets the set of threads that ran a rung (`compare_effective`);
+    no thread may outlive the body.  With more than one thread the first
+    rung to start waits (at most 30 s) until a second one has, so that one
+    thread cannot take every rung, whatever the scheduling."""
+    ran = set()
+    compare = validate.compare_effective
+    second = threading.Event()
+
+    def recorded(*args):
+        ran.add(threading.get_ident())
+        if len(ran) > 1:
+            second.set()
+        elif threads > 1:
+            second.wait(30)
+        return compare(*args)
+    monkeypatch.setattr(validate, "compare_effective", recorded)
+    monkeypatch.setenv("FCF_THREADS", str(threads))
+    interval = sys.getswitchinterval()
+    alive = threading.active_count()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield ran
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == alive
+    if threads == 1:
+        assert ran == {threading.get_ident()}
+    else:
+        assert len(ran) > 1
+
+
+def _ladder_bytes(lad):
+    rep = lad.report
+    return ([lad.omegas.tobytes(), lad.deviations.tobytes(), lad.shrink_factors.tobytes(),
+             np.float64(lad.exponent).tobytes()]
+            + [getattr(rep, f).tobytes() for f in
+               ("ks", "eps_exact", "eps_eff", "deviation", "pairing_flag")]
+            + [rep.max_abs_deviation, rep.mean_abs_deviation, rep.unitarity_defect, rep.omega])
+
+
+def test_ladder_threads_move_no_bit(monkeypatch):
+    spec = build_family_drive("plus", 1.0, [1.95483, 0.0], [0.0, 0.0])
+    settings = PropagatorSettings(steps_per_period=512)
+    runs = []
+    for threads in (1, 2):
+        with _ladder_rungs(monkeypatch, threads):
+            runs.append(_ladder_bytes(omega_ladder(spec, GEOM, 0.02, 0.001, 6, settings)))
+    assert runs[0] == runs[1]
+
+
+def test_cli_ladder_threads_move_no_bit(monkeypatch, tmp_path, capsys):
+    drive = '{"family":"plus","omega":1.0,"A":[1.95483,0.0],"delta":[0.0,0.0]}'
+    outputs = []
+    for threads in (1, 2):
+        out = tmp_path / str(threads)
+        with _ladder_rungs(monkeypatch, threads):
+            assert cli_main(["validate", "--drive", drive, "--j0-over-omega", "0.02",
+                             "--kgrid", "6", "--steps", "512", "--ladder",
+                             "--out", str(out)]) == 0
+        outputs.append((capsys.readouterr().out, (out / "validate.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_ladder_raises_the_first_failing_rung(threads, monkeypatch):
+    # rungs 2 and 4 fail; on two threads rung 2 fails only after rung 4
+    # has, and the ladder still raises rung 2's error, as the loop would
+    fourth = threading.Event()
+
+    def failing(spec, *args):
+        rung = round(spec.omega)
+        if rung == 2:
+            if threads > 1:
+                assert fourth.wait(30)
+            raise ArithmeticError("rung 2")
+        if rung == 4:
+            fourth.set()
+            raise ArithmeticError("rung 4")
+        return None
+    monkeypatch.setattr(validate, "compare_effective", failing)
+    monkeypatch.setenv("FCF_THREADS", str(threads))
+    alive = threading.active_count()
+    with pytest.raises(ArithmeticError, match="rung 2"):
+        omega_ladder(ZERO, GEOM, 0.05, 0.0, 2, PropagatorSettings(steps_per_period=256),
+                     factors=(1.0, 2.0, 3.0, 4.0))
+    assert threading.active_count() == alive
+    assert fourth.is_set() == (threads > 1)
 
 
 def test_fold_quasienergy_window():
