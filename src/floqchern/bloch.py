@@ -408,6 +408,10 @@ def phase_diagram(phi_values=None, ratio_values=None, N1: int = 48, N2: int = 48
     kind -> ChernDiagram.
     """
     _check_grid(N1, N2)
+    kinds = tuple(kinds)    # read twice: checked, then built
+    for kind in kinds:
+        if kind not in KINDS:
+            raise ValueError(f"unknown model kind {kind!r}")
     phi_values = default_phi_grid() if phi_values is None else np.asarray(phi_values, dtype=float)
     ratio_values = default_ratio_grid() if ratio_values is None else np.asarray(ratio_values, dtype=float)
     h1, h2, sc, ss = _k_fields(j1, *_kb_grid(N1, N2, closed=True))
@@ -415,8 +419,6 @@ def phase_diagram(phi_values=None, ratio_values=None, N1: int = 48, N2: int = 48
     thr = CLOSURE_THRESHOLD * j1
     out = {}
     for kind in kinds:
-        if kind not in KINDS:
-            raise ValueError(f"unknown model kind {kind!r}")
         shape = (len(phi_values), len(ratio_values))
         chern = np.zeros(shape, dtype=int)
         gaps = np.zeros(shape)

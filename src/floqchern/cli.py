@@ -62,11 +62,12 @@ MAX_POINTS = 1 << 20
 #: does not grow with the step count
 MAX_KSTEPS = 1 << 23
 
-#: k-points that one step counts as, at the least: a step's Python-level
-#: product costs as much as this many k-point steps on a large grid
-#: (2-harmonic drive, 2-core x86-64: 6-10 us per step at --kgrid 1 against
-#: 79-105 ns per k-point step at 24^2, a ratio of 83-102), so that
-#: MAX_KSTEPS bounds run time on small grids too
+#: k-points that one step counts as, at the least, so that MAX_KSTEPS
+#: bounds run time on small grids too: a step's Python-level product costs
+#: as much as 37-61 k-point steps on a large grid (2-harmonic drive, 2-core
+#: x86-64, medians of 7: 3.0-4.2 us per step at --kgrid 1 against 62-83 ns
+#: per k-point step at 24^2).  128 stays as a bound above that; lowering
+#: it would accept inputs refused today
 MIN_STEP_KPOINTS = 128
 
 #: most cell k-points (cells x --kgrid^2) in one chern-diagram; it bounds

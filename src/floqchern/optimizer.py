@@ -62,6 +62,9 @@ with a rounding margin).  The sweep's classes run in two waves of
 lockstep starts: after the first, a class whose ceiling lies below the
 other family's feasible optimum at every row it serves is skipped.  A
 skipped class never wins a row, so every row is that of a single wave.
+A row's optimum in each family is carried over from its source class's
+start records wherever it is read: when wave 2 is chosen and when the
+row is built.
 
 Every candidate evaluation, p -> (R, j1/j0, phi, phi_defined), goes
 through one kernel, `_candidate_batch`, which takes an array of
@@ -855,23 +858,27 @@ def sweep_targets(phi_targets, r_thresholds, template: OptimizationProblem,
                   workers: int | None = None) -> SweepResult:
     """Optimum over both drive families at each (phi_target, r_threshold).
 
-    The template supplies N, amp_bound, n_starts and seed.  Maximizations
-    run in the plus family only, at one angle per symmetry class
+    The template supplies N, amp_bound, n_starts and seed; the targets
+    must be finite and the thresholds distinct (0.0 and -0.0 are equal),
+    else a ValueError is raised before any start.  Maximizations run in
+    the plus family only, at one angle per symmetry class
     (`_sweep_classes`); each row carries its source class's start
     records over to both families (`_image_record`) and takes the better
     of the two optima by `_rank`, plus winning exact ties.
 
-    The (threshold, class) maximizations run in two waves.  A class is a
-    skip candidate when at every row it serves its ceiling (`_r_ceiling`)
-    is below that of the row's other-family source class, and every
-    target it serves has |t| <= _CEILING_MAX_TARGET.  Wave 1 solves the
-    other classes.  A candidate is skipped when at every row it serves
-    the other family's optimum comes from a wave-1 class, is feasible
-    and has R strictly above the candidate's ceiling; wave 2 solves the
-    candidates that are left.  A skipped class never wins a row: no
-    feasible point of its family reaches its ceiling, so such a row
-    takes the other family's optimum unchanged, and since starts are
-    independent every row is the one a single wave would give.
+    The sweep takes four steps: the (threshold, class) table, the
+    ceilings and skip candidates, two waves of maximizations, and the
+    rows.  A class is a skip candidate when at every row it serves its
+    ceiling (`_r_ceiling`) is strictly below that of the row's
+    other-family source class, its partner, and every target it serves
+    has |t| <= _CEILING_MAX_TARGET.  Wave 1 solves the other classes.  A
+    candidate is skipped when at every row it serves the other family's
+    optimum is feasible and has R strictly above the candidate's
+    ceiling; wave 2 solves the candidates that are left.  A skipped
+    class never wins a row: no feasible point of its family reaches its
+    ceiling, so such a row takes the other family's optimum unchanged,
+    and since starts are independent every row is the one a single wave
+    would give.
 
     Parameter jumps between adjacent targets exceeding 10x the median
     jump for that threshold, and every change of family, are recorded
@@ -883,6 +890,8 @@ def sweep_targets(phi_targets, r_thresholds, template: OptimizationProblem,
         raise ValueError("target lists must be nonempty")
     if not all(math.isfinite(t) for t in phi_targets):
         raise ValueError("sweep targets must be finite angles")
+    if len(set(r_thresholds)) < len(r_thresholds):
+        raise ValueError(f"sweep thresholds must be distinct, got {r_thresholds}")
     angles, sources = _sweep_classes(phi_targets)
     # the rows (target index, family index) each class serves
     served = [[] for _ in angles]
@@ -901,41 +910,33 @@ def sweep_targets(phi_targets, r_thresholds, template: OptimizationProblem,
                             family="plus") for k, j in wave]
         solved.update(zip(wave, _maximize_all(problems, workers)))
 
-    optima = {}
-
     def optimum(k, i, f):
         """The optimum of row i at threshold k in family f (0 plus, 1
         minus): its source class's start records carried over."""
-        if (k, i, f) not in optima:
-            (j, negate_even), family = sources[i][f], ("plus", "minus")[f]
-            problem = replace(template, phi_target=phi_targets[i], r_threshold=r_thresholds[k],
-                              family=family)
-            optima[k, i, f] = _best([_image_record(r, problem, f == 1, negate_even)
-                                     for r in solved[k, j].best_per_start], family)
-        return optima[k, i, f]
-
-    def beaten(k, j):
-        return all((k, sources[i][1 - f][0]) in solved
-                   and (res := optimum(k, i, 1 - f)).feasible and res.R_value > ceiling[k, j]
-                   for i, f in served[j])
+        (j, negate_even), family = sources[i][f], ("plus", "minus")[f]
+        problem = replace(template, phi_target=phi_targets[i], r_threshold=r_thresholds[k],
+                          family=family)
+        return _best([_image_record(r, problem, f == 1, negate_even)
+                      for r in solved[k, j].best_per_start], family)
 
     # the class of the largest ceiling is never a candidate, so wave 1
-    # is not empty and checks `workers` before any work
+    # is not empty and checks `workers` before any work.  A candidate's
+    # ceiling is strictly below its partner's (the row's other-family
+    # source) at every row it serves, so no partner is itself a
+    # candidate: wave 1 has solved every partner that wave 2 reads
     solve([c for c in classes if c not in candidates])
-    if wave := [c for c in classes if c in candidates and not beaten(*c)]:
+    if wave := [(k, j) for k, j in classes if (k, j) in candidates and not all(
+            (res := optimum(k, i, 1 - f)).feasible and res.R_value > ceiling[k, j]
+            for i, f in served[j])]:
         solve(wave)
     rows = []
     jumps = {}
     for k, r_th in enumerate(r_thresholds):
-        series = []
-        for i, phi_tg in enumerate(phi_targets):
-            # min keeps the first of equals, so plus wins exact ties
-            res = min((optimum(k, i, f) for f in (0, 1) if (k, sources[i][f][0]) in solved),
+        # min keeps the first of equals, so plus wins exact ties
+        series = [min((optimum(k, i, f) for f in (0, 1) if (k, sources[i][f][0]) in solved),
                       key=lambda r: _rank(r.feasible, r.R_value, r.phi_residual, r.r_residual))
-            for f in (0, 1):    # only the winners stay in memory
-                optima.pop((k, i, f), None)
-            rows.append((phi_tg, r_th, res))
-            series.append(res)
+                  for i in range(len(phi_targets))]
+        rows += [(phi_tg, r_th, res) for phi_tg, res in zip(phi_targets, series)]
         ds = [_param_jump(series[i], series[i + 1], template.N)
               for i in range(len(series) - 1)]
         finite = [d for d in ds if math.isfinite(d)]

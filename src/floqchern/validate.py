@@ -314,8 +314,14 @@ def omega_ladder(spec: DriveSpec, geom: LatticeGeometry, j0: float, delta: float
     result depends on the thread count.  A deviation of exactly 0 (an
     effective model that is exact on the grid) leaves the exponent and the
     shrink factors that need its logarithm or divide by it undefined: NaN,
-    with no warning.
+    with no warning.  The factors must be at least two, positive, finite
+    and strictly increasing, else a ValueError is raised before any rung
+    is propagated.
     """
+    if len(factors) < 2 or not all(0 < a < b < math.inf for a, b in zip(factors, factors[1:])):
+        raise ValueError(f"ladder factors must be at least two, positive, finite and "
+                         f"strictly increasing, got {factors}")
+
     def rung(factor):
         return compare_effective(DriveSpec(family=spec.family, omega=spec.omega * factor,
                                            harmonics=spec.harmonics),

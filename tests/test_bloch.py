@@ -14,6 +14,7 @@ from floqchern import (
     min_gap,
     phase_diagram,
 )
+from floqchern import bloch
 from floqchern.bloch import _kb, _lowest_band_vectors, _plaquette_phases
 
 GEOM = default_geometry()
@@ -86,6 +87,18 @@ def test_model_validation():
         BlochModel("squarelattice", 0.0, 1.0, 0.1, 0.0, GEOM)
     with pytest.raises(ValueError, match="unknown model kind"):
         phase_diagram([0.0], [0.0], N1=12, N2=12, kinds=("squarelattice",))
+
+
+def test_diagram_refuses_an_unknown_kind_before_any_work(monkeypatch):
+    # the kinds are read twice, checked and then built, so an iterator works
+    diagrams = phase_diagram([0.0], [0.0], N1=12, N2=12, kinds=iter(["haldane_reference"]))
+    assert list(diagrams) == ["haldane_reference"]
+    # the known first kind's diagram is not built before the second is refused
+    def no_kernel(*args):
+        raise AssertionError("a band kernel was built")
+    monkeypatch.setattr(bloch, "_BandKernel", no_kernel)
+    with pytest.raises(ValueError, match="unknown model kind 'bogus'"):
+        phase_diagram(N1=12, N2=12, kinds=("driven_hexagonal", "bogus"))
 
 
 # ---------------------------------------------------------------------------

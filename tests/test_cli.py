@@ -100,6 +100,7 @@ def test_parse_range_rejects_nonfinite():
         '{"family":"custom","omega":1,"harmonics":[{"m":1' + "0" * 400
         + ',"ax":[1,0],"ay":[1,0]}]}',
         '{"family":"plus","omega":1' + "0" * 400 + ',"A":[1],"delta":[0]}')),
+    ["sweep", "--phi-list", "0.5,-1,2", "--r-th", "0.25,0.25", "--starts", "2"],
 ])
 def test_meaningless_input_exit_2(argv, tmp_path, capsys):
     code, out, err = run(argv + ["--out", str(tmp_path)], capsys)

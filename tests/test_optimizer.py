@@ -178,6 +178,18 @@ def test_problem_validation():
         sweep_targets([], [0.25], OptimizationProblem(phi_target=0.0, r_threshold=0.5))
 
 
+@pytest.mark.parametrize("r_ths", [[0.25, 0.25], [0.5, 0.25, 0.5], [0.0, -0.0]])
+def test_sweep_refuses_equal_thresholds(r_ths, monkeypatch):
+    # a repeated threshold would solve every class twice and share one
+    # key of the jumps; it is refused before any start
+    def no_solve(*args):
+        raise AssertionError("a class was solved")
+    monkeypatch.setattr(optimizer, "_maximize_all", no_solve)
+    with pytest.raises(ValueError, match="thresholds must be distinct"):
+        sweep_targets([0.5, -1.0, 2.0], r_ths,
+                      OptimizationProblem(phi_target=0.0, r_threshold=0.25, n_starts=2))
+
+
 def test_sobol_starts_deterministic_and_in_box():
     prob = OptimizationProblem(phi_target=0.0, r_threshold=0.25, N=3, n_starts=16, seed=9)
     s1 = sobol_starts(prob)
@@ -599,6 +611,20 @@ def _typed_rows(sweep):
              _typed(res.best_per_start)) for phi, r_th, res in sweep.rows]
 
 
+def _random_targets(seed):
+    """Seeded sweep targets: up to 100 in size, with near-duplicates,
+    negations and pi - t images, and one target beyond
+    _CEILING_MAX_TARGET."""
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(-100, 100, 2).tolist() + rng.uniform(-np.pi, np.pi, 3).tolist()
+    near = [f(t) for t in base for f in (
+        lambda t: t + rng.uniform(-2e-12, 2e-12), lambda t: -t, lambda t: np.pi - t)
+        if rng.random() < 0.5]
+    targets = base + near + [float(rng.choice([-1, 1]) * rng.uniform(1100, 2000))]
+    rng.shuffle(targets)
+    return targets
+
+
 @pytest.mark.parametrize("targets, N, starts, solved_counts, unsolved", [
     (list(np.linspace(-np.pi, np.pi, 9)[1:]), 2, 4, (8, 10), -np.pi / 2),
     (list(np.linspace(-np.pi, np.pi, 14)[1:]), 3, 4, (22, 26), None),
@@ -608,6 +634,11 @@ def _typed_rows(sweep):
     ([-np.pi / 4, np.pi / 4], 1, 2, (4, 4), None),
     # a target beyond _CEILING_MAX_TARGET keeps its class, here -pi/2's
     ([np.pi / 2, -np.pi / 2 - 800 * np.pi], 2, 4, (4, 4), None),
+    # random targets where wave 2 solves some candidates and skips others,
+    # so it reads the wave-1 optima of the partners: a partner that wave 1
+    # had not solved would raise a KeyError, not solve a class unseen
+    (_random_targets(11), 2, 2, (27, 28), None),
+    (_random_targets(27), 2, 2, (30, 32), None),
 ])
 def test_skipped_classes_never_win_a_row(targets, N, starts, solved_counts, unsolved,
                                          monkeypatch):

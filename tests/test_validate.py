@@ -427,6 +427,24 @@ def test_ladder_raises_the_first_failing_rung(threads, monkeypatch):
     assert fourth.is_set() == (threads > 1)
 
 
+@pytest.mark.parametrize("factors", [
+    (), (1.0,), (2.0, 2.0), (4.0, 2.0, 1.0), (0.0, 1.0), (-1.0, 1.0), (1.0, np.inf),
+    (1.0, np.nan, 2.0),
+], ids=["empty", "one", "equal", "decreasing", "zero", "negative", "inf", "nan"])
+def test_ladder_refuses_factors_it_cannot_fit(factors, monkeypatch):
+    # refused before any thread starts or any rung is propagated
+    def no_rung(*args):
+        raise AssertionError("a rung was propagated")
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+    monkeypatch.setattr(validate, "compare_effective", no_rung)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        omega_ladder(ZERO, GEOM, 0.05, 0.0, 2, PropagatorSettings(steps_per_period=256),
+                     factors=factors)
+
+
 def test_fold_quasienergy_window():
     w = 2.0
     assert fold_quasienergy(1.0, w) == pytest.approx(1.0)
