@@ -9,7 +9,6 @@ from .drive import (
     TunnelingSpectrum,
     build_custom_drive,
     build_family_drive,
-    build_geometry,
     chi,
     default_geometry,
     drive_from_json,

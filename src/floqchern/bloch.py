@@ -389,34 +389,27 @@ class ChernDiagram:
                    self.min_gap.ravel().tolist(), self.indeterminate.ravel().astype(int).tolist())
 
 
-def default_phi_grid(n: int = 97) -> np.ndarray:
-    """n evenly spaced phases over [-pi, pi] (endpoints identical mod 2*pi);
-    for the default n the grid lands exactly on +-pi/2."""
-    return np.linspace(-np.pi, np.pi, n)
-
-
-def default_ratio_grid(n: int = 97, lim: float = 8.0) -> np.ndarray:
-    return np.linspace(-lim, lim, n)
-
-
 def phase_diagram(phi_values=None, ratio_values=None, N1: int = 48, N2: int = 48,
-                  kinds=KINDS, j1: float = 1.0, j2: float = 0.25) -> dict:
+                  kinds=KINDS) -> dict:
     """Chern diagrams over (phi, delta_eff/j2) for the requested model kinds.
 
-    The Chern number depends only on phi and delta_eff/j2, so j1 and j2
-    merely set the energy scale of the reported min_gap.  Returns a dict
-    kind -> ChernDiagram.
+    The default grids hold 97 points each: phases over [-pi, pi]
+    (endpoints identical mod 2 pi; the grid lands exactly on +-pi/2) and
+    ratios over [-8, 8].  The models carry j1 = 1 and j2 = 0.25: the
+    Chern number depends only on phi and delta_eff/j2, so the rates set
+    only the energy scale of min_gap, which is in units of j1 = 1.
+    Returns a dict kind -> ChernDiagram.
     """
     _check_grid(N1, N2)
     kinds = tuple(kinds)    # read twice: checked, then built
     for kind in kinds:
         if kind not in KINDS:
             raise ValueError(f"unknown model kind {kind!r}")
-    phi_values = default_phi_grid() if phi_values is None else np.asarray(phi_values, dtype=float)
-    ratio_values = default_ratio_grid() if ratio_values is None else np.asarray(ratio_values, dtype=float)
-    h1, h2, sc, ss = _k_fields(j1, *_kb_grid(N1, N2, closed=True))
+    phi_values = np.linspace(-np.pi, np.pi, 97) if phi_values is None else np.asarray(phi_values, dtype=float)
+    ratio_values = np.linspace(-8.0, 8.0, 97) if ratio_values is None else np.asarray(ratio_values, dtype=float)
+    j2 = 0.25
+    h1, h2, sc, ss = _k_fields(1.0, *_kb_grid(N1, N2, closed=True))
     kernel = _BandKernel(h1, h2)
-    thr = CLOSURE_THRESHOLD * j1
     out = {}
     for kind in kinds:
         shape = (len(phi_values), len(ratio_values))
@@ -428,9 +421,9 @@ def phase_diagram(phi_values=None, ratio_values=None, N1: int = 48, N2: int = 48
             for j, ratio in enumerate(ratio_values):
                 h3 = _h3(kind, ratio * j2, nnn, h0p)
                 gap = kernel.gap(h3)
-                gaps[i, j] = gap / j1
+                gaps[i, j] = gap
                 try:
-                    chern[i, j] = _chern_integer(gap, thr, lambda: kernel.phases(h3))
+                    chern[i, j] = _chern_integer(gap, CLOSURE_THRESHOLD, lambda: kernel.phases(h3))
                 except ChernIndeterminateError:
                     indet[i, j] = True
         out[kind] = ChernDiagram(kind=kind, phi_values=phi_values.copy(),

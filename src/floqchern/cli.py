@@ -8,8 +8,11 @@ A malformed or missing flag is a configuration error like any other,
 and so is a count above MAX_POINTS (a sweep's --starts x targets x
 thresholds among them), MAX_KSTEPS, MAX_CELL_KPOINTS (a chern-diagram's
 cells x --kgrid^2) or optimizer.MAX_HARMONICS, a --starts, --targets or
---N below 1, a negative --seed, an --out that cannot be created or
-written, and a scipy release the SLSQP driver was not checked against.
+--N below 1, a negative --seed, a drive whose largest harmonic m times
+its Fourier grid size exceeds 64 x drive.MAX_SAMPLES sample products, a
+validate j0 whose square underflows below the smallest normal float, an
+--out that cannot be created or written, and a scipy release the SLSQP
+driver was not checked against.
 --out is made and checked once, before any command starts its work, and
 the scipy release before any start is stepped.  Grid flags use
 start:stop:step with the stop included when it lands on the grid within

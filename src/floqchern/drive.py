@@ -7,10 +7,10 @@ of F(t).a_k along bond k.  This module builds drive specifications, the
 closed-form Peierls phases, and the Fourier components of the modulated
 tunneling rates g_k(t) = j0 * exp(i*chi_k(t)).
 
-Conventions: hbar = 1.  Harmonic amplitudes are stored as dimensionless
-multiples of the base frequency omega (units omega/a), so every derived
-ratio (j1/j0, j2*omega/j0^2, ...) is independent of omega and of the
-lattice constant.  `force_at` returns the force in absolute units,
+Conventions: hbar = 1, and the lattice has NN distance 1.  Harmonic
+amplitudes are stored as dimensionless multiples of the base frequency
+omega, so every derived ratio (j1/j0, j2*omega/j0^2, ...) is
+independent of omega.  `force_at` returns the force in absolute units,
 i.e. amp * omega along the unit drive axes.
 
 All functions here are pure and all containers immutable after
@@ -64,7 +64,6 @@ class LatticeGeometry:
     b1..b3, orthogonal drive axes e1, e2 and reciprocal vectors G1, G2
     (b_i . G_j = 2*pi*delta_ij for i, j in {1, 2})."""
 
-    a: float
     a1: np.ndarray
     a2: np.ndarray
     a3: np.ndarray
@@ -89,39 +88,32 @@ def _bond_row(k: int) -> int:
     return k - 1
 
 
-def build_geometry(a: float = 1.0) -> LatticeGeometry:
-    """Construct the hexagonal-lattice geometry for NN distance `a`.
+def _hexagonal_geometry() -> LatticeGeometry:
+    """The hexagonal-lattice geometry of NN distance 1, read-only:
 
-    a1 = (a/2)(sqrt3, 1), a2 = (a/2)(-sqrt3, 1), a3 = -a1 - a2;
-    b1 = a(sqrt3, 0), b2 = (a/2)(-sqrt3, 3), b3 = -b1 - b2;
+    a1 = (sqrt3, 1)/2, a2 = (-sqrt3, 1)/2, a3 = -a1 - a2;
+    b1 = (sqrt3, 0), b2 = (-sqrt3, 3)/2, b3 = -b1 - b2;
     e1 = (a1 - a2)/sqrt3, e2 = -a3.
     """
-    if not a > 0:
-        raise ValueError(f"lattice constant must be positive, got {a}")
-    a1 = np.array([SQRT3, 1.0]) * (a / 2)
-    a2 = np.array([-SQRT3, 1.0]) * (a / 2)
+    a1 = np.array([SQRT3, 1.0]) / 2
+    a2 = np.array([-SQRT3, 1.0]) / 2
     a3 = -a1 - a2
-    b1 = np.array([SQRT3, 0.0]) * a
-    b2 = np.array([-SQRT3, 3.0]) * (a / 2)
-    b3 = -b1 - b2
-    e1 = (a1 - a2) / SQRT3
-    e2 = -a3
+    b1 = np.array([SQRT3, 0.0])
+    b2 = np.array([-SQRT3, 3.0]) / 2
     # reciprocal basis of (b1, b2): rows of 2*pi * inv([b1; b2])^T
-    B = np.array([b1, b2])
-    G = 2 * np.pi * np.linalg.inv(B).T
-    geom = LatticeGeometry(a=a, a1=a1, a2=a2, a3=a3, b1=b1, b2=b2, b3=b3,
-                           e1=e1, e2=e2, G1=G[0], G2=G[1])
-    for v in (geom.a1, geom.a2, geom.a3, geom.b1, geom.b2, geom.b3,
-              geom.e1, geom.e2, geom.G1, geom.G2):
+    G = 2 * np.pi * np.linalg.inv(np.array([b1, b2])).T
+    geom = LatticeGeometry(a1=a1, a2=a2, a3=a3, b1=b1, b2=b2, b3=-b1 - b2,
+                           e1=(a1 - a2) / SQRT3, e2=-a3, G1=G[0], G2=G[1])
+    for v in vars(geom).values():
         v.setflags(write=False)
     return geom
 
 
-_DEFAULT_GEOM = build_geometry(1.0)
+_DEFAULT_GEOM = _hexagonal_geometry()
 
 
 def default_geometry() -> LatticeGeometry:
-    """Shared a = 1 geometry."""
+    """The shared geometry of NN distance 1, the one the package uses."""
     return _DEFAULT_GEOM
 
 
@@ -150,7 +142,8 @@ class Harmonic:
 
     m       : positive integer multiple of the base frequency (an
               integral float such as 2.0 is stored as the int 2)
-    amp_x/y : amplitudes along e1/e2 in units of omega/a
+    amp_x/y : amplitudes along e1/e2, as multiples of omega on the
+              lattice of NN distance 1
     phase_x/y : phase lags (radians) of the cosine on each axis
     """
 
@@ -218,7 +211,8 @@ class DriveSpec:
 
 def build_family_drive(sign: str, omega: float, amps, phases) -> DriveSpec:
     """Assemble a plus/minus-family drive from per-harmonic amplitudes
-    (units omega/a) and phase lags delta_n (phases[0] must be 0)."""
+    (multiples of omega on the lattice of NN distance 1) and phase lags
+    delta_n (phases[0] must be 0)."""
     if sign not in ("plus", "minus"):
         raise ValueError(f"family sign must be 'plus' or 'minus', got {sign!r}")
     amps = [float(x) for x in amps]
@@ -257,13 +251,11 @@ def build_custom_drive(omega: float, harmonics) -> DriveSpec:
     return DriveSpec(family="custom", omega=float(omega), harmonics=hs)
 
 
-def force_at(spec: DriveSpec, t, geom: LatticeGeometry | None = None) -> np.ndarray:
+def force_at(spec: DriveSpec, t) -> np.ndarray:
     """Driving force at time(s) t, in absolute units (amp * omega along
-    the unit drive axes); shape (..., 2)."""
-    geom = geom or default_geometry()
+    the unit drive axes e1, e2); shape (..., 2)."""
     t = np.asarray(t, dtype=float)
-    u1 = geom.e1 / geom.a
-    u2 = geom.e2 / geom.a
+    u1, u2 = _DEFAULT_GEOM.e1, _DEFAULT_GEOM.e2
     out = np.zeros(t.shape + (2,))
     for h in spec.harmonics:
         wx = np.cos(h.m * spec.omega * t - h.phase_x)
@@ -273,12 +265,10 @@ def force_at(spec: DriveSpec, t, geom: LatticeGeometry | None = None) -> np.ndar
 
 
 def _bond_projections(geom: LatticeGeometry):
-    """(p1, p2): projections u1.a_k and u2.a_k of the unit drive axes on
+    """(p1, p2): projections e1.a_k and e2.a_k of the unit drive axes on
     the three NN bonds, each of shape (3,)."""
-    u1 = geom.e1 / geom.a
-    u2 = geom.e2 / geom.a
-    p1 = np.array([u1 @ geom.bond(k) for k in (1, 2, 3)])
-    p2 = np.array([u2 @ geom.bond(k) for k in (1, 2, 3)])
+    p1 = np.array([geom.e1 @ geom.bond(k) for k in (1, 2, 3)])
+    p2 = np.array([geom.e2 @ geom.bond(k) for k in (1, 2, 3)])
     return p1, p2
 
 
@@ -308,13 +298,13 @@ def _bond_amplitudes(spec: DriveSpec, geom: LatticeGeometry):
     return ms, _axis_bond_amplitudes(_bond_projections(geom), amp_x, phase_x, amp_y, phase_y)
 
 
-#: drive-axis projections on the bonds of the a = 1 geometry
+#: drive-axis projections on the bonds of the shared geometry
 _DEFAULT_PROJ = _bond_projections(_DEFAULT_GEOM)
 
 
 def _family_bond_amplitudes(family: str, N: int, P):
     """Harmonic integers (N,) and bond amplitudes Z (..., 3, N) on the
-    a = 1 geometry of the family drives with parameter vectors
+    shared geometry of the family drives with parameter vectors
     P (..., 2N - 1) = (A_1 .. A_N, delta_2 .. delta_N): delta_1 = 0 and
     the deltas wrapped."""
     ms, offsets = _family_harmonics(family, N)
@@ -426,19 +416,14 @@ class TunnelingSpectrum:
         return float(np.max(np.abs(total - self.j0 ** 2)) / self.j0 ** 2)
 
 
-def fourier_components(spec: DriveSpec, geom: LatticeGeometry, j0: float,
-                       n_max: int | None = None,
-                       samples: int | None = None) -> TunnelingSpectrum:
-    """Fourier components of g_k(t) = j0 exp(i chi_k(t)) by uniform-grid DFT.
+def fourier_components(spec: DriveSpec, geom: LatticeGeometry, j0: float) -> TunnelingSpectrum:
+    """Fourier components of g_k(t) = j0 exp(i chi_k(t)) by uniform-grid DFT,
+    for a bare tunneling amplitude j0 > 0.
 
-    Parameters
-    ----------
-    j0 : bare tunneling amplitude, > 0.
-    n_max : retained order; the default covers the spectral bandwidth
-        sum_h m_h z_h plus a Bessel-tail margin that grows with the
-        largest harmonic integer (a factor at harmonic m spreads its
-        tail at spacing m, so a flat margin leaks weight for m > 1).
-    samples : optional power-of-two override of the automatic grid size.
+    The retained order n_max (`_grid_size`) covers the spectral bandwidth
+    sum_h m_h z_h plus a Bessel-tail margin that grows with the largest
+    harmonic integer (a factor at harmonic m spreads its tail at spacing
+    m, so a flat margin leaks weight for m > 1).
 
     Raises
     ------
@@ -449,7 +434,7 @@ def fourier_components(spec: DriveSpec, geom: LatticeGeometry, j0: float,
         raise ValueError(f"j0 must be positive and finite, got {j0}")
     ms, Z = _bond_amplitudes(spec, geom)
     zmax, bandwidth, mmax = _quadrature_sizes(ms, Z)
-    n_max, M = _grid_size(mmax, zmax, bandwidth, n_max, samples)
+    n_max, M = _grid_size(mmax, zmax, bandwidth)
     g, tail = _peierls_components(ms, Z, j0, n_max, M)
     error = _truncation_error(tail, n_max, j0)
     if error:
@@ -465,29 +450,25 @@ def _grid_key(zmax, bandwidth):
     return list(zip(np.ceil(zmax).tolist(), np.ceil(bandwidth).tolist()))
 
 
-def _grid_size(mmax: int, zmax: float, bandwidth: float, n_max: int | None = None,
-               samples: int | None = None):
+def _grid_size(mmax: int, zmax: float, bandwidth: float):
     """(n_max, M) of one drive from its `_quadrature_sizes`: the retained
-    order and grid-size rules of `fourier_components`, or its overrides.
-    A grid above MAX_SAMPLES raises ValueError before anything of its
-    size is allocated."""
-    M = samples
-    if M is None:
-        # power of two >= 64*(largest harmonic + ceil(total modulation index));
-        # Peierls spectra decay superexponentially past the modulation index,
-        # which keeps aliasing below 1e-12 at this rate.  The cap is tested
-        # on the unrounded index (mmax + ceil(zmax) <= MAX_SAMPLES / 64 exactly
-        # when mmax + zmax is), so that an overflowing index is refused too.
-        if not mmax + zmax <= MAX_SAMPLES // 64:
-            raise ValueError(f"a drive of modulation index {zmax:.6g} needs more than "
-                             f"{MAX_SAMPLES} Fourier samples")
-        M = max(256, 1 << math.ceil(math.log2(64 * (mmax + math.ceil(zmax)))))
-    if M & (M - 1) or not 4 <= M <= MAX_SAMPLES:
-        raise ValueError(f"sample count must be a power of two in [4, {MAX_SAMPLES}], got {M}")
-    if n_max is None:
-        n_max = math.ceil(bandwidth) + 20 + 4 * mmax
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    order and grid-size rules of `fourier_components`.  A grid above
+    MAX_SAMPLES, or more than 64 MAX_SAMPLES sample products in
+    `_chi_samples` (one grid row per unit of the largest harmonic, so
+    mmax M of them), raises ValueError before any sampling."""
+    # power of two >= 64*(largest harmonic + ceil(total modulation index));
+    # Peierls spectra decay superexponentially past the modulation index,
+    # which keeps aliasing below 1e-12 at this rate.  The cap is tested
+    # on the unrounded index (mmax + ceil(zmax) <= MAX_SAMPLES / 64 exactly
+    # when mmax + zmax is), so that an overflowing index is refused too.
+    if not mmax + zmax <= MAX_SAMPLES // 64:
+        raise ValueError(f"a drive of modulation index {zmax:.6g} needs more than "
+                         f"{MAX_SAMPLES} Fourier samples")
+    M = max(256, 1 << math.ceil(math.log2(64 * (mmax + math.ceil(zmax)))))
+    if mmax * M > 64 * MAX_SAMPLES:
+        raise ValueError(f"a drive of largest harmonic {mmax} on {M} Fourier samples needs "
+                         f"{mmax * M} sample products, more than {64 * MAX_SAMPLES}")
+    n_max = math.ceil(bandwidth) + 20 + 4 * mmax
     if 2 * n_max + 1 > M:
         raise ValueError(f"n_max = {n_max} does not fit in {M} samples")
     return n_max, M

@@ -179,7 +179,13 @@ def period_propagator(spec: DriveSpec, geom: LatticeGeometry, j0: float,
 
     With settings.richardson_check, doubling the step count must move no
     entry of any U by RICHARDSON_TOL or more (StepCountError otherwise).
+    A j0 whose square is below the smallest normal float raises ValueError
+    before any step: the step energies sqrt(h1^2 + h2^2 + delta^2) would
+    lose the rates that the step matrices still carry.
     """
+    if not j0 * j0 >= np.finfo(float).tiny:
+        raise ValueError(f"j0 = {j0:.6g} is too small: j0^2 underflows below the smallest "
+                         f"normal float {np.finfo(float).tiny:.6g}")
     k = np.asarray(k, dtype=float)
     U = _propagators(spec, geom, j0, delta, k, settings.steps_per_period)
     if settings.richardson_check:

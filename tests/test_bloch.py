@@ -342,17 +342,18 @@ def test_diagram_closure_cells_indeterminate_on_dirac_grid():
 def test_diagram_cells_match_chern_number_and_band_scan(kind):
     # every cell is the chern_number and band_scan of its own model, bit for
     # bit; the phi grid holds the +-pi/2 columns, the ratio grid their
-    # gap closures (indeterminate on a 24^2 grid)
-    N, j1, j2 = 24, 1.3, 0.4
+    # gap closures (indeterminate on a 24^2 grid); the diagram's models
+    # carry j1 = 1 and j2 = 0.25
+    N, j2 = 24, 0.25
     b = 3 * np.sqrt(3.0)
     phis = np.linspace(-np.pi, np.pi, 9)
     ratios = np.array([-8.0, -b, -4.0, -1.5, 0.0, 0.7, 2.0, b, 6.5])
-    dg = phase_diagram(phis, ratios, N1=N, N2=N, kinds=(kind,), j1=j1, j2=j2)[kind]
+    dg = phase_diagram(phis, ratios, N1=N, N2=N, kinds=(kind,))[kind]
     assert dg.indeterminate.any() and not dg.indeterminate.all()
     for i, phi in enumerate(phis):
         for j, ratio in enumerate(ratios):
-            m = BlochModel(kind, ratio * j2, j1, j2, phi, GEOM)
-            assert dg.min_gap[i, j] == band_scan(m, N, N).min_gap / j1
+            m = BlochModel(kind, ratio * j2, 1.0, j2, phi, GEOM)
+            assert dg.min_gap[i, j] == band_scan(m, N, N).min_gap
             try:
                 c = chern_number(m, N, N)
             except ChernIndeterminateError:

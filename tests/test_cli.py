@@ -101,6 +101,9 @@ def test_parse_range_rejects_nonfinite():
         + ',"ax":[1,0],"ay":[1,0]}]}',
         '{"family":"plus","omega":1' + "0" * 400 + ',"A":[1],"delta":[0]}')),
     ["sweep", "--phi-list", "0.5,-1,2", "--r-th", "0.25,0.25", "--starts", "2"],
+    # a harmonic whose grid rows take more than 64 MAX_SAMPLES products
+    ["rates", "--drive", '{"family":"custom","omega":1,"harmonics":[{"m":16000,"ax":[0.5,0],'
+     '"ay":[0.5,0]}]}'],
 ])
 def test_meaningless_input_exit_2(argv, tmp_path, capsys):
     code, out, err = run(argv + ["--out", str(tmp_path)], capsys)

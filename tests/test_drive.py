@@ -12,7 +12,6 @@ from floqchern import (
     SpectrumTruncationError,
     build_custom_drive,
     build_family_drive,
-    build_geometry,
     chi,
     default_geometry,
     drive_from_json,
@@ -29,7 +28,7 @@ GEOM = default_geometry()
 # geometry
 
 def test_geometry_bond_identities():
-    g = build_geometry(1.0)
+    g = default_geometry()
     assert np.array_equal(g.a3, -g.a1 - g.a2)
     assert np.array_equal(g.b3, -g.b1 - g.b2)
     assert np.allclose(g.a1, [np.sqrt(3) / 2, 0.5])
@@ -41,17 +40,10 @@ def test_geometry_bond_identities():
 
 
 def test_geometry_reciprocal_identities():
-    g = build_geometry(2.5)
+    g = default_geometry()
     for bi, row in ((g.b1, [2 * np.pi, 0.0]), (g.b2, [0.0, 2 * np.pi])):
         assert abs(bi @ g.G1 - row[0]) < 1e-12
         assert abs(bi @ g.G2 - row[1]) < 1e-12
-
-
-def test_geometry_rejects_nonpositive_a():
-    with pytest.raises(ValueError):
-        build_geometry(0.0)
-    with pytest.raises(ValueError):
-        build_geometry(-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +198,7 @@ def test_chi_matches_double_integral_oracle():
 
 def test_zero_force_spectrum():
     spec = build_custom_drive(1.0, [])
-    sp = fourier_components(spec, GEOM, 2.0, n_max=4)
+    sp = fourier_components(spec, GEOM, 2.0)
     for k in (1, 2, 3):
         assert sp.component(k, 0) == pytest.approx(2.0)
         for n in (-3, -1, 1, 2):
@@ -261,16 +253,23 @@ def test_reflection_rule_against_direct_quadrature():
 
 
 def test_resolution_independence():
+    # the spectrum of the automatic grid moves by less than 1e-12 on grids
+    # two and four times finer
+    from floqchern.drive import _bond_amplitudes, _peierls_components
     spec = build_family_drive("minus", 1.0, [2.0, 1.1], [0.0, -0.7])
-    sp1 = fourier_components(spec, GEOM, 1.0, samples=2048)
-    sp2 = fourier_components(spec, GEOM, 1.0, samples=4096)
-    assert np.abs(sp1.g - sp2.g).max() < 1e-12
+    sp = fourier_components(spec, GEOM, 1.0)
+    ms, Z = _bond_amplitudes(spec, GEOM)
+    for M in (2048, 4096):
+        g, _ = _peierls_components(ms, Z, 1.0, sp.n_max, M)
+        assert np.abs(sp.g - g).max() < 1e-12
 
 
-def test_truncation_flag():
+def test_truncation_flag(monkeypatch):
+    from floqchern import drive
     spec = build_family_drive("plus", 1.0, [3.0], [0.0])
-    with pytest.raises(SpectrumTruncationError):
-        fourier_components(spec, GEOM, 1.0, n_max=1)
+    monkeypatch.setattr(drive, "_grid_size", lambda *sizes: (1, 256))
+    with pytest.raises(SpectrumTruncationError, match=r"outside \|n\| <= 1 "):
+        fourier_components(spec, GEOM, 1.0)
 
 
 def test_truncation_error_refuses_nan_and_survives_huge_j0():
@@ -318,17 +317,14 @@ def test_spectrum_input_validation():
     spec = build_family_drive("plus", 1.0, [1.0], [0.0])
     with pytest.raises(ValueError):
         fourier_components(spec, GEOM, 0.0)
-    with pytest.raises(ValueError):
-        fourier_components(spec, GEOM, 1.0, n_max=0)
-    with pytest.raises(ValueError):
-        fourier_components(spec, GEOM, 1.0, samples=1000)  # not a power of two
-    with pytest.raises(ValueError):
-        fourier_components(spec, GEOM, 1.0, samples=1 << 21)  # above MAX_SAMPLES
-    with pytest.raises(ValueError, match="n_max = 200 does not fit in 256 samples"):
-        fourier_components(spec, GEOM, 1.0, n_max=200, samples=256)
-    sp = fourier_components(spec, GEOM, 1.0, n_max=12)
-    with pytest.raises(ValueError, match="exceeds n_max = 12"):
-        sp.component(1, -13)
+    # a bandwidth far above its harmonic's grid: n_max grows with m z,
+    # the grid with m + z
+    wide = build_custom_drive(1.0, [(100, 7321.0, 0.0, 7321.0, 0.0)])
+    with pytest.raises(ValueError, match="n_max = 10421 does not fit in 16384 samples"):
+        fourier_components(wide, GEOM, 1.0)
+    sp = fourier_components(spec, GEOM, 1.0)
+    with pytest.raises(ValueError, match=f"exceeds n_max = {sp.n_max}"):
+        sp.component(1, -sp.n_max - 1)
     # a bond index outside 1-3 is refused, not read as another bond's row
     for k in (0, -1, 4):
         with pytest.raises(ValueError, match=f"bond index must be 1, 2 or 3, got {k}"):
@@ -350,6 +346,29 @@ def test_grid_cap_raises_before_allocation():
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("m, refused", [(1000, False), (1023, False), (1024, True),
+                                        (16000, True)])
+def test_sample_products_bounded_before_sampling(m, refused, monkeypatch):
+    # _chi_samples builds a harmonic's grid row by one product per unit of
+    # m, so m M products in all: more than 64 MAX_SAMPLES is refused before
+    # any sampling, and m up to 1,023 of modulation index below 1 is not
+    from floqchern import drive
+    from floqchern.drive import MAX_SAMPLES, _grid_size, _quadrature_sizes
+    spec = build_custom_drive(1.0, [(m, 0.5, 0.0, 0.5, 0.0)])
+    zmax, bandwidth, mmax = _quadrature_sizes(*drive._bond_amplitudes(spec, GEOM))
+    assert mmax == m and zmax < 1
+    if not refused:
+        _, M = _grid_size(mmax, zmax, bandwidth)
+        assert m * M <= 64 * MAX_SAMPLES
+        return
+
+    def no_sampling(*args):
+        raise AssertionError("the drive was sampled")
+    monkeypatch.setattr(drive, "_chi_samples", no_sampling)
+    with pytest.raises(ValueError, match=f"largest harmonic {m} on .* more than {64 * MAX_SAMPLES}"):
+        fourier_components(spec, GEOM, 1.0)
 
 
 def test_tunneling_rate_periodicity():

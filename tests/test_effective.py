@@ -14,9 +14,9 @@ from floqchern import (
 GEOM = default_geometry()
 
 
-def rates_for(family, omega, amps, deltas, j0=1.0, n_max=None):
+def rates_for(family, omega, amps, deltas, j0=1.0):
     spec = build_family_drive(family, omega, amps, deltas)
-    return derive_rates(fourier_components(spec, GEOM, j0, n_max=n_max))
+    return derive_rates(fourier_components(spec, GEOM, j0))
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +81,7 @@ def test_one_commutator_kernel_pairs_the_bonds():
 
 def test_zero_force_rates():
     spec = build_custom_drive(1.0, [])
-    sp = fourier_components(spec, GEOM, 1.5, n_max=4)
+    sp = fourier_components(spec, GEOM, 1.5)
     r = derive_rates(sp)
     assert r.tau0 == r.tau[0] == r.tau[1] == r.tau[2] == 0
     assert r.j1 == pytest.approx(1.5)
@@ -168,11 +168,15 @@ def test_scaling_in_omega():
 
 
 def test_truncation_convergence():
+    # ten more retained orders on each side, on a finer grid, move no rate
+    # by 1e-12
+    from floqchern.drive import TunnelingSpectrum, _bond_amplitudes, _peierls_components
     spec = build_family_drive("plus", 1.0, [2.5, 1.5], [0.0, -0.4])
     sp = fourier_components(spec, GEOM, 1.0)
     r1 = derive_rates(sp)
-    sp2 = fourier_components(spec, GEOM, 1.0, n_max=sp.n_max + 10)
-    r2 = derive_rates(sp2)
+    n_max = sp.n_max + 10
+    g, _ = _peierls_components(*_bond_amplitudes(spec, GEOM), 1.0, n_max, 1024)
+    r2 = derive_rates(TunnelingSpectrum(j0=1.0, omega=spec.omega, n_max=n_max, g=g))
     assert np.abs(r1.tau - r2.tau).max() < 1e-12
 
 

@@ -869,8 +869,9 @@ def test_random_search_and_start_records_share_the_floor(below, feasible, monkey
 
 def test_candidate_batch_raises_first_failing_row(monkeypatch):
     # a retained order of 3 truncates every drive of bandwidth above 2
-    def short_window(mmax, zmax, bandwidth, n_max=None, samples=None):
-        return _grid_size(mmax, zmax, bandwidth, 3 if bandwidth > 2 else n_max, samples)
+    def short_window(mmax, zmax, bandwidth):
+        n_max, M = _grid_size(mmax, zmax, bandwidth)
+        return (3 if bandwidth > 2 else n_max), M
     monkeypatch.setattr(optimizer, "_grid_size", short_window)
     ok = [[0.5, 0.2, 0.3], [1.0, 0.1, 0.3]]
     # the larger drive's grid group (M = 512) is evaluated after the
@@ -1009,8 +1010,9 @@ def test_kernel_blocks_thread_count_invariant(family, monkeypatch):
 def test_thread_blocks_raise_first_failing_row(monkeypatch):
     # a retained order of 3 truncates every drive of bandwidth above 2; the
     # failing rows sit at the end, in blocks that worker threads pick up last
-    def short_window(mmax, zmax, bandwidth, n_max=None, samples=None):
-        return _grid_size(mmax, zmax, bandwidth, 3 if bandwidth > 2 else n_max, samples)
+    def short_window(mmax, zmax, bandwidth):
+        n_max, M = _grid_size(mmax, zmax, bandwidth)
+        return (3 if bandwidth > 2 else n_max), M
     monkeypatch.setattr(optimizer, "_grid_size", short_window)
     rng = np.random.default_rng(8)
     ok = np.column_stack((rng.uniform(0.0, 0.6, 400), rng.uniform(0.0, 0.3, 400),

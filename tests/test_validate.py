@@ -1,4 +1,5 @@
 import contextlib
+import json
 import sys
 import threading
 import tracemalloc
@@ -489,6 +490,39 @@ def test_compare_refuses_anisotropic_drive_before_propagating(monkeypatch):
     single_axis = build_custom_drive(1.0, [(1, 1.5, 0.0, 0.0, 0.0)])
     with pytest.raises(ValueError, match="isotropic"):
         compare_effective(single_axis, GEOM, 0.02, 0.0, 4, PropagatorSettings(256))
+
+
+@pytest.mark.parametrize("omega, j0_over_omega", [(1e-155, 0.02), (1e-160, 0.02),
+                                                  (1e-300, 0.02), (1.0, 1e-300)])
+def test_underflowing_rates_refused_before_any_step(omega, j0_over_omega, monkeypatch,
+                                                    tmp_path, capsys):
+    # below j0^2 = tiny the step energies sqrt(h1^2 + h2^2 + delta^2) lose
+    # the rates that the step matrices keep: refused, not propagated
+    def no_propagation(*args, **kwargs):
+        raise AssertionError("an underflowing j0 was propagated")
+    monkeypatch.setattr(validate, "_propagators", no_propagation)
+    drive = f'{{"family":"plus","omega":{omega!r},"A":[1.95483,0.0],"delta":[0.0,0.0]}}'
+    for ladder in ([], ["--ladder"]):
+        out = tmp_path / str(len(ladder))
+        assert cli_main(["validate", "--drive", drive, "--j0-over-omega", repr(j0_over_omega),
+                         "--kgrid", "4", "--steps", "256", "--out", str(out), *ladder]) == 2
+        captured = capsys.readouterr()
+        error = json.loads(captured.err)["error"]
+        assert not captured.out and error["type"] == "config" and "underflows" in error["message"]
+        assert not any(out.iterdir())
+    spec = build_family_drive("plus", omega, [1.95483, 0.0], [0.0, 0.0])
+    with pytest.raises(ValueError, match="underflows"):
+        floquet_chern(spec, GEOM, j0_over_omega * omega, 0.0, 12, PropagatorSettings(256))
+
+
+def test_smallest_normal_j0_square_is_propagated():
+    j0 = np.sqrt(np.finfo(float).tiny) * (1 + 1e-15)
+    assert j0 * j0 >= np.finfo(float).tiny
+    U = period_propagator(ZERO, GEOM, j0, 0.0, K_POINT, PropagatorSettings(256))
+    assert np.abs(U.conj().T @ U - np.eye(2)).max() < 1e-14
+    with pytest.raises(ValueError, match="underflows"):
+        period_propagator(ZERO, GEOM, np.nextafter(np.sqrt(np.finfo(float).tiny), 0), 0.0,
+                          K_POINT, PropagatorSettings(256))
 
 
 def test_compare_rejects_empty_kgrid():
